@@ -1,4 +1,4 @@
-"""Uniform periodic lattice: grids, central differences, Minkowski algebra, CSV snapshots.
+"""Uniform periodic lattice: grids, central differences, Minkowski algebra, CSV output.
 
 Conventions used throughout the package:
 
@@ -13,6 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -225,18 +226,41 @@ def minkowski_square(a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# CSV snapshot I/O
+# CSV output
 #
-# Complex fields:  header axis0,axis1,axis2,component,re,im
-# Real fields:     header axis0,axis1,axis2,component,value
-# One row per lattice point per component; unused axes carry index 0; floats
-# are written with 17 significant digits so values round-trip bit-exactly.
+# write_csv is the one encoder for every CSV the package writes: snapshots,
+# fluid maps and diagnostics.  It streams rows in blocks of _CSV_BLOCK_ROWS and
+# formats each row with one `row_fmt % row`: indices as %d, floats as %.17g so
+# values round-trip bit-exactly; the file format is unchanged.  Snapshots have
+# one row per lattice point per component (unused axes carry index 0) under one
+# of the two headers below.
 
 _COMPLEX_HEADER = "axis0,axis1,axis2,component,re,im"
 _REAL_HEADER = "axis0,axis1,axis2,component,value"
+_CSV_BLOCK_ROWS = 4096
 
 
-def _snapshot_columns(f: np.ndarray, grid: Grid):
+@functools.lru_cache(maxsize=4)
+def index_prefixes(shape: tuple[int, ...]) -> tuple[str, ...]:
+    """The "axis0,axis1,axis2," row prefix of every lattice point, in C order."""
+    idx = np.indices(shape).reshape(len(shape), -1).tolist()
+    idx += [[0] * len(idx[0])] * (3 - len(shape))
+    return tuple(map("%d,%d,%d,".__mod__, zip(*idx)))
+
+
+def write_csv(path, header: str, sections) -> None:
+    """Write header, then `row_fmt % row` per row of each (row_fmt, equal-length columns)."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n")
+        for row_fmt, columns in sections:
+            for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+                block = [c[lo:lo + _CSV_BLOCK_ROWS] for c in columns]
+                block = [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
+                fh.write("".join(map(row_fmt.__mod__, zip(*block))))
+
+
+def _snapshot_components(f: np.ndarray, grid: Grid) -> np.ndarray:
+    """Validate a snapshot field and return it as (ncomp, npoints)."""
     if f.shape[f.ndim - grid.dims:] != grid.shape:
         raise SnapshotIOError(f"field shape {f.shape} does not end with grid shape {grid.shape}")
     if f.ndim == grid.dims:
@@ -246,30 +270,22 @@ def _snapshot_columns(f: np.ndarray, grid: Grid):
     ncomp = f.shape[0]
     if ncomp not in (1, 2, 4):
         raise SnapshotIOError(f"component count must be 1, 2, or 4, got {ncomp}")
-    idx = np.indices(grid.shape).reshape(grid.dims, -1)
-    npts = idx.shape[1]
-    axis_cols = np.zeros((3, ncomp * npts), dtype=np.int64)
-    for j in range(grid.dims):
-        axis_cols[j] = np.tile(idx[j], ncomp)
-    comp_col = np.repeat(np.arange(ncomp, dtype=np.int64), npts)
-    flat = f.reshape(ncomp, npts).reshape(-1)
-    return axis_cols, comp_col, flat, ncomp
+    return f.reshape(ncomp, -1)
 
 
 def write_snapshot(path, f: np.ndarray, grid: Grid) -> None:
     """Write a complex or real field snapshot CSV."""
-    axis_cols, comp_col, flat, _ = _snapshot_columns(np.asarray(f), grid)
-    complex_field = np.iscomplexobj(flat)
-    header = _COMPLEX_HEADER if complex_field else _REAL_HEADER
-    if complex_field:
-        cols = (axis_cols[0], axis_cols[1], axis_cols[2], comp_col, flat.real, flat.imag)
-        fmt = ["%d", "%d", "%d", "%d", "%.17g", "%.17g"]
+    comps = _snapshot_components(np.asarray(f), grid)
+    prefixes = index_prefixes(grid.shape)
+    if np.iscomplexobj(comps):
+        header = _COMPLEX_HEADER
+        sections = [(f"%s{c},%.17g,%.17g\n", (prefixes, v.real, v.imag))
+                    for c, v in enumerate(comps)]
     else:
-        cols = (axis_cols[0], axis_cols[1], axis_cols[2], comp_col, flat.astype(float))
-        fmt = ["%d", "%d", "%d", "%d", "%.17g"]
+        header = _REAL_HEADER
+        sections = [(f"%s{c},%.17g\n", (prefixes, v)) for c, v in enumerate(comps)]
     try:
-        np.savetxt(path, np.column_stack(cols), fmt=fmt, delimiter=",",
-                   header=header, comments="")
+        write_csv(path, header, sections)
     except OSError as exc:
         raise SnapshotIOError(f"cannot write snapshot {path}: {exc}") from exc
 
@@ -308,12 +324,14 @@ def read_snapshot(path, grid: Grid) -> np.ndarray:
             raise SnapshotIOError(f"{path}: axis{j} index out of range for grid {grid.shape}")
     if np.any(idx[:, grid.dims:] != 0):
         raise SnapshotIOError(f"{path}: nonzero index on unused axis")
-    values = raw[:, 4] + 1j * raw[:, 5] if complex_field else raw[:, 4]
-    dtype = complex if complex_field else float
-    out = np.full((ncomp,) + grid.shape, np.nan, dtype=dtype)
-    spatial = tuple(idx[:, j] for j in range(grid.dims))
-    out[(comp,) + spatial] = values
-    if np.any(np.isnan(out.real)):
+    # a view, not re + 1j*im, which turns an infinite im into a NaN re and drops -0.0
+    values = np.ascontiguousarray(raw[:, 4:]).view(complex if complex_field else float)[:, 0]
+    out = np.empty((ncomp,) + grid.shape, dtype=values.dtype)
+    seen = np.zeros(out.shape, dtype=bool)
+    index = (comp,) + tuple(idx[:, j] for j in range(grid.dims))
+    out[index] = values
+    seen[index] = True
+    if not seen.all():
         raise SnapshotIOError(f"{path}: missing lattice points in snapshot")
     return out
 

@@ -12,7 +12,9 @@
 
 The manifest carries no timestamps or machine identifiers and every float is
 written at 17 significant digits, so re-running the same config produces
-byte-identical files.
+byte-identical files.  Every CSV is written by the one encoder,
+`lattice.write_csv`, which streams rows in fixed-size blocks; the file format
+is unchanged.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .lagrangian import (conservation_report, fisher_terms, four_gradient,
                          lagrangian_classical_fluid, lagrangian_quantum_polar,
                          lagrangian_spinor, lagrangian_split,
                          minkowski_square_field)
-from .lattice import file_sha256, write_snapshot
+from .lattice import file_sha256, index_prefixes, write_csv, write_snapshot
 from .reduction import (EquivalenceReport, compare_trajectories,
                         evolve_reduced, residual_series, unhat_trajectory)
 from .scenarios import Scenario, build_initial
@@ -46,29 +48,21 @@ class RunResult:
     equivalence: EquivalenceReport | None = None
 
 
+_FLUID_HEADER = "axis0,axis1,axis2,rho_bar,theta,alpha,vC0,vC1,vC2,vC3,rho_0,a_0,mask"
+_FLUID_ROW = "%s" + "%.17g," * 9 + "%s\n"
+_MASK_LABELS = np.array([MASK_NAMES[m] for m in PointMask])
+
+
 def _write_rows(path: Path, header: str, rows: np.ndarray) -> None:
-    np.savetxt(path, np.atleast_2d(rows), fmt="%.17g", delimiter=",",
-               header=header, comments="")
+    columns = np.atleast_2d(rows).T
+    write_csv(path, header, [(",".join(["%.17g"] * len(columns)) + "\n", columns)])
 
 
 def _fluid_csv(path: Path, fs: FluidState) -> None:
-    grid = fs.grid
-    idx = np.indices(grid.shape).reshape(grid.dims, -1)
-    npts = idx.shape[1]
-    cols = []
-    for j in range(3):
-        cols.append(idx[j] if j < grid.dims else np.zeros(npts, dtype=np.int64))
-    numeric = [fs.rho_bar, fs.theta, fs.alpha,
-               fs.v_c.data[0], fs.v_c.data[1], fs.v_c.data[2], fs.v_c.data[3],
-               fs.rho_0, fs.a_0]
-    lines = ["axis0,axis1,axis2,rho_bar,theta,alpha,vC0,vC1,vC2,vC3,rho_0,a_0,mask"]
-    flat = [f.reshape(-1) for f in numeric]
-    mask_flat = fs.mask.reshape(-1)
-    for p in range(npts):
-        head = ",".join(str(int(cols[j][p])) for j in range(3))
-        body = ",".join("%.17g" % v[p] for v in flat)
-        lines.append(f"{head},{body},{MASK_NAMES[PointMask(int(mask_flat[p]))]}")
-    path.write_text("\n".join(lines) + "\n")
+    numeric = [fs.rho_bar, fs.theta, fs.alpha, *fs.v_c.data, fs.rho_0, fs.a_0]
+    columns = [index_prefixes(fs.grid.shape), *(v.reshape(-1) for v in numeric),
+               _MASK_LABELS[fs.mask.reshape(-1)]]
+    write_csv(path, _FLUID_HEADER, [(_FLUID_ROW, columns)])
 
 
 def _grid_tag(grid) -> str:
@@ -156,6 +150,7 @@ _CHAIN_HEADER = ("x0,median_speed_dev,max_speed_dev,median_density_dev,"
                  "frac_degenerate_beta,frac_complex_alpha")
 _EQUIV_HEADER = "x0,sup_discrepancy,l2_discrepancy,kg_residual"
 _CONSV_HEADER = "x0,divergence_l2,total_charge,charge_drift"
+_IDENT_HEADER = "identity_name,grid_tag,branch,residual_l2,residual_sup,masked_fraction"
 
 
 def run(scenario: Scenario, outdir) -> RunResult:
@@ -193,14 +188,19 @@ def run(scenario: Scenario, outdir) -> RunResult:
             write_snapshot(run_dir / rel, field, grid)
             outputs.append(rel)
 
-    if scenario.fluid_map and nt >= 3:
+    chain_rows = []
+    want_chain = "approximation_chain" in scenario.diagnostics
+    if (scenario.fluid_map or want_chain) and nt >= 3:
         for n in range(1, nt - 1):
             fs = fluid_state(primary.psi1[n - 1], primary.psi1[n], primary.psi1[n + 1],
                              primary.record_step, float(primary.x0[n]), grid, params,
                              order=order, branch=scenario.alpha_branch)
-            rel = f"snapshots/fluid_{n * scenario.record_every:06d}.csv"
-            _fluid_csv(run_dir / rel, fs)
-            outputs.append(rel)
+            if scenario.fluid_map:
+                rel = f"snapshots/fluid_{n * scenario.record_every:06d}.csv"
+                _fluid_csv(run_dir / rel, fs)
+                outputs.append(rel)
+            if want_chain:
+                chain_rows.append(chain_row(fs, params))
 
     equivalence = None
     if "equivalence" in scenario.diagnostics and direct is not None and recon is not None:
@@ -221,20 +221,12 @@ def run(scenario: Scenario, outdir) -> RunResult:
         mid = max(1, min(nt // 2, nt - 2))
         rows = identity_rows_at(primary, mid, params, order, scenario.alpha_branch)
         rel = "diagnostics/identities.csv"
-        lines = ["identity_name,grid_tag,branch,residual_l2,residual_sup,masked_fraction"]
-        lines += [r.row() for r in rows]
-        (run_dir / rel).write_text("\n".join(lines) + "\n")
+        write_csv(run_dir / rel, _IDENT_HEADER, [("%s\n", ([r.row() for r in rows],))])
         outputs.append(rel)
 
-    if "approximation_chain" in scenario.diagnostics and nt >= 3:
-        rows = []
-        for n in range(1, nt - 1):
-            fs = fluid_state(primary.psi1[n - 1], primary.psi1[n], primary.psi1[n + 1],
-                             primary.record_step, float(primary.x0[n]), grid, params,
-                             order=order, branch=scenario.alpha_branch)
-            rows.append(chain_row(fs, params))
+    if chain_rows:
         rel = "diagnostics/approximation_chain.csv"
-        _write_rows(run_dir / rel, _CHAIN_HEADER, np.vstack(rows))
+        _write_rows(run_dir / rel, _CHAIN_HEADER, np.vstack(chain_rows))
         outputs.append(rel)
 
     n_steps = n_steps_for(scenario.duration, grid.dt, scenario.record_every)

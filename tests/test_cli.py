@@ -1,11 +1,14 @@
 """Command line behavior: subcommands, overrides, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import diracfluid
 from diracfluid.checks import CHECK_NAMES
 from diracfluid.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_UNSTABLE, main)
 from diracfluid.scenarios import RECIPE_NAMES
@@ -133,8 +136,11 @@ def test_snapshot_io_errors_exit_3(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # the child must import the same package, whether or not it is installed
+    package_root = str(Path(diracfluid.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "diracfluid.cli", "scenario", "list"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "plane_wave" in proc.stdout
 

@@ -2,6 +2,7 @@
 Minkowski index handling, and the CSV snapshot round trip."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,6 +217,89 @@ def test_snapshot_four_component(tmp_path):
     path = tmp_path / "v.csv"
     write_snapshot(path, f, grid)
     assert np.array_equal(read_snapshot(path, grid), f)
+
+
+EDGE_VALUES = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, -1e308, 2.0 ** 60 + 1.0]
+
+
+def _savetxt_snapshot(path, f, grid):
+    """The np.savetxt writer the snapshot encoder replaced, kept as the reference."""
+    ncomp = f.shape[0]
+    idx = np.indices(grid.shape).reshape(grid.dims, -1)
+    npts = idx.shape[1]
+    axis_cols = np.zeros((3, ncomp * npts), dtype=np.int64)
+    for j in range(grid.dims):
+        axis_cols[j] = np.tile(idx[j], ncomp)
+    comp_col = np.repeat(np.arange(ncomp, dtype=np.int64), npts)
+    flat = f.reshape(-1)
+    if np.iscomplexobj(flat):
+        cols = (*axis_cols, comp_col, flat.real, flat.imag)
+        fmt = ["%d"] * 4 + ["%.17g"] * 2
+        header = "axis0,axis1,axis2,component,re,im"
+    else:
+        cols = (*axis_cols, comp_col, flat.astype(float))
+        fmt = ["%d"] * 4 + ["%.17g"]
+        header = "axis0,axis1,axis2,component,value"
+    np.savetxt(path, np.column_stack(cols), fmt=fmt, delimiter=",", header=header,
+               comments="")
+
+
+def _edge_field(shape, ncomp, complex_field, seed=0):
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=(ncomp,) + shape) * 10.0 ** rng.integers(-30, 30, (ncomp,) + shape)
+    if complex_field:
+        f = f + 1j * rng.normal(size=(ncomp,) + shape)
+    flat = f.reshape(-1)
+    for i, v in enumerate(EDGE_VALUES):
+        flat[(7 * i + 1) % flat.size] = v
+        if complex_field:
+            flat.imag[(11 * i + 2) % flat.size] = v
+    return f
+
+
+@pytest.mark.parametrize("points,ncomp,complex_field", [
+    ([8], 1, False), ([8], 2, True), ([8], 4, False),
+    ([8, 12], 1, True), ([8, 12], 2, False), ([8, 12], 4, True),
+    ([8, 9, 10], 4, True),
+    ([17, 17, 17], 2, True),    # 9826 rows: over two blocks, not a multiple of one
+    ([17, 17, 17], 1, False),
+])
+def test_snapshot_bytes_match_savetxt(tmp_path, points, ncomp, complex_field):
+    grid = make_grid([1.0] * len(points), points)
+    f = _edge_field(tuple(points), ncomp, complex_field)
+    field = f[0] if ncomp == 1 and not complex_field else f
+    write_snapshot(tmp_path / "new.csv", field, grid)
+    _savetxt_snapshot(tmp_path / "ref.csv", f, grid)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("complex_field", [True, False])
+def test_snapshot_round_trip_edge_values_bit_exact(tmp_path, complex_field):
+    grid = make_grid([1.0, 1.0], [8, 9])
+    f = _edge_field((8, 9), 2, complex_field)
+    write_snapshot(tmp_path / "e.csv", f, grid)
+    back = read_snapshot(tmp_path / "e.csv", grid)
+    assert back.dtype == f.dtype
+    parts = [(f.real, back.real), (f.imag, back.imag)] if complex_field else [(f, back)]
+    for want, got in parts:
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def test_snapshot_write_streams_in_blocks(tmp_path):
+    grid = make_grid([1.0] * 3, [32] * 3)
+    rng = np.random.default_rng(5)
+    f = rng.normal(size=(2, 32, 32, 32)) + 1j * rng.normal(size=(2, 32, 32, 32))
+    path = tmp_path / "big.csv"
+    write_snapshot(path, f, grid)   # warm-up: fills the index-prefix cache
+    tracemalloc.start()
+    try:
+        write_snapshot(path, f, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 3
 
 
 def test_snapshot_rejects_bad_component_count(tmp_path):

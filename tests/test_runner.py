@@ -3,11 +3,12 @@
 import json
 
 import numpy as np
+import pytest
 
 from diracfluid.dynamics import evolve
-from diracfluid.fluid import MASK_NAMES, fluid_state
-from diracfluid.lattice import file_sha256, read_snapshot
-from diracfluid.runner import chain_row, identity_rows_at, run
+from diracfluid.fluid import MASK_NAMES, FluidState, PointMask, fluid_state
+from diracfluid.lattice import FourVectorField, file_sha256, make_grid, read_snapshot
+from diracfluid.runner import _fluid_csv, chain_row, identity_rows_at, run
 from diracfluid.scenarios import build_initial, scenario_from_dict
 
 IDENTITY_ORDER = ["split_identity", "polar_quantum", "fisher_substitution",
@@ -108,6 +109,44 @@ def test_fluid_snapshot_format(tmp_path):
         assert fields[12] in mask_values
         int(fields[0])
         float(fields[3])
+
+
+def _row_loop_fluid_csv(fs):
+    """The per-point fluid writer the CSV encoder replaced, kept as the reference."""
+    grid = fs.grid
+    idx = np.indices(grid.shape).reshape(grid.dims, -1)
+    npts = idx.shape[1]
+    cols = [idx[j] if j < grid.dims else np.zeros(npts, dtype=np.int64) for j in range(3)]
+    numeric = [fs.rho_bar, fs.theta, fs.alpha, *fs.v_c.data, fs.rho_0, fs.a_0]
+    lines = ["axis0,axis1,axis2,rho_bar,theta,alpha,vC0,vC1,vC2,vC3,rho_0,a_0,mask"]
+    flat = [f.reshape(-1) for f in numeric]
+    mask_flat = fs.mask.reshape(-1)
+    for p in range(npts):
+        head = ",".join(str(int(cols[j][p])) for j in range(3))
+        body = ",".join("%.17g" % v[p] for v in flat)
+        lines.append(f"{head},{body},{MASK_NAMES[PointMask(int(mask_flat[p]))]}")
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("points", [[64], [8, 12], [17, 17, 17]])
+def test_fluid_csv_bytes_match_row_loop(tmp_path, points):
+    grid = make_grid([1.0] * len(points), points)
+    shape = tuple(points)
+    rng = np.random.default_rng(4)
+    scalars = [rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, shape) for _ in range(5)]
+    mask = (np.arange(scalars[0].size) % len(PointMask)).astype(np.uint8).reshape(shape)
+    alpha = scalars[2]
+    alpha[mask != PointMask.OK] = np.nan
+    alpha.reshape(-1)[:8] = [np.inf, -np.inf, -0.0, 5e-324, 1e308, 0.0, 1.0, -1e-300]
+    v_c = FourVectorField(rng.normal(size=(4,) + shape), upper=True, grid=grid)
+    fs = FluidState(grid=grid, x0=0.5, rho_bar=scalars[0], theta=scalars[1], alpha=alpha,
+                    v_c=v_c, rho_0=scalars[3], a_0=scalars[4], mask=mask,
+                    gradients=None, branch="auto")
+    _fluid_csv(tmp_path / "fluid.csv", fs)
+    written = (tmp_path / "fluid.csv").read_bytes()
+    assert written == _row_loop_fluid_csv(fs)
+    assert {line.rsplit(b",", 1)[1] for line in written.splitlines()[1:]} == {
+        name.encode() for name in MASK_NAMES.values()}
 
 
 def test_rerun_is_byte_identical(tmp_path):
