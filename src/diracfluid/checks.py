@@ -20,8 +20,7 @@ from .lagrangian import (conservation_report, fisher_terms,
                          lagrangian_classical_clebsch,
                          lagrangian_classical_fluid, lagrangian_quantum_polar,
                          lagrangian_spinor_from_gradients, lagrangian_split,
-                         minkowski_square_field, probability_current,
-                         relative_residual)
+                         probability_current, relative_residual)
 from .lattice import FourVectorField, make_grid, minkowski_square, mode_amplitude
 from .params import PhysParams
 from .reduction import equivalence_report, evolve_reduced, unhat_trajectory
@@ -123,7 +122,7 @@ def check_clebsch_identity() -> tuple[bool, str]:
         scale = np.maximum(np.maximum(np.abs(t1), np.abs(t2)), np.maximum(np.abs(t3), 1e-300))
         worst_quad = max(worst_quad, float(np.max((quad / scale)[ok])))
         v = clebsch_velocity(a, inp.d_nu, inp.d_beta, ~ok, grid)
-        vv = minkowski_square_field(v.data)
+        vv = minkowski_square(v.data)
         worst_vv = max(worst_vv, float(np.max(relative_residual(vv, target_vv)[ok])))
         fractions.append((branch, float(np.mean(res.degenerate)),
                           float(np.mean(res.complex_disc))))
@@ -265,7 +264,7 @@ def check_approximation_chain() -> tuple[bool, str]:
     fs = fluid_state(traj.psi1[0], traj.psi1[1], traj.psi1[2], traj.record_step,
                      float(traj.x0[1]), grid, params)
     ok_pts = fs.mask == int(PointMask.OK)
-    vv = minkowski_square_field(fs.v_c.data)
+    vv = minkowski_square(fs.v_c.data)
     speed = np.sqrt(np.where(vv >= 0, vv, 0.0))
     space_speed = np.sqrt(sum(fs.v_c.data[i] ** 2 for i in (1, 2, 3)))
     # the slowness precondition quantifies over the density bulk; phases in

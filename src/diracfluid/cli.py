@@ -14,7 +14,7 @@ from pathlib import Path
 from .checks import CHECK_NAMES, run_checks
 from .errors import ConfigError, NumericalInstabilityError, SnapshotIOError
 from .runner import run
-from .scenarios import RECIPE_NAMES, RECIPE_SUMMARIES, scenario_from_dict
+from .scenarios import RECIPE_NAMES, RECIPE_SUMMARIES, read_config, scenario_from_dict
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -42,18 +42,10 @@ def _apply_override(config: dict, spec: str) -> None:
 
 
 def _cmd_run(args) -> int:
-    path = Path(args.config)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        config = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    config = read_config(args.config)
     for override in args.override:
         _apply_override(config, override)
-    scenario = scenario_from_dict(config, base=path.parent)
+    scenario = scenario_from_dict(config, base=Path(args.config).parent)
     result = run(scenario, args.outdir)
     print(f"{result.run_dir}: {len(result.manifest['outputs'])} outputs, "
           f"{result.manifest['n_steps']} steps")

@@ -22,16 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import pauli
-from .lattice import Grid, integrate_volume, spatial_derivative
+from .lattice import Grid, integrate_volume, minkowski_square, spatial_derivative
 from .params import PhysParams
 
 _SCALE_FLOOR = 1e-300
-
-
-def minkowski_square_field(v: np.ndarray) -> np.ndarray:
-    """|v0|^2 - |v1|^2 - |v2|^2 - |v3|^2 for (4, ...) real or complex arrays."""
-    mags = np.abs(v) ** 2
-    return mags[0] - mags[1] - mags[2] - mags[3]
 
 
 def four_gradient(prev: np.ndarray, curr: np.ndarray, nxt: np.ndarray,
@@ -47,7 +41,7 @@ def four_gradient(prev: np.ndarray, curr: np.ndarray, nxt: np.ndarray,
 def lagrangian_spinor_from_gradients(psi1: np.ndarray, dpsi1: np.ndarray,
                                      params: PhysParams) -> np.ndarray:
     """L for the first two-spinor given d_mu psi1 with shape (4, 2, *shape)."""
-    kinetic = minkowski_square_field(dpsi1[:, 0]) + minkowski_square_field(dpsi1[:, 1])
+    kinetic = minkowski_square(dpsi1[:, 0]) + minkowski_square(dpsi1[:, 1])
     mass = np.abs(psi1[0]) ** 2 + np.abs(psi1[1]) ** 2
     return params.m * ((params.hbar / params.m) ** 2 * kinetic - params.c ** 2 * mass)
 
@@ -62,16 +56,16 @@ def lagrangian_split(R_up, R_down, dR_up, dR_down, d_nu_up, d_nu_down,
                      params: PhysParams):
     """(L_q, L_c): amplitude-gradient and phase parts of the polar split."""
     hq = params.hbar ** 2 / params.m
-    l_q = hq * (minkowski_square_field(dR_up) + minkowski_square_field(dR_down))
+    l_q = hq * (minkowski_square(dR_up) + minkowski_square(dR_down))
     c2 = params.c ** 2
-    l_c = params.m * (R_up ** 2 * (minkowski_square_field(d_nu_up) - c2)
-                      + R_down ** 2 * (minkowski_square_field(d_nu_down) - c2))
+    l_c = params.m * (R_up ** 2 * (minkowski_square(d_nu_up) - c2)
+                      + R_down ** 2 * (minkowski_square(d_nu_down) - c2))
     return l_q, l_c
 
 
 def lagrangian_quantum_polar(R, theta, dR, dtheta, params: PhysParams) -> np.ndarray:
     hq = params.hbar ** 2 / params.m
-    return hq * (minkowski_square_field(dR) + R ** 2 * minkowski_square_field(dtheta))
+    return hq * (minkowski_square(dR) + R ** 2 * minkowski_square(dtheta))
 
 
 def fisher_terms(a_0, theta, da_0, dtheta, params: PhysParams):
@@ -81,19 +75,19 @@ def fisher_terms(a_0, theta, da_0, dtheta, params: PhysParams):
     the gap it drops.
     """
     half = params.hbar ** 2 / (2.0 * params.m)
-    amp = half * minkowski_square_field(da_0)
-    angle = half * a_0 ** 2 * minkowski_square_field(dtheta)
+    amp = half * minkowski_square(da_0)
+    angle = half * a_0 ** 2 * minkowski_square(dtheta)
     return amp, angle
 
 
 def lagrangian_classical_clebsch(rho_bar, v_upper, params: PhysParams) -> np.ndarray:
     """rho_bar (v_C.v_C - c^2) for an upper-index velocity array (4, *shape)."""
-    return rho_bar * (minkowski_square_field(v_upper) - params.c ** 2)
+    return rho_bar * (minkowski_square(v_upper) - params.c ** 2)
 
 
 def lagrangian_classical_fluid(rho_0, v_upper, params: PhysParams) -> np.ndarray:
     """c rho_0 (sqrt(v_C.v_C) - c); negative norms clamp to zero speed."""
-    vv = minkowski_square_field(v_upper)
+    vv = minkowski_square(v_upper)
     speed = np.sqrt(np.where(vv >= 0, vv, 0.0))
     return params.c * rho_0 * (speed - params.c)
 

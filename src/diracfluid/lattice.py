@@ -93,49 +93,133 @@ def make_grid(extents, points, dt=None, cfl_factor: float = 0.25, c: float = 1.0
     return Grid(extents=extents, points=points, dt=dt, cfl_factor=cfl_factor)
 
 
-def _array_axis(f: np.ndarray, grid: Grid, axis: int) -> int:
-    """Map a spatial axis index onto the trailing array axes of f."""
+class Stencil:
+    """Periodic central differences, order 2 or 4, on fields of one shape.
+
+    `load` copies a field into a buffer with order/2 periodic ghost layers per
+    spatial axis, so every shifted operand is a slice built once per instance
+    (no np.roll copies) and results go into caller-owned buffers; a stepper
+    keeps one instance, with its scratch buffers, across its steps.  The
+    derivatives repeat the np.roll expressions they replace ufunc for ufunc,
+    and sigma_dot_grad matches the einsum contraction it replaces, so results
+    are bit-identical to both.
+    """
+
+    def __init__(self, shape, grid: Grid, order: int = 2, dtype=complex, scratch: int = 0):
+        if order not in (2, 4):
+            raise GridError(f"derivative order must be 2 or 4, got {order}")
+        shape = tuple(shape)
+        if shape[len(shape) - grid.dims:] != grid.shape:
+            raise GridError(f"field shape {shape} does not end with grid shape {grid.shape}")
+        self.key = (shape, grid, order)
+        self.grid, self.order = grid, order
+        g, lead = order // 2, (slice(None),) * (len(shape) - grid.dims)
+        self.pad = np.empty(shape[:len(lead)] + tuple(n + 2 * g for n in grid.shape), dtype)
+        inner = [slice(g, g + n) for n in grid.shape]
+
+        def along(axis, lo, n):
+            idx = list(inner)
+            idx[axis] = slice(lo, lo + n)
+            return self.pad[lead + tuple(idx)]
+
+        self.inner = self.pad[lead + tuple(inner)]
+        self.ghosts = [pair for a, n in enumerate(grid.shape)
+                       for pair in ((along(a, 0, g), along(a, n, g)),
+                                    (along(a, n + g, g), along(a, g, g)))]
+        # shifted[axis][g + s][i] is f[i + s] along axis
+        self.shifted = [[along(a, g + s, n) for s in range(-g, g + 1)]
+                        for a, n in enumerate(grid.shape)]
+        self.div1 = [(2.0 if order == 2 else 12.0) * dx for dx in grid.dx]
+        self.div2 = [dx ** 2 if order == 2 else 12.0 * dx ** 2 for dx in grid.dx]
+        self.e, self.t = np.empty(shape, dtype), np.empty(shape, dtype)
+        self.flip = (Ellipsis, slice(None, None, -1)) + (slice(None),) * grid.dims
+        self.scratch = [np.empty(shape, dtype) for _ in range(scratch)]  # for callers
+
+    @classmethod
+    def reuse(cls, stencil, shape, grid: Grid, order: int, scratch: int) -> Stencil:
+        """stencil if it was made for (shape, grid, order), else a new complex one."""
+        if stencil is not None and stencil.key == (tuple(shape), grid, order):
+            return stencil
+        return cls(shape, grid, order, complex, scratch)
+
+    def load(self, f: np.ndarray) -> None:
+        """Copy f into the padded buffer (unless it is `inner`) and fill the ghosts."""
+        if f is not self.inner:
+            np.copyto(self.inner, f)
+        for ghost, source in self.ghosts:
+            np.copyto(ghost, source)
+
+    def first_numerator(self, axis: int, out: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The loaded field's first difference along axis, before its division."""
+        v = self.shifted[axis]
+        if self.order == 2:
+            return np.subtract(v[2], v[0], out=out)
+        np.subtract(np.multiply(8.0, v[3], out=out), v[4], out=out)  # -f[i+2] + 8 f[i+1]
+        np.subtract(out, np.multiply(8.0, v[1], out=t), out=out)     # - 8 f[i-1]
+        return np.add(out, v[0], out=out)                             # + f[i-2]
+
+    def second(self, axis: int, out: np.ndarray) -> np.ndarray:
+        """Second derivative of the loaded field along axis into out."""
+        v, t = self.shifted[axis], self.t
+        if self.order == 2:  # f[i+1] - 2 f[i] + f[i-1]
+            np.subtract(v[2], np.multiply(2.0, v[1], out=out), out=out)
+            np.add(out, v[0], out=out)
+        else:  # -f[i+2] + 16 f[i+1] - 30 f[i] + 16 f[i-1] - f[i-2]
+            np.subtract(np.multiply(16.0, v[3], out=out), v[4], out=out)
+            np.subtract(out, np.multiply(30.0, v[2], out=t), out=out)
+            np.add(out, np.multiply(16.0, v[1], out=t), out=out)
+            np.subtract(out, v[0], out=out)
+        return np.divide(out, self.div2[axis], out=out)
+
+    def laplacian(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+        self.load(f)
+        self.second(0, out)
+        for axis in range(1, self.grid.dims):
+            np.add(out, self.second(axis, self.e), out=out)
+        return out
+
+    def sigma_dot_grad(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """sigma^i d_i f, with the two spinor components on axis -(dims + 1).
+
+        sigma^1 swaps the components (written through reversed views),
+        sigma^2 is -i, +i times the swap and sigma^3 flips the second's sign.
+        Nonzero values equal the complex division and einsum of the roll form;
+        the final +0.0 turns -0.0 into +0.0, as that einsum did.
+        """
+        self.load(f)
+        dims, flip = self.grid.dims, self.flip
+        self.first_numerator(0, out[flip], self.t[flip])
+        np.multiply(out, 1.0 / self.div1[0], out=out)
+        for axis, factors in ((1, [-1j, 1j]), (2, [1.0, -1.0]))[:dims - 1]:
+            swap = flip if axis == 1 else Ellipsis
+            self.first_numerator(axis, self.e[swap], self.t[swap])
+            factor = np.reshape(factors, (2,) + (1,) * dims) * (1.0 / self.div1[axis])
+            np.add(out, np.multiply(self.e, factor, out=self.e), out=out)
+        return np.add(out, 0.0, out=out)
+
+
+def _loaded(f: np.ndarray, grid: Grid, axis: int, order: int) -> Stencil:
     if not 0 <= axis < grid.dims:
         raise GridError(f"axis {axis} out of range for a {grid.dims}-dim grid")
-    if f.shape[f.ndim - grid.dims:] != grid.shape:
-        raise GridError(f"field shape {f.shape} does not end with grid shape {grid.shape}")
-    return f.ndim - grid.dims + axis
+    stencil = Stencil(f.shape, grid, order, f.dtype)
+    stencil.load(f)
+    return stencil
 
 
 def spatial_derivative(f: np.ndarray, grid: Grid, axis: int, order: int = 2) -> np.ndarray:
     """Periodic central first derivative along one spatial axis, order 2 or 4."""
-    ax = _array_axis(f, grid, axis)
-    dx = grid.dx[axis]
-    if order == 2:
-        # roll(f, -1) is f(x + dx) with periodic wrap
-        return (np.roll(f, -1, ax) - np.roll(f, 1, ax)) / (2.0 * dx)
-    if order == 4:
-        return (
-            -np.roll(f, -2, ax) + 8.0 * np.roll(f, -1, ax)
-            - 8.0 * np.roll(f, 1, ax) + np.roll(f, 2, ax)
-        ) / (12.0 * dx)
-    raise GridError(f"derivative order must be 2 or 4, got {order}")
+    stencil = _loaded(f, grid, axis, order)
+    out = stencil.first_numerator(axis, np.empty(f.shape, f.dtype), stencil.t)
+    return np.divide(out, stencil.div1[axis], out=out)
 
 
 def second_derivative(f: np.ndarray, grid: Grid, axis: int, order: int = 2) -> np.ndarray:
     """Periodic central second derivative along one spatial axis, order 2 or 4."""
-    ax = _array_axis(f, grid, axis)
-    dx2 = grid.dx[axis] ** 2
-    if order == 2:
-        return (np.roll(f, -1, ax) - 2.0 * f + np.roll(f, 1, ax)) / dx2
-    if order == 4:
-        return (
-            -np.roll(f, -2, ax) + 16.0 * np.roll(f, -1, ax) - 30.0 * f
-            + 16.0 * np.roll(f, 1, ax) - np.roll(f, 2, ax)
-        ) / (12.0 * dx2)
-    raise GridError(f"derivative order must be 2 or 4, got {order}")
+    return _loaded(f, grid, axis, order).second(axis, np.empty(f.shape, f.dtype))
 
 
 def laplacian(f: np.ndarray, grid: Grid, order: int = 2) -> np.ndarray:
-    out = second_derivative(f, grid, 0, order)
-    for axis in range(1, grid.dims):
-        out = out + second_derivative(f, grid, axis, order)
-    return out
+    return Stencil(f.shape, grid, order, f.dtype).laplacian(f, np.empty(f.shape, f.dtype))
 
 
 def integrate_volume(f: np.ndarray, grid: Grid):

@@ -32,9 +32,9 @@ from .fluid import (MASK_NAMES, FluidState, PointMask, amplitudes,
 from .lagrangian import (conservation_report, fisher_terms, four_gradient,
                          identity_residual, lagrangian_classical_clebsch,
                          lagrangian_classical_fluid, lagrangian_quantum_polar,
-                         lagrangian_spinor, lagrangian_split,
-                         minkowski_square_field)
-from .lattice import file_sha256, index_prefixes, write_csv, write_snapshot
+                         lagrangian_spinor, lagrangian_split)
+from .lattice import (file_sha256, index_prefixes, minkowski_square, write_csv,
+                      write_snapshot)
 from .reduction import (EquivalenceReport, compare_trajectories,
                         evolve_reduced, residual_series, unhat_trajectory)
 from .scenarios import Scenario, build_initial
@@ -128,7 +128,7 @@ def identity_rows_at(traj, level: int, params, order: int, branch: str):
 def chain_row(fs: FluidState, params) -> np.ndarray:
     """Near-classical limit metrics over the usable (OK or fallback) points."""
     usable = fs.usable
-    vv = minkowski_square_field(fs.v_c.data)
+    vv = minkowski_square(fs.v_c.data)
     speed = np.sqrt(np.where(vv >= 0, vv, 0.0))
     speed_dev = np.abs(speed / params.c - 1.0)
     dens_dev = np.abs(fs.rho_0 / np.where(usable, 2.0 * fs.rho_bar, 1.0) - 1.0)

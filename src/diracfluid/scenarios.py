@@ -123,8 +123,9 @@ class GaussianPacket:
 
 @dataclass(frozen=True)
 class CustomFields:
-    psi1_file: str
+    psi1_file: str  # as the config gave them; echoed into the manifest
     psi2_file: str
+    base: str = "."  # the config's directory, which relative paths are read from
 
 
 @dataclass(frozen=True)
@@ -231,7 +232,7 @@ def _parse_recipe(section: dict, grid: Grid, base: Path):
     psi2_file = _require(section, "psi2_file", "initial_data")
     if not isinstance(psi1_file, str) or not isinstance(psi2_file, str):
         raise ConfigError("initial_data.psi1_file/psi2_file: expected file paths")
-    return CustomFields(psi1_file=str(base / psi1_file), psi2_file=str(base / psi2_file))
+    return CustomFields(psi1_file=psi1_file, psi2_file=psi2_file, base=str(base))
 
 
 def scenario_from_dict(config: dict, base: Path | None = None) -> Scenario:
@@ -311,17 +312,20 @@ def scenario_from_dict(config: dict, base: Path | None = None) -> Scenario:
                     config_echo=echo)
 
 
-def load_scenario(path) -> Scenario:
-    path = Path(path)
+def read_config(path) -> dict:
+    """The parsed JSON of a scenario file, not yet validated."""
     try:
-        text = path.read_text()
+        text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        config = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return scenario_from_dict(config, base=path.parent)
+
+
+def load_scenario(path) -> Scenario:
+    return scenario_from_dict(read_config(path), base=Path(path).parent)
 
 
 def normalized_config(name, grid, params, recipe, duration, record_every,
@@ -416,8 +420,8 @@ def build_initial(scenario: Scenario) -> DiracState:
         psi2 = positive_energy_closure(psi1, grid, params)
         return DiracState(psi1=psi1, psi2=psi2, x0=0.0, grid=grid)
 
-    psi1 = read_snapshot(recipe.psi1_file, grid)
-    psi2 = read_snapshot(recipe.psi2_file, grid)
+    psi1 = read_snapshot(Path(recipe.base) / recipe.psi1_file, grid)
+    psi2 = read_snapshot(Path(recipe.base) / recipe.psi2_file, grid)
     if psi1.shape[0] != 2 or psi2.shape[0] != 2:
         raise ConfigError("custom initial data must hold 2 components per file")
     return DiracState(psi1=psi1.astype(complex), psi2=psi2.astype(complex),

@@ -4,9 +4,8 @@ instability detectors."""
 import numpy as np
 import pytest
 
-from diracfluid.dynamics import (DiracState, dirac_rhs, evolve, from_hatted,
-                                 hatted_rhs, n_steps_for, sigma_dot_grad, step,
-                                 to_hatted)
+from diracfluid.dynamics import (DiracState, evolve, n_steps_for,
+                                 sigma_dot_grad, step)
 from diracfluid.errors import GridError, NumericalInstabilityError
 from diracfluid.lattice import make_grid, spatial_derivative
 from diracfluid.clifford import pauli
@@ -50,20 +49,6 @@ def test_sigma_dot_grad_matches_pauli_contraction():
     np.testing.assert_allclose(sigma_dot_grad(psi, grid), expected, atol=0)
 
 
-def test_rhs_forms_differ_by_phase_shift_terms():
-    # hatted rhs = plain rhs shifted by -i mu on both spinors
-    grid = make_grid([2.0 * np.pi], [32])
-    params = PhysParams()
-    rng = np.random.default_rng(6)
-    p1 = rng.normal(size=(2, 32)) + 1j * rng.normal(size=(2, 32))
-    p2 = rng.normal(size=(2, 32)) + 1j * rng.normal(size=(2, 32))
-    mu = params.mass_wavenumber
-    d1, d2 = dirac_rhs(p1, p2, grid, params)
-    h1, h2 = hatted_rhs(p1, p2, grid, params)
-    np.testing.assert_allclose(h1, d1 - 1j * mu * p1, rtol=1e-14, atol=1e-14)
-    np.testing.assert_allclose(h2, d2 - 1j * mu * p2, rtol=1e-14, atol=1e-14)
-
-
 def test_rest_state_rotates_at_mass_frequency():
     grid = make_grid([2.0 * np.pi], [8], dt=0.01)
     params = PhysParams()
@@ -100,32 +85,6 @@ def test_rk4_global_error_is_fourth_order():
         errors.append(float(np.max(np.abs(traj.psi1[-1] - exact))))
     ratio = errors[0] / errors[1]
     assert 12.0 <= ratio <= 20.0, f"ratio {ratio:.2f}, errors {errors}"
-
-
-def test_hatted_round_trip_exact():
-    grid = make_grid([2.0 * np.pi], [8])
-    params = PhysParams()
-    state = _rest_state(grid)
-    state.x0 = 0.37
-    back = from_hatted(to_hatted(state, params), params)
-    np.testing.assert_allclose(back.psi1, state.psi1, rtol=0, atol=1e-15)
-    assert back.x0 == state.x0
-
-
-def test_hatted_evolution_matches_phase_shifted_plain():
-    grid = make_grid([20.0], [128], cfl_factor=0.25)
-    params = PhysParams()
-    x = grid.axis_coordinates(0)
-    g = np.exp(-((x - 10.0) ** 2) / 8.0) * np.exp(1j * 0.5 * x)
-    psi1 = np.stack([np.cos(0.3) * g, np.sin(0.3) * np.exp(0.2j) * g])
-    state = DiracState(psi1=psi1, psi2=np.zeros_like(psi1), x0=0.0, grid=grid)
-    plain = evolve(state, 1.0, params, record_every=8)
-    hatted = evolve(state, 1.0, params, record_every=8, hatted=True)
-    mu = params.mass_wavenumber
-    for n, x0 in enumerate(plain.x0):
-        phase = np.exp(-1j * mu * x0)
-        np.testing.assert_allclose(hatted.psi1[n], plain.psi1[n] * phase, atol=1e-5)
-        np.testing.assert_allclose(hatted.psi2[n], plain.psi2[n] * phase, atol=1e-5)
 
 
 def test_n_steps_for():

@@ -12,9 +12,9 @@ from diracfluid.lagrangian import (ConservationReport, conservation_report,
                                    lagrangian_quantum_polar, lagrangian_split,
                                    lagrangian_spinor,
                                    lagrangian_spinor_from_gradients,
-                                   minkowski_square_field, probability_current,
+                                   probability_current,
                                    relative_residual)
-from diracfluid.lattice import make_grid
+from diracfluid.lattice import make_grid, minkowski_square
 from diracfluid.params import PhysParams
 from diracfluid.scenarios import build_initial, scenario_from_dict
 from diracfluid.synthetic import (spinor_from_polar, spinor_gradient_from_polar,
@@ -75,7 +75,7 @@ def test_four_gradient_stencil_symbols():
 
 def test_minkowski_square_field_complex():
     v = np.array([[2.0 + 1.0j], [1.0 - 1.0j], [0.0j], [0.0j]])
-    np.testing.assert_allclose(minkowski_square_field(v), 3.0, rtol=1e-15)
+    np.testing.assert_allclose(minkowski_square(v), 3.0, rtol=1e-15)
 
 
 def test_polar_split_reproduces_spinor_lagrangian():

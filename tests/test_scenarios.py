@@ -222,6 +222,22 @@ def test_custom_recipe_needs_two_components(tmp_path):
         build_initial(scenario)
 
 
+def test_custom_recipe_echo_does_not_depend_on_config_location(tmp_path):
+    # the manifest echoes the paths as the config gave them, so two checkouts
+    # at different locations write the same manifest
+    config = _base_config(initial_data={"recipe": "custom", "psi1_file": "one.csv",
+                                        "psi2_file": "sub/two.csv"})
+    echoes = []
+    for where in ("a", "much/deeper/b"):
+        path = tmp_path / where / "run.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(config))
+        echoes.append(load_scenario(path).config_echo)
+    assert echoes[0] == echoes[1]
+    assert echoes[0]["initial_data"] == {"recipe": "custom", "psi1_file": "one.csv",
+                                         "psi2_file": "sub/two.csv"}
+
+
 def test_load_scenario_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read config"):
         load_scenario(tmp_path / "absent.json")
