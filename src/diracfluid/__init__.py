@@ -6,55 +6,25 @@ second reconstructed from a running integral, maps spinors pointwise to
 relativistic fluid variables through Clebsch potentials, and verifies the
 Lagrangian identity chain connecting the two pictures.  Every claim is exposed
 as a machine-checkable residual; `diracfluid check` runs the built-in suite.
+
+The top level holds what the README's library example and the CLI use; the
+rest of the API lives in the submodules (`lattice`, `dynamics`, `reduction`,
+`fluid`, `lagrangian`, ...).
 """
 
-from .checks import CHECK_NAMES, CheckResult, run_check, run_checks
-from .clifford import anticommutation_deviation, dirac_adjoint, gamma, pauli
-from .dynamics import DiracState, SpinorTrajectory, dirac_rhs, evolve, step
+from .checks import CHECK_NAMES, run_checks
+from .dynamics import evolve
 from .errors import (ConfigError, DiracFluidError, GridError,
                      NumericalInstabilityError, SnapshotIOError)
-from .fluid import (Amplitudes, FluidState, PhaseGradients, PointMask,
-                    amplitudes, clebsch_alpha, clebsch_velocity, fluid_state,
-                    lorentz_factor_check, phase_gradients, rest_density)
-from .lagrangian import (ConservationReport, IdentityResidual,
-                         conservation_report, fisher_terms,
-                         lagrangian_classical_clebsch,
-                         lagrangian_classical_fluid, lagrangian_quantum_polar,
-                         lagrangian_spinor, lagrangian_split,
-                         probability_current, relative_residual)
-from .lattice import (FourVectorField, Grid, integrate_volume, laplacian,
-                      lower_index, make_grid, minkowski_dot, minkowski_square,
-                      mode_amplitude, raise_index, read_snapshot,
-                      spatial_derivative, write_snapshot)
-from .params import PhysParams
-from .reduction import (EquivalenceReport, ReducedState, ReducedTrajectory,
-                        equivalence_report, evolve_reduced, initialize_reduced,
-                        kg_residual, reconstruct_psi2, reduced_step,
-                        unhat_trajectory)
-from .runner import RunResult, run
-from .scenarios import (RECIPE_NAMES, Scenario, build_initial, load_scenario,
-                        scenario_from_dict)
+from .fluid import fluid_state
+from .reduction import equivalence_report
+from .runner import run
+from .scenarios import build_initial, load_scenario
 from .version import __version__
 
 __all__ = [
-    "__version__",
-    "Amplitudes", "CHECK_NAMES", "CheckResult", "ConfigError",
-    "ConservationReport", "DiracFluidError", "DiracState", "EquivalenceReport",
-    "FluidState", "FourVectorField", "Grid", "GridError", "IdentityResidual",
-    "NumericalInstabilityError", "PhaseGradients", "PhysParams", "PointMask",
-    "RECIPE_NAMES", "ReducedState", "ReducedTrajectory", "RunResult",
-    "Scenario", "SnapshotIOError", "SpinorTrajectory",
-    "amplitudes", "anticommutation_deviation", "build_initial",
-    "clebsch_alpha", "clebsch_velocity", "conservation_report",
-    "dirac_adjoint", "dirac_rhs", "equivalence_report", "evolve",
-    "evolve_reduced", "fisher_terms", "fluid_state", "gamma",
-    "initialize_reduced", "integrate_volume", "kg_residual",
-    "lagrangian_classical_clebsch", "lagrangian_classical_fluid",
-    "lagrangian_quantum_polar", "lagrangian_spinor", "lagrangian_split",
-    "laplacian", "load_scenario", "lorentz_factor_check", "lower_index",
-    "make_grid", "minkowski_dot", "minkowski_square", "mode_amplitude",
-    "pauli", "phase_gradients", "probability_current", "raise_index",
-    "read_snapshot", "reconstruct_psi2", "reduced_step", "relative_residual",
-    "rest_density", "run", "run_check", "run_checks", "scenario_from_dict",
-    "spatial_derivative", "step", "unhat_trajectory", "write_snapshot",
+    "__version__", "CHECK_NAMES", "ConfigError", "DiracFluidError", "GridError",
+    "NumericalInstabilityError", "SnapshotIOError", "build_initial",
+    "equivalence_report", "evolve", "fluid_state", "load_scenario", "run",
+    "run_checks",
 ]

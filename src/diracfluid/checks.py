@@ -21,7 +21,7 @@ from .lagrangian import (conservation_report, fisher_terms,
                          lagrangian_classical_fluid, lagrangian_quantum_polar,
                          lagrangian_spinor_from_gradients, lagrangian_split,
                          probability_current, relative_residual)
-from .lattice import FourVectorField, make_grid, minkowski_square, mode_amplitude
+from .lattice import make_grid, minkowski_square, mode_amplitude
 from .params import PhysParams
 from .reduction import equivalence_report, evolve_reduced, unhat_trajectory
 from .runner import identity_rows_at
@@ -121,8 +121,7 @@ def check_clebsch_identity() -> tuple[bool, str]:
         quad = np.abs(t1 + t2 + t3)
         scale = np.maximum(np.maximum(np.abs(t1), np.abs(t2)), np.maximum(np.abs(t3), 1e-300))
         worst_quad = max(worst_quad, float(np.max((quad / scale)[ok])))
-        v = clebsch_velocity(a, inp.d_nu, inp.d_beta, ~ok, grid)
-        vv = minkowski_square(v.data)
+        vv = minkowski_square(clebsch_velocity(a, inp.d_nu, inp.d_beta, ~ok))
         worst_vv = max(worst_vv, float(np.max(relative_residual(vv, target_vv)[ok])))
         fractions.append((branch, float(np.mean(res.degenerate)),
                           float(np.mean(res.complex_disc))))
@@ -208,8 +207,7 @@ def check_fluid_form_equality() -> tuple[bool, str]:
     params = PhysParams()
     rng = np.random.default_rng(_SEED + 2)
     rho_bar, v_upper = synthetic_density_velocity(grid, rng, params)
-    v = FourVectorField(v_upper, upper=True, grid=grid)
-    rho_0, _, _, negative = rest_density(rho_bar, v, params)
+    rho_0, _, _, negative = rest_density(rho_bar, v_upper, params)
     a = lagrangian_classical_clebsch(rho_bar, v_upper, params)
     b = lagrangian_classical_fluid(rho_0, v_upper, params)
     sup = float(np.max(relative_residual(a, b)))
@@ -264,9 +262,9 @@ def check_approximation_chain() -> tuple[bool, str]:
     fs = fluid_state(traj.psi1[0], traj.psi1[1], traj.psi1[2], traj.record_step,
                      float(traj.x0[1]), grid, params)
     ok_pts = fs.mask == int(PointMask.OK)
-    vv = minkowski_square(fs.v_c.data)
+    vv = minkowski_square(fs.v_c)
     speed = np.sqrt(np.where(vv >= 0, vv, 0.0))
-    space_speed = np.sqrt(sum(fs.v_c.data[i] ** 2 for i in (1, 2, 3)))
+    space_speed = np.sqrt(sum(fs.v_c[i] ** 2 for i in (1, 2, 3)))
     # the slowness precondition quantifies over the density bulk; phases in
     # the far tail carry no mass and are numerically meaningless there
     bulk = ok_pts & (fs.rho_bar >= 1e-6 * float(np.max(fs.rho_bar)))
@@ -277,7 +275,6 @@ def check_approximation_chain() -> tuple[bool, str]:
     rest_devs = []
     for c in (1.0, 2.5):
         p = PhysParams(c=c)
-        grid = make_grid([2.0 * np.pi], [8], c=c)
         pair = 1.3 * np.array([np.cos(0.3), np.exp(0.7j) * np.sin(0.3)])
         psi1 = np.broadcast_to(pair[:, np.newaxis], (2, 8)).copy()
         amp = amplitudes(psi1, p)
@@ -286,7 +283,7 @@ def check_approximation_chain() -> tuple[bool, str]:
         d_beta = np.zeros((4, 8))
         alpha = clebsch_alpha(d_nu, d_beta, amp.theta, p)
         fallback = alpha.degenerate | alpha.complex_disc
-        v = clebsch_velocity(alpha.alpha, d_nu, d_beta, fallback, grid)
+        v = clebsch_velocity(alpha.alpha, d_nu, d_beta, fallback)
         rho_0, _, vv_rest, _ = rest_density(amp.rho_bar, v, p)
         rest_devs.append(float(np.max(np.abs(np.sqrt(vv_rest) / c - 1.0))))
         rest_devs.append(float(np.max(np.abs(rho_0 / (2.0 * amp.rho_bar) - 1.0))))

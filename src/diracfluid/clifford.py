@@ -56,15 +56,6 @@ def anticommutation_deviation() -> float:
     return worst
 
 
-def dirac_adjoint(psi: np.ndarray) -> np.ndarray:
-    """psi-bar = psi^dagger gamma^0 for a 4-spinor or a (4, *spatial) field."""
-    if psi.shape[0] != 4:
-        raise ValueError(f"Dirac adjoint needs a leading 4-spinor axis, got shape {psi.shape}")
-    out = np.conj(psi)
-    out[2:] = -out[2:]
-    return out
-
-
 def sigma_dot(k) -> np.ndarray:
     """k_i sigma^i for a 3-component wave vector (2x2 complex matrix)."""
     k = np.asarray(k, dtype=float)

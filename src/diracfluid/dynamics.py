@@ -70,9 +70,6 @@ class SpinorTrajectory:
         """x0 spacing between recorded levels."""
         return float(self.x0[1] - self.x0[0]) if len(self.x0) > 1 else 0.0
 
-    def state(self, level: int) -> DiracState:
-        return DiracState(self.psi1[level], self.psi2[level], float(self.x0[level]), self.grid)
-
 
 def check_growth(old_max: float, new_max: float, x0: float, params: PhysParams,
                  name: str) -> None:

@@ -30,8 +30,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import GridError
-from .lattice import (FourVectorField, Grid, flip_spatial_sign,
-                      minkowski_dot_components, spatial_derivative)
+from .lattice import Grid, minkowski_dot_components, minkowski_square, spatial_derivative
 from .params import PhysParams
 
 
@@ -145,7 +144,7 @@ def clebsch_alpha(d_nu: np.ndarray, d_beta: np.ndarray, theta: np.ndarray,
     if branch not in ("plus", "minus", "auto"):
         raise GridError(f"alpha branch must be plus|minus|auto, got {branch!r}")
     b = minkowski_dot_components(d_nu, d_beta)
-    d = minkowski_dot_components(d_beta, d_beta)
+    d = minkowski_square(d_beta)
     e = minkowski_dot_components(d_beta, 2.0 * d_nu + d_beta)
     s2 = np.sin(theta) ** 2
     disc = b * b + s2 * d * e
@@ -181,23 +180,23 @@ def clebsch_alpha(d_nu: np.ndarray, d_beta: np.ndarray, theta: np.ndarray,
 
 
 def clebsch_velocity(alpha: np.ndarray, d_nu: np.ndarray, d_beta: np.ndarray,
-                     fallback: np.ndarray, grid: Grid) -> FourVectorField:
-    """Upper-index v_C = alpha d^mu beta + d^mu nu; fallback points get d^mu nu.
+                     fallback: np.ndarray) -> np.ndarray:
+    """Upper-index v_C^mu = alpha d^mu beta + d^mu nu, (4, *shape); fallback points get d^mu nu.
 
     d_nu/d_beta are lower-index gradient components; fallback is a bool mask.
     """
-    v_lower = alpha[np.newaxis] * d_beta + d_nu
-    v_lower = np.where(fallback[np.newaxis], d_nu, v_lower)
-    return FourVectorField(flip_spatial_sign(v_lower), upper=True, grid=grid)
+    v = np.where(fallback[np.newaxis], d_nu, alpha[np.newaxis] * d_beta + d_nu)
+    v[1:] = -v[1:]  # raise the index
+    return v
 
 
-def rest_density(rho_bar: np.ndarray, v_c: FourVectorField, params: PhysParams):
+def rest_density(rho_bar: np.ndarray, v_c: np.ndarray, params: PhysParams):
     """rho_0 = (rho_bar/c)(sqrt(v_C.v_C) + c) and a_0 = sqrt(rho_0/m).
 
     Returns (rho_0, a_0, v_dot_v, negative_norm_mask); points with
     v_C.v_C < 0 are clamped to 0 and flagged.
     """
-    vv = minkowski_dot_components(v_c.data, v_c.data)
+    vv = minkowski_square(v_c)
     negative = vv < 0
     speed = np.sqrt(np.where(negative, 0.0, vv))
     rho_0 = rho_bar / params.c * (speed + params.c)
@@ -214,12 +213,11 @@ class FluidState:
     rho_bar: np.ndarray
     theta: np.ndarray
     alpha: np.ndarray
-    v_c: FourVectorField       # upper index
+    v_c: np.ndarray            # (4, *grid.shape), upper index
     rho_0: np.ndarray
     a_0: np.ndarray
     mask: np.ndarray           # uint8, PointMask values
     gradients: PhaseGradients
-    branch: str
 
     def mask_fraction(self, flag: PointMask) -> float:
         return float(np.mean(self.mask == int(flag)))
@@ -238,7 +236,7 @@ def fluid_state(psi1_prev, psi1_curr, psi1_next, h: float, x0: float, grid: Grid
     alpha = clebsch_alpha(grads.d_nu, grads.d_beta, amp.theta, params, branch)
     low = amp.low_density | grads.low_density
     fallback = low | alpha.degenerate | alpha.complex_disc
-    v_c = clebsch_velocity(alpha.alpha, grads.d_nu, grads.d_beta, fallback, grid)
+    v_c = clebsch_velocity(alpha.alpha, grads.d_nu, grads.d_beta, fallback)
     rho_0, a_0, vv, negative = rest_density(amp.rho_bar, v_c, params)
 
     mask = np.zeros(grid.shape, dtype=np.uint8)
@@ -249,43 +247,5 @@ def fluid_state(psi1_prev, psi1_curr, psi1_next, h: float, x0: float, grid: Grid
     alpha_vals = np.where(alpha.degenerate | alpha.complex_disc | low, np.nan, alpha.alpha)
     return FluidState(grid=grid, x0=x0, rho_bar=amp.rho_bar, theta=amp.theta,
                       alpha=alpha_vals, v_c=v_c, rho_0=rho_0, a_0=a_0, mask=mask,
-                      gradients=grads, branch=branch)
+                      gradients=grads)
 
-
-@dataclass
-class LorentzCheck:
-    """Pointwise check of sqrt(v.v) = |v0| sqrt(1 - |v_vec|^2/v0^2) plus speed stats."""
-
-    identity_residual_sup: float
-    speed_ratio_minus_1: np.ndarray   # sqrt(v.v)/c - 1 on valid points, else NaN
-    valid: np.ndarray
-
-    @property
-    def median_abs_speed_deviation(self) -> float:
-        vals = np.abs(self.speed_ratio_minus_1[self.valid])
-        return float(np.median(vals)) if vals.size else float("nan")
-
-
-def lorentz_factor_check(v_c: FourVectorField, params: PhysParams,
-                         restrict: np.ndarray | None = None) -> LorentzCheck:
-    """Verify the factorization of sqrt(v.v) through the time component.
-
-    The identity is exact algebra whenever v.v >= 0 and v0 != 0; the residual
-    is pure round-off.  Also reports sqrt(v.v)/c - 1, whose smallness is the
-    near-light-speed regime of slow flows.
-    """
-    vv = minkowski_dot_components(v_c.data, v_c.data)
-    v0 = v_c.data[0]
-    valid = (vv >= 0) & (np.abs(v0) > 0)
-    if restrict is not None:
-        valid &= restrict
-    lhs = np.sqrt(np.where(vv >= 0, vv, 0.0))
-    v0_safe = np.where(np.abs(v0) > 0, v0, 1.0)
-    space2 = sum(np.abs(v_c.data[i]) ** 2 for i in (1, 2, 3))
-    inner = 1.0 - space2 / v0_safe ** 2
-    rhs = np.abs(v0_safe) * np.sqrt(np.where(inner >= 0, inner, 0.0))
-    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
-    residual = np.where(valid, np.abs(lhs - rhs) / scale, 0.0)
-    ratio = np.where(valid, lhs / params.c - 1.0, np.nan)
-    return LorentzCheck(identity_residual_sup=float(np.max(residual)),
-                        speed_ratio_minus_1=ratio, valid=valid)

@@ -7,7 +7,8 @@ Conventions used throughout the package:
   scalar field has shape grid.shape;
 * the time coordinate is x0 = c*t and all time derivatives are taken with
   respect to x0;
-* four-vectors carry an explicit upper/lower index tag and the metric
+* four-vectors are plain (4, *grid.shape) arrays: gradients hold lower-index
+  components, velocities and currents upper-index ones; the metric
   signature is (+, -, -, -).
 """
 
@@ -57,10 +58,6 @@ class Grid:
     def meshes(self) -> list[np.ndarray]:
         return np.meshgrid(*(self.axis_coordinates(i) for i in range(self.dims)), indexing="ij")
 
-    def x0_step(self, c: float) -> float:
-        """Step of the time coordinate x0 = c*t corresponding to one dt."""
-        return c * self.dt
-
 
 def make_grid(extents, points, dt=None, cfl_factor: float = 0.25, c: float = 1.0) -> Grid:
     """Build and validate a Grid; dt defaults to cfl_factor*min(dx)/c."""
@@ -70,8 +67,8 @@ def make_grid(extents, points, dt=None, cfl_factor: float = 0.25, c: float = 1.0
         raise GridError(f"grid must have 1 to 3 axes, got {len(points)}")
     if len(extents) != len(points):
         raise GridError(f"extents ({len(extents)}) and points ({len(points)}) disagree")
-    if any(L <= 0 for L in extents):
-        raise GridError(f"extents must be positive, got {extents}")
+    if not all(0 < L < np.inf for L in extents):
+        raise GridError(f"extents must be positive and finite, got {extents}")
     if any(n < 8 for n in points):
         raise GridError(f"need at least 8 points per axis, got {points}")
     if not 0 < cfl_factor <= 1.0:
@@ -83,8 +80,8 @@ def make_grid(extents, points, dt=None, cfl_factor: float = 0.25, c: float = 1.0
     if dt is None:
         dt = dt_bound
     dt = float(dt)
-    if dt <= 0:
-        raise GridError(f"dt must be positive, got {dt}")
+    if not 0 < dt < np.inf:
+        raise GridError(f"dt must be positive and finite, got {dt}")
     if dt > dt_bound * _CFL_SLACK:
         raise GridError(
             f"dt={dt:g} violates the CFL bound cfl_factor*min(dx)/c={dt_bound:g} "
@@ -253,56 +250,13 @@ def mode_amplitude(f: np.ndarray, grid: Grid, mode: tuple[int, ...]) -> np.ndarr
 # Minkowski four-vectors
 
 
-@dataclass(frozen=True, eq=False)
-class FourVectorField:
-    """Real four-vector field (4, *grid.shape) with an explicit index tag."""
-
-    data: np.ndarray
-    upper: bool
-    grid: Grid
-
-    def __post_init__(self):
-        if self.data.shape != (4,) + self.grid.shape:
-            raise GridError(
-                f"four-vector data shape {self.data.shape} != {(4,) + self.grid.shape}"
-            )
-
-
-def raise_index(v: FourVectorField) -> FourVectorField:
-    if v.upper:
-        return v
-    return FourVectorField(flip_spatial_sign(v.data), upper=True, grid=v.grid)
-
-
-def lower_index(v: FourVectorField) -> FourVectorField:
-    if not v.upper:
-        return v
-    return FourVectorField(flip_spatial_sign(v.data), upper=False, grid=v.grid)
-
-
-def flip_spatial_sign(components: np.ndarray) -> np.ndarray:
-    """Apply the metric to raw (4, ...) components: negate the spatial entries."""
-    out = components.copy()
-    out[1:] = -out[1:]
-    return out
-
-
-def minkowski_dot(a: FourVectorField, b: FourVectorField) -> np.ndarray:
-    """Pointwise a.b; same-tag inputs are contracted through the metric."""
-    if a.grid != b.grid:
-        raise GridError("four-vector fields live on different grids")
-    if a.upper == b.upper:
-        return minkowski_dot_components(a.data, b.data)
-    return np.einsum("m...,m...->...", a.data, b.data)
-
-
 def minkowski_dot_components(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """eta-contraction a0*b0 - a1*b1 - a2*b2 - a3*b3 of raw same-tag components."""
+    """eta-contraction a0*b0 - a1*b1 - a2*b2 - a3*b3 of two (4, ...) component arrays."""
     return a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3]
 
 
 def minkowski_square(a: np.ndarray) -> np.ndarray:
-    """Minkowski square of raw same-tag components (works for complex fields)."""
+    """Minkowski square of (4, ...) components, both indices up or both down (or complex)."""
     if np.iscomplexobj(a):
         mags = np.abs(a) ** 2
         return mags[0] - mags[1] - mags[2] - mags[3]

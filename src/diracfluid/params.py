@@ -31,8 +31,3 @@ class PhysParams:
     def mass_wavenumber(self) -> float:
         """m*c/hbar, the inverse reduced Compton wavelength (units 1/length)."""
         return self.m * self.c / self.hbar
-
-    @property
-    def rest_frequency(self) -> float:
-        """m*c^2/hbar, the rest phase frequency (units 1/time)."""
-        return self.m * self.c ** 2 / self.hbar

@@ -87,19 +87,9 @@ def build_W(psi20: np.ndarray, grid: Grid, order: int = 2) -> np.ndarray:
 
 
 def initial_time_derivative(psi10, psi20, grid: Grid, params: PhysParams,
-                            order: int = 2, form: str = "hatted") -> np.ndarray:
-    """Initial d0 slope: 'hatted' for psi1hat, 'kg' for the un-hatted psi1.
-
-    The two differ exactly by +i*mu*psi10 (mass coefficient -2i*mu vs -i*mu).
-    """
-    mu = params.mass_wavenumber
-    if form == "hatted":
-        coeff = -2j * mu
-    elif form == "kg":
-        coeff = -1j * mu
-    else:
-        raise ValueError(f"form must be 'hatted' or 'kg', got {form!r}")
-    return coeff * psi10 - sigma_dot_grad(psi20, grid, order)
+                            order: int = 2) -> np.ndarray:
+    """Initial d0 slope of psi1hat: -2i*mu*psi1(0) - sigma^i d_i psi2(0)."""
+    return -2j * params.mass_wavenumber * psi10 - sigma_dot_grad(psi20, grid, order)
 
 
 def initialize_reduced(initial: DiracState, params: PhysParams, order: int = 2) -> ReducedState:
@@ -155,17 +145,12 @@ def reduced_step(state: ReducedState, dt: float, params: PhysParams,
                         state.grid, new_max, st)
 
 
-def reconstruct_psi2(state: ReducedState, order: int = 2) -> np.ndarray:
-    """psi2hat = psi2hat(0) - sigma^i d_i int_psi1hat (exact at x0 = 0)."""
-    return state.psi2hat0 - sigma_dot_grad(state.int_psi1hat, state.grid, order)
-
-
 def evolve_reduced(initial: DiracState, duration: float, params: PhysParams,
                    record_every: int = 1, order: int = 2) -> ReducedTrajectory:
     """Integrate the reduced system, recording every record_every steps."""
     grid = initial.grid
     n = n_steps_for(duration, grid.dt, record_every)
-    slope = initial_time_derivative(initial.psi1, initial.psi2, grid, params, order, "hatted")
+    slope = initial_time_derivative(initial.psi1, initial.psi2, grid, params, order)
     xs, (levels, ints), last = run_steps(
         initialize_reduced(initial, params, order),
         lambda s: reduced_step(s, grid.dt, params, order=order, initial_slope=slope),
@@ -190,29 +175,6 @@ def unhat_trajectory(traj: ReducedTrajectory, order: int = 2) -> SpinorTrajector
 # Residual diagnostics
 
 
-def kg_residual(prev, curr, nxt, h: float, grid: Grid, params: PhysParams,
-                order: int = 2) -> np.ndarray:
-    """Klein-Gordon residual (d0^2 - lap + mu^2) psi1 on three stored levels."""
-    mu = params.mass_wavenumber
-    d0d0 = (nxt - 2.0 * curr + prev) / (h * h)
-    return d0d0 - laplacian(curr, grid, order) + mu * mu * curr
-
-
-def hatted_residual(prev, curr, nxt, h: float, grid: Grid, params: PhysParams,
-                    order: int = 2) -> np.ndarray:
-    """Residual (d0^2 + 2i*mu*d0 - lap) psi1hat on three stored levels."""
-    mu = params.mass_wavenumber
-    d0d0 = (nxt - 2.0 * curr + prev) / (h * h)
-    d0 = (nxt - prev) / (2.0 * h)
-    return d0d0 + 2j * mu * d0 - laplacian(curr, grid, order)
-
-
-def integral_residual(int_prev, int_curr, int_nxt, h: float, grid: Grid,
-                      params: PhysParams, W: np.ndarray, order: int = 2) -> np.ndarray:
-    """Residual (d0^2 + 2i*mu*d0 - lap) int_psi1hat - W on three integral levels."""
-    return hatted_residual(int_prev, int_curr, int_nxt, h, grid, params, order) - W
-
-
 def _l2(field: np.ndarray, grid: Grid) -> float:
     mag2 = np.abs(field) ** 2
     total = mag2.sum(axis=tuple(range(field.ndim - grid.dims)))
@@ -220,23 +182,21 @@ def _l2(field: np.ndarray, grid: Grid) -> float:
 
 
 def kg_residual_norm(prev, curr, nxt, h: float, grid: Grid, params: PhysParams,
-                     order: int = 2, kind: str = "kg") -> float:
-    """Relative L2 residual norm: ||r|| / max of the individual term norms."""
+                     order: int = 2) -> float:
+    """Relative L2 norm of the Klein-Gordon residual (d0^2 - lap + mu^2) psi1 on three levels.
+
+    The residual is divided by the largest of its three term norms.
+    """
     mu = params.mass_wavenumber
-    if kind == "kg":
-        r = kg_residual(prev, curr, nxt, h, grid, params, order)
-    elif kind == "hatted":
-        r = hatted_residual(prev, curr, nxt, h, grid, params, order)
-    else:
-        raise ValueError(f"kind must be 'kg' or 'hatted', got {kind!r}")
     d0d0 = (nxt - 2.0 * curr + prev) / (h * h)
-    scale = max(_l2(d0d0, grid), _l2(laplacian(curr, grid, order), grid),
-                _l2(mu * mu * curr, grid), 1e-300)
-    return _l2(r, grid) / scale
+    lap = laplacian(curr, grid, order)
+    mass = mu * mu * curr
+    scale = max(_l2(d0d0, grid), _l2(lap, grid), _l2(mass, grid), 1e-300)
+    return _l2(d0d0 - lap + mass, grid) / scale
 
 
 def residual_series(psi1_levels: np.ndarray, x0: np.ndarray, grid: Grid,
-                    params: PhysParams, order: int = 2, kind: str = "kg") -> np.ndarray:
+                    params: PhysParams, order: int = 2) -> np.ndarray:
     """Relative residual norms at interior recorded levels; NaN at the ends."""
     nt = len(x0)
     out = np.full(nt, np.nan)
@@ -245,7 +205,7 @@ def residual_series(psi1_levels: np.ndarray, x0: np.ndarray, grid: Grid,
     h = float(x0[1] - x0[0])
     for n in range(1, nt - 1):
         out[n] = kg_residual_norm(psi1_levels[n - 1], psi1_levels[n], psi1_levels[n + 1],
-                                  h, grid, params, order, kind)
+                                  h, grid, params, order)
     return out
 
 
@@ -287,12 +247,17 @@ def compare_trajectories(a: SpinorTrajectory, b: SpinorTrajectory) -> tuple[np.n
     return sup, l2
 
 
+def route_equivalence(direct: SpinorTrajectory, recon: SpinorTrajectory,
+                      order: int = 2) -> EquivalenceReport:
+    """Compare the first-order route with the un-hatted reduced route, level by level."""
+    sup, l2 = compare_trajectories(direct, recon)
+    res = residual_series(recon.psi1, recon.x0, recon.grid, recon.params, order)
+    return EquivalenceReport(direct.x0.copy(), sup, l2, res)
+
+
 def equivalence_report(initial: DiracState, duration: float, params: PhysParams,
                        record_every: int = 1, order: int = 2) -> EquivalenceReport:
     """Run both evolution routes from the same initial data and compare them."""
     direct = evolve(initial, duration, params, record_every=record_every, order=order)
     reduced = evolve_reduced(initial, duration, params, record_every=record_every, order=order)
-    recon = unhat_trajectory(reduced, order=order)
-    sup, l2 = compare_trajectories(direct, recon)
-    res = residual_series(recon.psi1, recon.x0, initial.grid, params, order, kind="kg")
-    return EquivalenceReport(direct.x0.copy(), sup, l2, res)
+    return route_equivalence(direct, unhat_trajectory(reduced, order=order), order)

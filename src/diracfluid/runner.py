@@ -35,8 +35,8 @@ from .lagrangian import (conservation_report, fisher_terms, four_gradient,
                          lagrangian_spinor, lagrangian_split)
 from .lattice import (file_sha256, index_prefixes, minkowski_square, write_csv,
                       write_snapshot)
-from .reduction import (EquivalenceReport, compare_trajectories,
-                        evolve_reduced, residual_series, unhat_trajectory)
+from .reduction import (EquivalenceReport, evolve_reduced, route_equivalence,
+                        unhat_trajectory)
 from .scenarios import Scenario, build_initial
 from .version import __version__
 
@@ -59,7 +59,7 @@ def _write_rows(path: Path, header: str, rows: np.ndarray) -> None:
 
 
 def _fluid_csv(path: Path, fs: FluidState) -> None:
-    numeric = [fs.rho_bar, fs.theta, fs.alpha, *fs.v_c.data, fs.rho_0, fs.a_0]
+    numeric = [fs.rho_bar, fs.theta, fs.alpha, *fs.v_c, fs.rho_0, fs.a_0]
     columns = [index_prefixes(fs.grid.shape), *(v.reshape(-1) for v in numeric),
                _MASK_LABELS[fs.mask.reshape(-1)]]
     write_csv(path, _FLUID_HEADER, [(_FLUID_ROW, columns)])
@@ -107,11 +107,11 @@ def identity_rows_at(traj, level: int, params, order: int, branch: str):
 
     alpha = clebsch_alpha(grads.d_nu, grads.d_beta, amp.theta, params, branch)
     fallback = low | alpha.degenerate | alpha.complex_disc
-    v_c = clebsch_velocity(alpha.alpha, grads.d_nu, grads.d_beta, fallback, grid)
+    v_c = clebsch_velocity(alpha.alpha, grads.d_nu, grads.d_beta, fallback)
     rho_0, _, vv, negative = rest_density(amp.rho_bar, v_c, params)
     clebsch_ok = ok & ~alpha.degenerate & ~alpha.complex_disc
-    l_clebsch = lagrangian_classical_clebsch(amp.rho_bar, v_c.data, params)
-    l_fluid = lagrangian_classical_fluid(rho_0, v_c.data, params)
+    l_clebsch = lagrangian_classical_clebsch(amp.rho_bar, v_c, params)
+    l_fluid = lagrangian_classical_fluid(rho_0, v_c, params)
 
     return [
         identity_residual("split_identity", tag, "-", l_spinor, l_q + l_c, ok,
@@ -128,11 +128,11 @@ def identity_rows_at(traj, level: int, params, order: int, branch: str):
 def chain_row(fs: FluidState, params) -> np.ndarray:
     """Near-classical limit metrics over the usable (OK or fallback) points."""
     usable = fs.usable
-    vv = minkowski_square(fs.v_c.data)
+    vv = minkowski_square(fs.v_c)
     speed = np.sqrt(np.where(vv >= 0, vv, 0.0))
     speed_dev = np.abs(speed / params.c - 1.0)
     dens_dev = np.abs(fs.rho_0 / np.where(usable, 2.0 * fs.rho_bar, 1.0) - 1.0)
-    space_speed = np.sqrt(sum(fs.v_c.data[i] ** 2 for i in (1, 2, 3)))
+    space_speed = np.sqrt(sum(fs.v_c[i] ** 2 for i in (1, 2, 3)))
     if np.any(usable):
         stats = [float(np.median(speed_dev[usable])), float(np.max(speed_dev[usable])),
                  float(np.median(dens_dev[usable])), float(np.max(dens_dev[usable])),
@@ -204,9 +204,7 @@ def run(scenario: Scenario, outdir) -> RunResult:
 
     equivalence = None
     if "equivalence" in scenario.diagnostics and direct is not None and recon is not None:
-        sup, l2 = compare_trajectories(direct, recon)
-        kg = residual_series(recon.psi1, recon.x0, grid, params, order, kind="kg")
-        equivalence = EquivalenceReport(direct.x0.copy(), sup, l2, kg)
+        equivalence = route_equivalence(direct, recon, order)
         rel = "diagnostics/equivalence.csv"
         _write_rows(run_dir / rel, _EQUIV_HEADER, equivalence.rows())
         outputs.append(rel)

@@ -13,8 +13,7 @@ A scenario file looks like
       "fluid_map": false,
       "diagnostics": ["equivalence", "conservation"],
       "alpha_branch": "auto",
-      "derivative_order": 2,
-      "seed": 0
+      "derivative_order": 2
     }
 
 Unknown keys anywhere are rejected with the dotted path of the offender.
@@ -29,6 +28,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,11 +49,11 @@ RECIPE_SUMMARIES = {
     "custom": "psi1/psi2 read from snapshot CSV files",
 }
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
+_NAME_RE = re.compile(r"[A-Za-z0-9_-]+")
 
 _TOP_KEYS = {"name", "grid", "physics", "initial_data", "duration",
              "record_every", "pipeline", "fluid_map", "diagnostics",
-             "alpha_branch", "derivative_order", "seed"}
+             "alpha_branch", "derivative_order"}
 _GRID_KEYS = {"extents", "points", "dt", "cfl_factor"}
 _PHYS_KEYS = {"hbar", "m", "c", "eps_density_rel", "eps_beta_rel",
               "instability_growth"}
@@ -86,12 +86,22 @@ def _require(mapping: dict, key: str, where: str):
 def _as_float(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, +-Infinity, or an int beyond float range
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return float(value)
 
 
 def _as_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ConfigError(f"{where}: integer out of the 64-bit range, got {value!r}")
+    return value
+
+
+def _as_object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object")
     return value
 
 
@@ -141,7 +151,6 @@ class Scenario:
     diagnostics: tuple = ()
     alpha_branch: str = "auto"
     derivative_order: int = 2
-    seed: int = 0
     config_echo: dict = field(default_factory=dict, compare=False)
 
 
@@ -165,20 +174,20 @@ def _check_wave_resolution(k: tuple, grid: Grid, where: str, periodic: bool) -> 
         k_a = k[axis]
         if k_a == 0.0:
             continue
+        points_per_wave = 2.0 * np.pi / abs(k_a) / grid.dx[axis]
+        if points_per_wave < 16.0:  # checked first: it bounds the period count below
+            raise ConfigError(
+                f"{where}: k[{axis}]={k_a} leaves {points_per_wave:.3g} points per "
+                "wavelength; at least 16 are required")
         cycles = k_a * grid.extents[axis] / (2.0 * np.pi)
         if periodic and abs(cycles - round(cycles)) > 1e-9:
             raise ConfigError(
                 f"{where}: k[{axis}]={k_a} fits {cycles:.6g} periods in the box; "
                 "plane waves must be commensurate with the periodic extents")
-        points_per_wave = 2.0 * np.pi / abs(k_a) / grid.dx[axis]
-        if points_per_wave < 16.0:
-            raise ConfigError(
-                f"{where}: k[{axis}]={k_a} leaves {points_per_wave:.3g} points per "
-                "wavelength; at least 16 are required")
 
 
 def _parse_recipe(section: dict, grid: Grid, base: Path):
-    recipe = _require(section, "recipe", "initial_data")
+    recipe = _require(_as_object(section, "initial_data"), "recipe", "initial_data")
     if recipe not in RECIPE_NAMES:
         raise ConfigError(f"initial_data.recipe: unknown recipe {recipe!r}; "
                           f"choose from {', '.join(RECIPE_NAMES)}")
@@ -214,7 +223,7 @@ def _parse_recipe(section: dict, grid: Grid, base: Path):
         if width_raw is None:
             raise ConfigError("initial_data.width: required key missing")
         if isinstance(width_raw, (int, float)) and not isinstance(width_raw, bool):
-            widths = (float(width_raw),) * grid.dims
+            widths = (_as_float(width_raw, "initial_data.width"),) * grid.dims
         elif isinstance(width_raw, list) and len(width_raw) == grid.dims:
             widths = tuple(_as_float(v, f"initial_data.width[{i}]")
                            for i, v in enumerate(width_raw))
@@ -243,19 +252,15 @@ def scenario_from_dict(config: dict, base: Path | None = None) -> Scenario:
     _reject_unknown(config, _TOP_KEYS, "")
 
     name = _require(config, "name", "")
-    if not isinstance(name, str) or not _NAME_RE.match(name):
+    if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
         raise ConfigError(f"name: must match [A-Za-z0-9_-]+, got {name!r}")
 
-    phys_section = config.get("physics", {})
-    if not isinstance(phys_section, dict):
-        raise ConfigError("physics: expected an object")
+    phys_section = _as_object(config.get("physics", {}), "physics")
     _reject_unknown(phys_section, _PHYS_KEYS, "physics")
     params = PhysParams(**{k: _as_float(v, f"physics.{k}")
                            for k, v in phys_section.items()})
 
-    grid_section = _require(config, "grid", "")
-    if not isinstance(grid_section, dict):
-        raise ConfigError("grid: expected an object")
+    grid_section = _as_object(_require(config, "grid", ""), "grid")
     _reject_unknown(grid_section, _GRID_KEYS, "grid")
     extents = _require(grid_section, "extents", "grid")
     points = _require(grid_section, "points", "grid")
@@ -301,14 +306,13 @@ def scenario_from_dict(config: dict, base: Path | None = None) -> Scenario:
     order = _as_int(config.get("derivative_order", 2), "derivative_order")
     if order not in (2, 4):
         raise ConfigError("derivative_order: must be 2 or 4")
-    seed = _as_int(config.get("seed", 0), "seed")
 
     echo = normalized_config(name, grid, params, recipe, duration, record_every,
-                             pipeline, fluid_map, diags, branch, order, seed)
+                             pipeline, fluid_map, diags, branch, order)
     return Scenario(name=name, grid=grid, params=params, recipe=recipe,
                     duration=duration, record_every=record_every,
                     pipeline=pipeline, fluid_map=fluid_map, diagnostics=diags,
-                    alpha_branch=branch, derivative_order=order, seed=seed,
+                    alpha_branch=branch, derivative_order=order,
                     config_echo=echo)
 
 
@@ -329,7 +333,7 @@ def load_scenario(path) -> Scenario:
 
 
 def normalized_config(name, grid, params, recipe, duration, record_every,
-                      pipeline, fluid_map, diags, branch, order, seed) -> dict:
+                      pipeline, fluid_map, diags, branch, order) -> dict:
     """Fully-defaulted config dict, echoed into the run manifest."""
     if isinstance(recipe, RestState):
         initial = {"recipe": "rest_state", "amplitude": recipe.amplitude,
@@ -364,7 +368,6 @@ def normalized_config(name, grid, params, recipe, duration, record_every,
         "diagnostics": list(diags),
         "alpha_branch": branch,
         "derivative_order": order,
-        "seed": seed,
     }
 
 

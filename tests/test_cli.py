@@ -91,6 +91,22 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_non_finite_config_values_exit_1(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    config = _write_config(tmp_path, _mini_config(duration=float("nan")))  # written as NaN
+    assert main(["run", "--config", config, "--outdir", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: duration: expected a finite number")
+
+    config = _write_config(tmp_path, _mini_config())
+    for spec, where in [("grid.extents=[Infinity]", "grid.extents[0]"),
+                        ("initial_data=\"rest_state\"", "initial_data")]:
+        assert main(["run", "--config", config, "--outdir", out,
+                     "--override", spec]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {where}: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_override_syntax_errors_exit_1(tmp_path, capsys):
     config = _write_config(tmp_path, _mini_config())
     out = str(tmp_path / "out")

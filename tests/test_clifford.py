@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from diracfluid.clifford import (anticommutation_deviation, dirac_adjoint,
-                                 gamma, pauli, sigma_dot)
+from diracfluid.clifford import anticommutation_deviation, gamma, pauli, sigma_dot
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -47,23 +46,6 @@ def test_gamma_blocks_frozen():
 
 def test_anticommutation_deviation_exactly_zero():
     assert anticommutation_deviation() == 0.0
-
-
-def test_dirac_adjoint_frozen():
-    psi = np.array([1j, 0.0, 0.0, 1j])
-    assert np.array_equal(dirac_adjoint(psi), np.array([-1j, 0.0, 0.0, 1j]))
-
-
-def test_dirac_adjoint_matches_gamma0():
-    rng = np.random.default_rng(7)
-    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-    expected = np.conj(psi) @ gamma(0)
-    np.testing.assert_allclose(dirac_adjoint(psi), expected, rtol=0, atol=0)
-
-
-def test_dirac_adjoint_needs_four_components():
-    with pytest.raises(ValueError):
-        dirac_adjoint(np.zeros(2, dtype=complex))
 
 
 def test_sigma_dot_linear_and_hermitian():

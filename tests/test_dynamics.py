@@ -105,8 +105,8 @@ def test_evolve_recording_layout():
     assert len(traj.x0) == 20 / 4 + 1
     np.testing.assert_allclose(np.diff(traj.x0), 4 * params.c * 0.05)
     assert traj.record_step == pytest.approx(0.2)
-    st = traj.state(0)
-    assert st.x0 == 0.0 and st.psi1.shape == (2, 8)
+    assert traj.x0[0] == 0.0
+    assert traj.psi1.shape == traj.psi2.shape == (6, 2, 8)
 
 
 def test_one_step_growth_detector():

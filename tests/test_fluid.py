@@ -6,13 +6,11 @@ import pytest
 
 from diracfluid.errors import GridError
 from diracfluid.fluid import (MASK_NAMES, PointMask, amplitudes, clebsch_alpha,
-                              clebsch_velocity, fluid_state,
-                              lorentz_factor_check, phase_gradients,
+                              clebsch_velocity, fluid_state, phase_gradients,
                               rest_density)
-from diracfluid.lattice import (FourVectorField, make_grid,
-                                minkowski_dot_components)
+from diracfluid.lattice import make_grid, minkowski_square
 from diracfluid.params import PhysParams
-from diracfluid.synthetic import synthetic_clebsch_inputs, timelike_four_vector
+from diracfluid.synthetic import synthetic_clebsch_inputs
 
 PARAMS = PhysParams()
 
@@ -144,37 +142,35 @@ def test_clebsch_velocity_and_norm_identity():
     sol = clebsch_alpha(d_nu, d_beta, theta, PARAMS)
     no_fallback = np.zeros(grid.shape, dtype=bool)
 
-    v = clebsch_velocity(sol.alpha, d_nu, d_beta, no_fallback, grid)
-    assert v.upper
-    np.testing.assert_allclose(v.data[0], 3.062613645756624, rtol=1e-13)
-    np.testing.assert_allclose(v.data[1], -1.1043560762610398, rtol=1e-13)
-    assert np.all(v.data[2] == 0.0) and np.all(v.data[3] == 0.0)
+    v = clebsch_velocity(sol.alpha, d_nu, d_beta, no_fallback)
+    assert v.shape == (4,) + grid.shape
+    np.testing.assert_allclose(v[0], 3.062613645756624, rtol=1e-13)
+    np.testing.assert_allclose(v[1], -1.1043560762610398, rtol=1e-13)  # index raised
+    assert np.all(v[2] == 0.0) and np.all(v[3] == 0.0)
 
     # v.v = (1-s^2)(dnu.dnu) + s^2 (dnu+dbeta).(dnu+dbeta) on either branch:
     # 0.75*8 + 0.25*8.64 = 8.16
     for branch in (sol.alpha_plus, sol.alpha_minus):
-        vb = clebsch_velocity(branch, d_nu, d_beta, no_fallback, grid)
-        vv = minkowski_dot_components(vb.data, vb.data)
+        vv = minkowski_square(clebsch_velocity(branch, d_nu, d_beta, no_fallback))
         np.testing.assert_allclose(vv, 8.16, rtol=1e-12)
 
     fallback = np.zeros(grid.shape, dtype=bool)
     fallback[3] = True
-    vf = clebsch_velocity(sol.alpha, d_nu, d_beta, fallback, grid)
-    np.testing.assert_allclose(vf.data[:, 3], [3.0, -1.0, 0.0, 0.0], rtol=1e-15)
+    vf = clebsch_velocity(sol.alpha, d_nu, d_beta, fallback)
+    np.testing.assert_allclose(vf[:, 3], [3.0, -1.0, 0.0, 0.0], rtol=1e-15)
 
 
 def test_rest_density_values_and_clamp():
     grid = make_grid([2.0 * np.pi], [8])
     rho_bar = np.full(grid.shape, 2.0)
-    v = FourVectorField(_const_four(grid, (2.0, 0.0, 0.0, 0.0)), upper=True, grid=grid)
+    v = _const_four(grid, (2.0, 0.0, 0.0, 0.0))
     rho_0, a_0, vv, negative = rest_density(rho_bar, v, PARAMS)
     np.testing.assert_allclose(rho_0, 6.0, rtol=1e-15)
     np.testing.assert_allclose(a_0, np.sqrt(6.0), rtol=1e-15)
     np.testing.assert_allclose(vv, 4.0, rtol=1e-15)
     assert not negative.any()
 
-    spacelike = FourVectorField(_const_four(grid, (0.1, 1.0, 0.0, 0.0)),
-                                upper=True, grid=grid)
+    spacelike = _const_four(grid, (0.1, 1.0, 0.0, 0.0))
     rho_0, a_0, vv, negative = rest_density(rho_bar, spacelike, PARAMS)
     assert negative.all()
     np.testing.assert_allclose(vv, -0.99, rtol=1e-12)
@@ -206,9 +202,9 @@ def test_fluid_state_all_ok_and_norm_identity():
 
     g = fs.gradients
     s2 = np.sin(fs.theta) ** 2
-    vv = minkowski_dot_components(fs.v_c.data, fs.v_c.data)
-    expect = ((1.0 - s2) * minkowski_dot_components(g.d_nu, g.d_nu)
-              + s2 * minkowski_dot_components(g.d_nu + g.d_beta, g.d_nu + g.d_beta))
+    vv = minkowski_square(fs.v_c)
+    expect = ((1.0 - s2) * minkowski_square(g.d_nu)
+              + s2 * minkowski_square(g.d_nu + g.d_beta))
     np.testing.assert_allclose(vv, expect, rtol=1e-10)
     np.testing.assert_allclose(fs.rho_0, fs.rho_bar * (np.sqrt(vv) + 1.0), rtol=1e-12)
     np.testing.assert_allclose(fs.a_0 ** 2, fs.rho_0, rtol=1e-12)
@@ -239,35 +235,12 @@ def test_fluid_state_exact_rest_levels_stay_usable():
                      base * np.exp(-1j * PARAMS.mass_wavenumber * h),
                      h, 0.0, grid, PARAMS)
     assert fs.usable.all()
-    check = lorentz_factor_check(fs.v_c, PARAMS, restrict=fs.usable)
-    assert check.identity_residual_sup < 1e-12
-    dev = np.max(np.abs(check.speed_ratio_minus_1[fs.usable]))
+    vv = minkowski_square(fs.v_c)
+    assert np.all(vv > 0)
+    dev = np.max(np.abs(np.sqrt(vv) / PARAMS.c - 1.0))
     assert 0.8e-4 < dev < 1.3e-4
     rho_dev = np.max(np.abs(fs.rho_0 / (2.0 * fs.rho_bar) - 1.0))
     assert 0.4e-4 < rho_dev < 0.65e-4
-
-
-def test_lorentz_factor_check_synthetic():
-    grid = make_grid([2.0 * np.pi, 2.0 * np.pi], [16, 16])
-    rng = np.random.default_rng(7)
-    v_lower = timelike_four_vector(grid, rng, 1.2, 0.1, 0.3)
-    v_upper = v_lower.copy()
-    v_upper[1:] *= -1.0
-    v = FourVectorField(v_upper, upper=True, grid=grid)
-    check = lorentz_factor_check(v, PARAMS)
-    assert check.valid.all()
-    assert check.identity_residual_sup < 1e-14
-    assert np.isfinite(check.median_abs_speed_deviation)
-
-    restrict = np.zeros(grid.shape, dtype=bool)
-    restrict[0, 0] = True
-    small = lorentz_factor_check(v, PARAMS, restrict=restrict)
-    assert small.valid.sum() == 1
-
-    spacelike = _const_four(grid, (0.1, 1.0, 0.0, 0.0))
-    bad = lorentz_factor_check(FourVectorField(spacelike, upper=True, grid=grid), PARAMS)
-    assert not bad.valid.any()
-    assert np.isnan(bad.speed_ratio_minus_1).all()
 
 
 def test_mask_names_are_lowercase():

@@ -1,5 +1,5 @@
 """Grid construction, stencils against their discrete Fourier symbols,
-Minkowski index handling, and the CSV snapshot round trip."""
+Minkowski contractions, and the CSV snapshot round trip."""
 
 import hashlib
 import tracemalloc
@@ -8,11 +8,9 @@ import numpy as np
 import pytest
 
 from diracfluid.errors import GridError, SnapshotIOError
-from diracfluid.lattice import (FourVectorField, file_sha256, flip_spatial_sign,
-                                integrate_volume, laplacian, lower_index,
-                                make_grid, minkowski_dot,
-                                minkowski_dot_components, minkowski_square,
-                                mode_amplitude, raise_index, read_snapshot,
+from diracfluid.lattice import (file_sha256, integrate_volume, laplacian,
+                                make_grid, minkowski_dot_components,
+                                minkowski_square, mode_amplitude, read_snapshot,
                                 second_derivative, spatial_derivative,
                                 write_snapshot)
 
@@ -22,7 +20,6 @@ def test_make_grid_defaults_dt_to_cfl_bound():
     assert grid.dx == (0.1,)
     assert grid.dt == pytest.approx(0.25 * 0.1)
     assert grid.cell_volume == pytest.approx(0.1)
-    assert grid.x0_step(2.0) == pytest.approx(2.0 * grid.dt)
 
 
 def test_make_grid_validation():
@@ -44,6 +41,13 @@ def test_make_grid_validation():
         make_grid([1.0], [8], dt=-0.1)
     with pytest.raises(GridError):
         make_grid([1.0], [8], c=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(GridError, match="extents must be positive and finite"):
+            make_grid([bad], [8])
+        with pytest.raises(GridError, match="dt must be positive and finite"):
+            make_grid([1.0], [8], dt=bad)
+    with pytest.raises(GridError, match="dt must be positive and finite"):
+        make_grid([1.0], [8], c=1e-320)  # the default dt, min(dx)/c / 4, overflows
 
 
 def test_make_grid_cfl_bound_edge():
@@ -146,39 +150,14 @@ def test_mode_amplitude_projects_exactly():
         mode_amplitude(f, grid, (2, 0))
 
 
-def test_four_vector_index_round_trip():
-    grid = make_grid([1.0], [8])
-    data = np.arange(32, dtype=float).reshape(4, 8)
-    v = FourVectorField(data.copy(), upper=True, grid=grid)
-    lowered = lower_index(v)
-    assert not lowered.upper
-    np.testing.assert_array_equal(lowered.data[0], data[0])
-    np.testing.assert_array_equal(lowered.data[1:], -data[1:])
-    back = raise_index(lowered)
-    np.testing.assert_array_equal(back.data, data)
-    assert raise_index(v) is v and lower_index(lowered) is lowered
-
-
-def test_four_vector_shape_checked():
-    grid = make_grid([1.0], [8])
-    with pytest.raises(GridError):
-        FourVectorField(np.zeros((3, 8)), upper=True, grid=grid)
-
-
-def test_minkowski_dot_tags_agree():
-    grid = make_grid([1.0], [8])
+def test_minkowski_dot_components_contracts_with_metric():
     rng = np.random.default_rng(11)
     a = rng.normal(size=(4, 8))
     b = rng.normal(size=(4, 8))
-    up_up = minkowski_dot(FourVectorField(a, True, grid), FourVectorField(b, True, grid))
-    mixed = minkowski_dot(FourVectorField(a, True, grid),
-                          FourVectorField(flip_spatial_sign(b), False, grid))
-    np.testing.assert_allclose(up_up, mixed, atol=0)
-    np.testing.assert_allclose(up_up, a[0] * b[0] - (a[1:] * b[1:]).sum(axis=0),
-                               rtol=1e-14)
-    grid2 = make_grid([2.0], [8])
-    with pytest.raises(GridError):
-        minkowski_dot(FourVectorField(a, True, grid), FourVectorField(b, True, grid2))
+    np.testing.assert_allclose(minkowski_dot_components(a, b),
+                               a[0] * b[0] - (a[1:] * b[1:]).sum(axis=0), rtol=1e-14)
+    np.testing.assert_array_equal(minkowski_dot_components(a, b),
+                                  minkowski_dot_components(b, a))
 
 
 def test_minkowski_square_complex_uses_magnitudes():

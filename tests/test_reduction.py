@@ -4,15 +4,16 @@ psi2 reconstruction, and the residual diagnostics."""
 import numpy as np
 import pytest
 
+from diracfluid import reduction
+from diracfluid.clifford import pauli
 from diracfluid.dynamics import DiracState, evolve
 from diracfluid.errors import GridError, NumericalInstabilityError
-from diracfluid.lattice import make_grid
+from diracfluid.lattice import laplacian, make_grid, spatial_derivative
 from diracfluid.params import PhysParams
 from diracfluid.reduction import (build_W, compare_trajectories,
                                   equivalence_report, evolve_reduced,
                                   initial_time_derivative, initialize_reduced,
-                                  integral_residual, kg_residual_norm,
-                                  reconstruct_psi2, reduced_step,
+                                  kg_residual_norm, reduced_step,
                                   residual_series, unhat_trajectory)
 from diracfluid.scenarios import build_initial, scenario_from_dict
 
@@ -49,18 +50,17 @@ def test_first_step_needs_slope():
         reduced_step(reduced, grid.dt, PhysParams())
 
 
-def test_initial_slope_forms_differ_by_mass_term():
+def test_initial_slope_is_hatted_form():
+    # d0 psi1hat(0) = -2i mu psi1(0) - sigma^1 d_1 psi2(0) in 1-D
     grid = make_grid([8.0 * np.pi], [64])
     params = PhysParams()
     rng = np.random.default_rng(9)
     psi10 = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
     psi20 = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
-    hat = initial_time_derivative(psi10, psi20, grid, params, form="hatted")
-    kg = initial_time_derivative(psi10, psi20, grid, params, form="kg")
-    mu = params.mass_wavenumber
-    np.testing.assert_allclose(kg - hat, 1j * mu * psi10, rtol=0, atol=1e-13)
-    with pytest.raises(ValueError):
-        initial_time_derivative(psi10, psi20, grid, params, form="plain")
+    slope = initial_time_derivative(psi10, psi20, grid, params)
+    sigma_grad = pauli(1) @ spatial_derivative(psi20, grid, 0)
+    np.testing.assert_allclose(slope, -2j * params.mass_wavenumber * psi10 - sigma_grad,
+                               rtol=0, atol=1e-13)
 
 
 def test_uniform_mode_exact_discrete_root():
@@ -109,8 +109,7 @@ def test_bootstrap_is_third_order_accurate():
     grid = make_grid([2.0 * np.pi], [8], dt=0.01)
     params = PhysParams()
     state = initialize_reduced(_uniform_state(grid), params)
-    slope = initial_time_derivative(state.psi1hat, state.psi2hat0, grid, params,
-                                    form="hatted")
+    slope = initial_time_derivative(state.psi1hat, state.psi2hat0, grid, params)
     stepped = reduced_step(state, grid.dt, params, initial_slope=slope)
     exact = state.psi1hat * np.exp(-2j * params.mass_wavenumber * 0.01)
     err = float(np.max(np.abs(stepped.psi1hat - exact)))
@@ -123,9 +122,13 @@ def test_reconstruct_psi2_exact_at_start():
     rng = np.random.default_rng(13)
     psi1 = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
     psi2 = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
-    state = initialize_reduced(DiracState(psi1=psi1, psi2=psi2, x0=0.0, grid=grid), params)
-    np.testing.assert_array_equal(reconstruct_psi2(state), psi2)
-    np.testing.assert_array_equal(state.W, build_W(psi2, grid))
+    initial = DiracState(psi1=psi1, psi2=psi2, x0=0.0, grid=grid)
+    traj = evolve_reduced(initial, grid.dt, params)
+    np.testing.assert_array_equal(traj.W, build_W(psi2, grid))
+    # the running integral is zero at x0 = 0, so level 0 rebuilds psi2 exactly
+    recon = unhat_trajectory(traj)
+    assert recon.x0[0] == 0.0
+    np.testing.assert_array_equal(recon.psi2[0], psi2)
 
 
 def test_kg_residual_small_on_evolved_field():
@@ -142,9 +145,6 @@ def test_kg_residual_small_on_evolved_field():
     res_bad = kg_residual_norm(recon.psi1[mid - 1], recon.psi1[mid], recon.psi1[mid + 1],
                                h, scenario.grid, PhysParams(m=3.0))
     assert res_bad > 0.1
-    with pytest.raises(ValueError):
-        kg_residual_norm(recon.psi1[mid - 1], recon.psi1[mid], recon.psi1[mid + 1],
-                         h, scenario.grid, params, kind="other")
 
 
 def test_integral_accumulates_psi1hat():
@@ -157,9 +157,11 @@ def test_integral_accumulates_psi1hat():
     # field up to O(h^2)
     d0_int = (traj.int_psi1hat[mid + 1] - traj.int_psi1hat[mid - 1]) / (2.0 * h)
     assert float(np.max(np.abs(d0_int - traj.psi1hat[mid]))) < 2e-3
-    res = integral_residual(traj.int_psi1hat[mid - 1], traj.int_psi1hat[mid],
-                            traj.int_psi1hat[mid + 1], h, scenario.grid, params,
-                            traj.W)
+    # the integral solves (d0^2 + 2i mu d0 - lap) int_psi1hat = W
+    prev, curr, nxt = traj.int_psi1hat[mid - 1:mid + 2]
+    mu = params.mass_wavenumber
+    res = ((nxt - 2.0 * curr + prev) / (h * h) + 2j * mu * (nxt - prev) / (2.0 * h)
+           - laplacian(curr, scenario.grid) - traj.W)
     rel = float(np.max(np.abs(res)) / np.max(np.abs(traj.W)))
     assert rel < 2e-2
 
@@ -172,6 +174,18 @@ def test_residual_series_layout():
     series = residual_series(recon.psi1, recon.x0, scenario.grid, scenario.params)
     assert np.isnan(series[0]) and np.isnan(series[-1])
     assert np.all(np.isfinite(series[1:-1]))
+
+
+def test_residual_series_takes_one_laplacian_per_level(monkeypatch):
+    scenario = _gaussian_scenario(duration=0.5)
+    traj = evolve_reduced(build_initial(scenario), scenario.duration, scenario.params,
+                          record_every=5)
+    recon = unhat_trajectory(traj)
+    calls = []
+    monkeypatch.setattr(reduction, "laplacian",
+                        lambda *a, **k: calls.append(1) or laplacian(*a, **k))
+    residual_series(recon.psi1, recon.x0, scenario.grid, scenario.params)
+    assert len(calls) == len(recon.x0) - 2
 
 
 def test_unhat_first_level_is_initial_data():

@@ -7,7 +7,7 @@ import pytest
 
 from diracfluid.dynamics import evolve
 from diracfluid.fluid import MASK_NAMES, FluidState, PointMask, fluid_state
-from diracfluid.lattice import FourVectorField, file_sha256, make_grid, read_snapshot
+from diracfluid.lattice import file_sha256, make_grid, read_snapshot
 from diracfluid.runner import _fluid_csv, chain_row, identity_rows_at, run
 from diracfluid.scenarios import build_initial, scenario_from_dict
 
@@ -117,7 +117,7 @@ def _row_loop_fluid_csv(fs):
     idx = np.indices(grid.shape).reshape(grid.dims, -1)
     npts = idx.shape[1]
     cols = [idx[j] if j < grid.dims else np.zeros(npts, dtype=np.int64) for j in range(3)]
-    numeric = [fs.rho_bar, fs.theta, fs.alpha, *fs.v_c.data, fs.rho_0, fs.a_0]
+    numeric = [fs.rho_bar, fs.theta, fs.alpha, *fs.v_c, fs.rho_0, fs.a_0]
     lines = ["axis0,axis1,axis2,rho_bar,theta,alpha,vC0,vC1,vC2,vC3,rho_0,a_0,mask"]
     flat = [f.reshape(-1) for f in numeric]
     mask_flat = fs.mask.reshape(-1)
@@ -138,10 +138,10 @@ def test_fluid_csv_bytes_match_row_loop(tmp_path, points):
     alpha = scalars[2]
     alpha[mask != PointMask.OK] = np.nan
     alpha.reshape(-1)[:8] = [np.inf, -np.inf, -0.0, 5e-324, 1e308, 0.0, 1.0, -1e-300]
-    v_c = FourVectorField(rng.normal(size=(4,) + shape), upper=True, grid=grid)
+    v_c = rng.normal(size=(4,) + shape)
     fs = FluidState(grid=grid, x0=0.5, rho_bar=scalars[0], theta=scalars[1], alpha=alpha,
                     v_c=v_c, rho_0=scalars[3], a_0=scalars[4], mask=mask,
-                    gradients=None, branch="auto")
+                    gradients=None)
     _fluid_csv(tmp_path / "fluid.csv", fs)
     written = (tmp_path / "fluid.csv").read_bytes()
     assert written == _row_loop_fluid_csv(fs)

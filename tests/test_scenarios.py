@@ -1,9 +1,14 @@
 """Scenario schema validation and the initial-data recipes."""
 
+import copy
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracfluid.errors import ConfigError
 from diracfluid.scenarios import (RECIPE_NAMES, build_initial, load_scenario,
@@ -248,3 +253,98 @@ def test_load_scenario_errors(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(_base_config()))
     assert load_scenario(good).name == "probe"
+
+
+@pytest.mark.parametrize("overrides, where", [
+    ({"initial_data": "rest_state"}, "initial_data: expected an object"),
+    ({"initial_data": ["recipe"]}, "initial_data: expected an object"),
+    ({"initial_data": 5}, "initial_data: expected an object"),
+    ({"duration": float("nan")}, "duration: expected a finite number"),
+    ({"duration": float("inf")}, "duration: expected a finite number"),
+    ({"duration": 10 ** 400}, "duration: expected a finite number"),
+    ({"initial_data": {"recipe": "plane_wave", "k": [float("nan")]}},
+     r"initial_data\.k\[0\]: expected a finite number"),
+    ({"initial_data": {"recipe": "plane_wave", "k": [1e300]}}, "points per wavelength"),
+    ({"grid": {"extents": [float("nan")], "points": [64]}},
+     r"grid\.extents\[0\]: expected a finite number"),
+    ({"grid": {"extents": [1.0], "points": [2 ** 70]}},
+     r"grid\.points\[0\]: integer out of the 64-bit range"),
+    ({"grid": {"extents": [1.0], "points": [64], "dt": float("nan")}},
+     r"grid\.dt: expected a finite number"),
+    ({"grid": {"extents": [1.0], "points": [64], "cfl_factor": float("-inf")}},
+     r"grid\.cfl_factor: expected a finite number"),
+    ({"initial_data": {"recipe": "gaussian_packet", "width": float("nan")}},
+     r"initial_data\.width: expected a finite number"),
+    ({"initial_data": {"recipe": "gaussian_packet", "width": [float("inf")]}},
+     r"initial_data\.width\[0\]: expected a finite number"),
+    ({"initial_data": {"recipe": "rest_state", "amplitude": float("nan")}},
+     r"initial_data\.amplitude: expected a finite number"),
+    ({"physics": {"m": float("inf")}}, r"physics\.m: expected a finite number"),
+    ({"physics": {"c": 1e-320}}, "dt must be positive and finite"),
+    ({"name": "probe\n"}, "must match"),
+])
+def test_non_finite_and_mistyped_values_rejected(overrides, where):
+    _expect_config_error(_base_config(**overrides), where)
+
+
+_BASE_CONFIGS = [
+    {"name": "wave", "grid": {"extents": [8.0 * np.pi], "points": [64], "dt": 0.05,
+                              "cfl_factor": 0.5},
+     "physics": {"hbar": 1.0, "m": 1.0, "c": 1.0, "eps_density_rel": 1e-12,
+                 "eps_beta_rel": 1e-12, "instability_growth": 10.0},
+     "initial_data": {"recipe": "plane_wave", "k": [0.5], "amplitude": 1.0,
+                      "spin_angle": 0.3, "relative_phase": 0.7, "energy_branch": "positive"},
+     "duration": 1.0, "record_every": 2, "pipeline": "both", "fluid_map": True,
+     "diagnostics": ["equivalence", "conservation"], "alpha_branch": "auto",
+     "derivative_order": 2},
+    {"name": "packet", "grid": {"extents": [20.0, 20.0], "points": [32, 32]},
+     "initial_data": {"recipe": "gaussian_packet", "k": [0.5, 0.0, 0.0],
+                      "center": [10.0, 10.0], "width": [2.0, 3.0]},
+     "duration": 0.5},
+    {"name": "custom", "grid": {"extents": [1.0], "points": [8]},
+     "initial_data": {"recipe": "custom", "psi1_file": "a.csv", "psi2_file": "b.csv"},
+     "duration": 0.5, "pipeline": "dirac"},
+]
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _value_paths(node, path=()):
+    """The path of every value in a parsed JSON document, containers included."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _value_paths(child, path + (key,))
+
+
+_CASES = [(i, p) for i, config in enumerate(_BASE_CONFIGS) for p in _value_paths(config)]
+
+
+def _floats(obj):
+    if dataclasses.is_dataclass(obj):
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    if isinstance(obj, (list, tuple)):
+        return [x for item in obj for x in _floats(item)]
+    return [obj] if isinstance(obj, float) else []
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=st.sampled_from(_CASES), value=_JSON_VALUES)
+def test_any_json_value_yields_finite_scenario_or_config_error(case, value):
+    index, path = case
+    config = copy.deepcopy(_BASE_CONFIGS[index])
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        scenario = scenario_from_dict(config)
+    except ConfigError:
+        return
+    numbers = _floats([scenario.grid, scenario.params, scenario.recipe, scenario.duration])
+    assert numbers and all(math.isfinite(x) for x in numbers)
