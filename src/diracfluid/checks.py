@@ -191,7 +191,9 @@ def check_lagrangian_split_polar() -> tuple[bool, str]:
     for points in (64, 128, 256):
         state, grid_n, params_n = _smooth_periodic_state(points)
         traj = evolve(state, 2 * grid_n.dt, params_n)
-        rows = identity_rows_at(traj, 1, params_n, 2, "auto")
+        fs = fluid_state(traj.psi1[0], traj.psi1[1], traj.psi1[2], traj.record_step,
+                         float(traj.x0[1]), grid_n, params_n)
+        rows = identity_rows_at(traj, 1, fs, params_n, 2, "auto")
         residuals.append(next(r.residual_l2 for r in rows if r.name == "split_identity"))
     slopes = [np.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
     ok = (split_sup < 1e-10 and polar_sup < 1e-10 and fisher_sup < 1e-12

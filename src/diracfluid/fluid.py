@@ -13,9 +13,14 @@ with b = dnu.dbeta, d = dbeta.dbeta, e = dbeta.(2 dnu + dbeta), i.e.
 
     alpha = (-b +- sqrt(b^2 + sin^2(theta) d e)) / d.
 
-Phase gradients are evaluated as (hbar/m) Im(psi* d psi)/|psi|^2, never by
-unwrapping arg(psi).  Points where the map degenerates are masked rather than
-patched: LOW_DENSITY (|psi_s|^2 under a relative floor), DEGENERATE_BETA
+Phase gradients are evaluated as (hbar/m) Im(psi* d psi)/|psi|^2 with d psi
+from one `lattice.four_gradient` of psi1, never by unwrapping arg(psi).
+`fluid_state` builds the map once per level; the FluidState keeps its
+amplitudes, gradients (d psi included) and alpha roots, and the identity rows
+of that level read them from it.
+
+Points where the map degenerates are masked rather than patched:
+LOW_DENSITY (|psi_s|^2 under a relative floor), DEGENERATE_BETA
 (|dbeta.dbeta| under a relative floor; the velocity falls back to d^mu nu),
 COMPLEX_ALPHA (negative discriminant or negative v_C.v_C, both of which can
 only arise at round-off level since the discriminant equals
@@ -30,7 +35,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import GridError
-from .lattice import Grid, minkowski_dot_components, minkowski_square, spatial_derivative
+from .lattice import Grid, four_gradient, minkowski_dot_components, minkowski_square
 from .params import PhysParams
 
 
@@ -63,14 +68,9 @@ def amplitudes(psi1: np.ndarray, params: PhysParams) -> Amplitudes:
     rho_bar = params.m * r2
     floor = params.eps_density_rel * float(np.max(rho_bar)) if rho_bar.size else 0.0
     low = rho_bar < floor if floor > 0 else rho_bar <= 0
-    return Amplitudes(
-        R_up=np.sqrt(mag2_up),
-        R_down=np.sqrt(mag2_down),
-        R=np.sqrt(r2),
-        rho_bar=rho_bar,
-        theta=np.arctan2(np.sqrt(mag2_down), np.sqrt(mag2_up)),
-        low_density=low,
-    )
+    r_up, r_down = np.sqrt(mag2_up), np.sqrt(mag2_down)
+    return Amplitudes(R_up=r_up, R_down=r_down, R=np.sqrt(r2), rho_bar=rho_bar,
+                      theta=np.arctan2(r_down, r_up), low_density=low)
 
 
 @dataclass
@@ -82,39 +82,31 @@ class PhaseGradients:
     d_nu: np.ndarray     # alias of d_nu_up
     d_beta: np.ndarray   # d_nu_down - d_nu_up
     low_density: np.ndarray
-    grid: Grid
-
-
-def _phase_gradient_single(prev, curr, nxt, h, grid, params, order, floor):
-    """(hbar/m) Im(psi* d_mu psi)/|psi|^2 for one complex scalar field."""
-    mag2 = np.abs(curr) ** 2
-    low = mag2 < floor if floor > 0 else mag2 <= 0
-    denom = np.where(low, 1.0, mag2)
-    out = np.zeros((4,) + grid.shape)
-    scale = params.hbar / params.m
-    d0 = (nxt - prev) / (2.0 * h)
-    out[0] = scale * np.imag(np.conj(curr) * d0) / denom
-    for axis in range(grid.dims):
-        d = spatial_derivative(curr, grid, axis, order)
-        out[1 + axis] = scale * np.imag(np.conj(curr) * d) / denom
-    out[:, low] = 0.0
-    return out, low
+    dpsi: np.ndarray     # d_mu psi1, (4, 2, *grid.shape), the stencil gradient they come from
 
 
 def phase_gradients(psi1_prev, psi1_curr, psi1_next, h: float, grid: Grid,
                     params: PhysParams, order: int = 2) -> PhaseGradients:
-    """Phase four-gradients from three stored psi1 levels (x0 spacing h)."""
+    """(hbar/m) Im(psi_s* d_mu psi_s)/|psi_s|^2 for both spins from three psi1 levels.
+
+    Both spin components take d_mu from one `four_gradient` of psi1 (x0
+    spacing h); points under the density floor get zero gradients.
+    """
     if h <= 0:
         raise GridError(f"time-level spacing must be positive, got {h}")
-    r2 = np.abs(psi1_curr[0]) ** 2 + np.abs(psi1_curr[1]) ** 2
-    floor = params.eps_density_rel * float(np.max(r2))
-    d_up, low_up = _phase_gradient_single(psi1_prev[0], psi1_curr[0], psi1_next[0],
-                                          h, grid, params, order, floor)
-    d_down, low_down = _phase_gradient_single(psi1_prev[1], psi1_curr[1], psi1_next[1],
-                                              h, grid, params, order, floor)
-    low = low_up | low_down
-    return PhaseGradients(d_nu_up=d_up, d_nu_down=d_down, d_nu=d_up,
-                          d_beta=d_down - d_up, low_density=low, grid=grid)
+    mag2 = np.abs(psi1_curr) ** 2
+    floor = params.eps_density_rel * float(np.max(mag2[0] + mag2[1]))
+    low = mag2 < floor if floor > 0 else mag2 <= 0
+    dpsi = four_gradient(psi1_prev, psi1_curr, psi1_next, h, grid, order)
+    # only the grid's axes: Im(psi* 0) can be -0.0, the components past them stay +0.0
+    used = slice(0, 1 + grid.dims)
+    scale = params.hbar / params.m
+    d = np.zeros((4, 2) + grid.shape)
+    d[used] = scale * np.imag(np.conj(psi1_curr) * dpsi[used]) / np.where(low, 1.0, mag2)
+    d[:, low] = 0.0
+    d_up, d_down = d[:, 0], d[:, 1]
+    return PhaseGradients(d_nu_up=d_up, d_nu_down=d_down, d_nu=d_up, d_beta=d_down - d_up,
+                          low_density=low[0] | low[1], dpsi=dpsi)
 
 
 @dataclass
@@ -218,6 +210,8 @@ class FluidState:
     a_0: np.ndarray
     mask: np.ndarray           # uint8, PointMask values
     gradients: PhaseGradients
+    amplitudes: Amplitudes
+    roots: ClebschAlpha        # the alpha quadratic's roots and flags for the chosen branch
 
     def mask_fraction(self, flag: PointMask) -> float:
         return float(np.mean(self.mask == int(flag)))
@@ -244,8 +238,8 @@ def fluid_state(psi1_prev, psi1_curr, psi1_next, h: float, x0: float, grid: Grid
     mask[alpha.degenerate] = int(PointMask.DEGENERATE_BETA)
     mask[low] = int(PointMask.LOW_DENSITY)
 
-    alpha_vals = np.where(alpha.degenerate | alpha.complex_disc | low, np.nan, alpha.alpha)
+    alpha_vals = np.where(fallback, np.nan, alpha.alpha)
     return FluidState(grid=grid, x0=x0, rho_bar=amp.rho_bar, theta=amp.theta,
                       alpha=alpha_vals, v_c=v_c, rho_0=rho_0, a_0=a_0, mask=mask,
-                      gradients=grads)
+                      gradients=grads, amplitudes=amp, roots=alpha)
 

@@ -1,4 +1,4 @@
-"""Lagrangian densities, the probability current, and residual reports.
+"""Lagrangian densities, the probability current, and residual statistics.
 
 The chain of equalities being verified, all pointwise:
 
@@ -22,20 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import pauli
-from .lattice import Grid, integrate_volume, minkowski_square, spatial_derivative
+from .lattice import four_gradient, integrate_volume, minkowski_square
 from .params import PhysParams
 
 _SCALE_FLOOR = 1e-300
-
-
-def four_gradient(prev: np.ndarray, curr: np.ndarray, nxt: np.ndarray,
-                  h: float, grid: Grid, order: int = 2) -> np.ndarray:
-    """Lower-index stencil gradient (4, *input shape) from three x0 levels."""
-    out = np.zeros((4,) + curr.shape, dtype=curr.dtype)
-    out[0] = (nxt - prev) / (2.0 * h)
-    for axis in range(grid.dims):
-        out[1 + axis] = spatial_derivative(curr, grid, axis, order)
-    return out
 
 
 def lagrangian_spinor_from_gradients(psi1: np.ndarray, dpsi1: np.ndarray,
@@ -44,12 +34,6 @@ def lagrangian_spinor_from_gradients(psi1: np.ndarray, dpsi1: np.ndarray,
     kinetic = minkowski_square(dpsi1[:, 0]) + minkowski_square(dpsi1[:, 1])
     mass = np.abs(psi1[0]) ** 2 + np.abs(psi1[1]) ** 2
     return params.m * ((params.hbar / params.m) ** 2 * kinetic - params.c ** 2 * mass)
-
-
-def lagrangian_spinor(psi1_prev, psi1_curr, psi1_next, h: float, grid: Grid,
-                      params: PhysParams, order: int = 2) -> np.ndarray:
-    dpsi = four_gradient(psi1_prev, psi1_curr, psi1_next, h, grid, order)
-    return lagrangian_spinor_from_gradients(psi1_curr, dpsi, params)
 
 
 def lagrangian_split(R_up, R_down, dR_up, dR_down, d_nu_up, d_nu_down,
@@ -140,9 +124,9 @@ def conservation_report(traj, order: int = 2) -> ConservationReport:
     drift = np.abs(charge - charge[0]) / max(abs(charge[0]), _SCALE_FLOOR)
     div_l2 = np.full(n, np.nan)
     for i in range(1, n - 1):
-        div = (currents[i + 1, 0] - currents[i - 1, 0]) / (2.0 * h)
-        for axis in range(grid.dims):
-            div = div + spatial_derivative(currents[i, 1 + axis], grid, axis, order)
+        # d_mu J^mu is the trace of d_mu J^nu, summed over mu = 0, 1, 2, 3 in order
+        div = np.trace(four_gradient(currents[i - 1], currents[i], currents[i + 1],
+                                     h, grid, order))
         div_l2[i] = float(np.sqrt(integrate_volume(div ** 2, grid)))
     return ConservationReport(x0=traj.x0.copy(), divergence_l2=div_l2,
                               total_charge=charge, charge_drift=drift)

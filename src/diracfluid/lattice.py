@@ -1,4 +1,5 @@
-"""Uniform periodic lattice: grids, central differences, Minkowski algebra, CSV output.
+"""Uniform periodic lattice: grids, central differences, the three-level
+four-gradient, Minkowski algebra, CSV output.
 
 Conventions used throughout the package:
 
@@ -6,7 +7,8 @@ Conventions used throughout the package:
   spatial lattice axes, so a two-spinor field has shape (2, *grid.shape) and a
   scalar field has shape grid.shape;
 * the time coordinate is x0 = c*t and all time derivatives are taken with
-  respect to x0;
+  respect to x0; `four_gradient` is the one d_mu on three recorded levels,
+  shared by the fluid map, the identity rows and the current divergence;
 * four-vectors are plain (4, *grid.shape) arrays: gradients hold lower-index
   components, velocities and currents upper-index ones; the metric
   signature is (+, -, -, -).
@@ -168,6 +170,14 @@ class Stencil:
             np.subtract(out, v[0], out=out)
         return np.divide(out, self.div2[axis], out=out)
 
+    def gradient(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """d_i f for every spatial axis i into out[i], out of shape (dims, *f.shape)."""
+        self.load(f)
+        for axis in range(self.grid.dims):
+            self.first_numerator(axis, out[axis], self.t)
+            np.divide(out[axis], self.div1[axis], out=out[axis])
+        return out
+
     def laplacian(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
         self.load(f)
         self.second(0, out)
@@ -208,6 +218,18 @@ def spatial_derivative(f: np.ndarray, grid: Grid, axis: int, order: int = 2) -> 
     stencil = _loaded(f, grid, axis, order)
     out = stencil.first_numerator(axis, np.empty(f.shape, f.dtype), stencil.t)
     return np.divide(out, stencil.div1[axis], out=out)
+
+
+def four_gradient(prev: np.ndarray, curr: np.ndarray, nxt: np.ndarray,
+                  h: float, grid: Grid, order: int = 2) -> np.ndarray:
+    """Lower-index d_mu (4, *curr.shape) of the middle of three x0 levels h apart.
+
+    Central differences in x0 and space; components past grid.dims are exact zeros.
+    """
+    out = np.zeros((4,) + curr.shape, dtype=curr.dtype)
+    np.divide(np.subtract(nxt, prev, out=out[0]), 2.0 * h, out=out[0])
+    Stencil(curr.shape, grid, order, curr.dtype).gradient(curr, out[1:1 + grid.dims])
+    return out
 
 
 def second_derivative(f: np.ndarray, grid: Grid, axis: int, order: int = 2) -> np.ndarray:

@@ -165,8 +165,9 @@ def unhat_trajectory(traj: ReducedTrajectory, order: int = 2) -> SpinorTrajector
     nt = len(traj.x0)
     psi1 = traj.psi1hat * phases.reshape((nt,) + (1,) * (traj.psi1hat.ndim - 1))
     psi2 = np.empty_like(psi1)
+    st = Stencil(traj.psi2hat0.shape, traj.grid, order, complex, 1)
     for n in range(nt):
-        psi2hat = traj.psi2hat0 - sigma_dot_grad(traj.int_psi1hat[n], traj.grid, order)
+        psi2hat = traj.psi2hat0 - st.sigma_dot_grad(traj.int_psi1hat[n], st.scratch[0])
         psi2[n] = phases[n] * psi2hat
     return SpinorTrajectory(traj.x0.copy(), psi1, psi2, traj.grid, traj.params)
 

@@ -15,6 +15,11 @@ written at 17 significant digits, so re-running the same config produces
 byte-identical files.  Every CSV is written by the one encoder,
 `lattice.write_csv`, which streams rows in fixed-size blocks; the file format
 is unchanged.
+
+`run` builds one `FluidState` per interior level (only the middle one when
+neither the fluid map nor the approximation chain is asked for), and the
+identity chain of the middle level, `identity_rows_at`, reads its amplitudes,
+gradients and alpha roots from that state instead of rebuilding them.
 """
 
 from __future__ import annotations
@@ -26,15 +31,13 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import evolve, n_steps_for
-from .fluid import (MASK_NAMES, FluidState, PointMask, amplitudes,
-                    clebsch_alpha, clebsch_velocity, fluid_state,
-                    phase_gradients, rest_density)
-from .lagrangian import (conservation_report, fisher_terms, four_gradient,
-                         identity_residual, lagrangian_classical_clebsch,
-                         lagrangian_classical_fluid, lagrangian_quantum_polar,
-                         lagrangian_spinor, lagrangian_split)
-from .lattice import (file_sha256, index_prefixes, minkowski_square, write_csv,
-                      write_snapshot)
+from .fluid import MASK_NAMES, FluidState, PointMask, fluid_state
+from .lagrangian import (conservation_report, fisher_terms, identity_residual,
+                         lagrangian_classical_clebsch, lagrangian_classical_fluid,
+                         lagrangian_quantum_polar, lagrangian_spinor_from_gradients,
+                         lagrangian_split)
+from .lattice import (file_sha256, four_gradient, index_prefixes, minkowski_square,
+                      write_csv, write_snapshot)
 from .reduction import (EquivalenceReport, evolve_reduced, route_equivalence,
                         unhat_trajectory)
 from .scenarios import Scenario, build_initial
@@ -65,53 +68,40 @@ def _fluid_csv(path: Path, fs: FluidState) -> None:
     write_csv(path, _FLUID_HEADER, [(_FLUID_ROW, columns)])
 
 
-def _grid_tag(grid) -> str:
-    return "x".join(str(p) for p in grid.points)
-
-
-def identity_rows_at(traj, level: int, params, order: int, branch: str):
+def identity_rows_at(traj, level: int, fs: FluidState, params, order: int, branch: str):
     """Evaluate the Lagrangian identity chain at one interior recorded level.
 
-    Gradients come from the same stencils the fluid map uses, so each row
-    reports pure algebraic consistency, not discretization error.
+    fs is that level's fluid map (same order and branch), whose amplitudes,
+    gradients, alpha roots and v_C are reused; the amplitude gradients come
+    from the same `four_gradient`, so each row reports pure algebraic
+    consistency, not discretization error.
     """
-    grid = traj.grid
-    h = traj.record_step
-    tag = _grid_tag(grid)
-    prev, curr, nxt = traj.psi1[level - 1], traj.psi1[level], traj.psi1[level + 1]
+    tag = "x".join(str(p) for p in traj.grid.points)
+    amp, grads, roots = fs.amplitudes, fs.gradients, fs.roots
+    ok = fs.mask != int(PointMask.LOW_DENSITY)
 
-    amp = amplitudes(curr, params)
-    grads = phase_gradients(prev, curr, nxt, h, grid, params, order)
-    low = amp.low_density | grads.low_density
-    ok = ~low
+    l_spinor = lagrangian_spinor_from_gradients(traj.psi1[level], grads.dpsi, params)
 
-    l_spinor = lagrangian_spinor(prev, curr, nxt, h, grid, params, order)
+    def _amp_fields(psi1):
+        r_up, r_down = np.abs(psi1[0]), np.abs(psi1[1])
+        return np.stack([r_up, r_down, np.sqrt(r_up ** 2 + r_down ** 2),
+                         np.arctan2(r_down, r_up)])
 
-    def _amp_levels(which):
-        return [np.abs(traj.psi1[n][which]) for n in (level - 1, level, level + 1)]
-
-    r_up_levels = _amp_levels(0)
-    r_down_levels = _amp_levels(1)
-    dR_up = four_gradient(r_up_levels[0], r_up_levels[1], r_up_levels[2], h, grid, order)
-    dR_down = four_gradient(r_down_levels[0], r_down_levels[1], r_down_levels[2], h, grid, order)
+    levels = [_amp_fields(traj.psi1[n]) for n in (level - 1, level, level + 1)]
+    grad = four_gradient(*levels, traj.record_step, traj.grid, order)
+    dR_up, dR_down, dR, dtheta = (grad[:, i] for i in range(4))
     l_q, l_c = lagrangian_split(amp.R_up, amp.R_down, dR_up, dR_down,
                                 grads.d_nu_up, grads.d_nu_down, params)
-
-    r_levels = [np.sqrt(a ** 2 + b ** 2) for a, b in zip(r_up_levels, r_down_levels)]
-    theta_levels = [np.arctan2(b, a) for a, b in zip(r_up_levels, r_down_levels)]
-    dR = four_gradient(r_levels[0], r_levels[1], r_levels[2], h, grid, order)
-    dtheta = four_gradient(theta_levels[0], theta_levels[1], theta_levels[2], h, grid, order)
     l_polar = lagrangian_quantum_polar(amp.R, amp.theta, dR, dtheta, params)
     fisher_amp, fisher_angle = fisher_terms(np.sqrt(2.0) * amp.R, amp.theta,
                                             np.sqrt(2.0) * dR, dtheta, params)
 
-    alpha = clebsch_alpha(grads.d_nu, grads.d_beta, amp.theta, params, branch)
-    fallback = low | alpha.degenerate | alpha.complex_disc
-    v_c = clebsch_velocity(alpha.alpha, grads.d_nu, grads.d_beta, fallback)
-    rho_0, _, vv, negative = rest_density(amp.rho_bar, v_c, params)
-    clebsch_ok = ok & ~alpha.degenerate & ~alpha.complex_disc
-    l_clebsch = lagrangian_classical_clebsch(amp.rho_bar, v_c, params)
-    l_fluid = lagrangian_classical_fluid(rho_0, v_c, params)
+    # the mask folds negative-discriminant points into COMPLEX_ALPHA, so the
+    # roots' own flags decide; among these points COMPLEX_ALPHA means v_C.v_C < 0
+    clebsch_ok = ok & ~roots.degenerate & ~roots.complex_disc
+    timelike = fs.mask != int(PointMask.COMPLEX_ALPHA)
+    l_clebsch = lagrangian_classical_clebsch(amp.rho_bar, fs.v_c, params)
+    l_fluid = lagrangian_classical_fluid(fs.rho_0, fs.v_c, params)
 
     return [
         identity_residual("split_identity", tag, "-", l_spinor, l_q + l_c, ok,
@@ -121,7 +111,7 @@ def identity_rows_at(traj, level: int, params, order: int, branch: str):
                           fisher_amp + fisher_angle, ok),
         identity_residual("clebsch_classical", tag, branch, l_c, l_clebsch, clebsch_ok),
         identity_residual("fluid_classical", tag, branch, l_clebsch, l_fluid,
-                          clebsch_ok & ~negative),
+                          clebsch_ok & timelike),
     ]
 
 
@@ -190,17 +180,27 @@ def run(scenario: Scenario, outdir) -> RunResult:
 
     chain_rows = []
     want_chain = "approximation_chain" in scenario.diagnostics
-    if (scenario.fluid_map or want_chain) and nt >= 3:
-        for n in range(1, nt - 1):
-            fs = fluid_state(primary.psi1[n - 1], primary.psi1[n], primary.psi1[n + 1],
-                             primary.record_step, float(primary.x0[n]), grid, params,
-                             order=order, branch=scenario.alpha_branch)
-            if scenario.fluid_map:
-                rel = f"snapshots/fluid_{n * scenario.record_every:06d}.csv"
-                _fluid_csv(run_dir / rel, fs)
-                outputs.append(rel)
-            if want_chain:
-                chain_rows.append(chain_row(fs, params))
+    want_ids = "identities" in scenario.diagnostics
+    mid = max(1, min(nt // 2, nt - 2))
+    if scenario.fluid_map or want_chain:
+        levels = range(1, nt - 1)
+    else:
+        levels = [mid] if want_ids and nt >= 3 else []
+    for n in levels:
+        fs = fluid_state(primary.psi1[n - 1], primary.psi1[n], primary.psi1[n + 1],
+                         primary.record_step, float(primary.x0[n]), grid, params,
+                         order=order, branch=scenario.alpha_branch)
+        if scenario.fluid_map:
+            rel = f"snapshots/fluid_{n * scenario.record_every:06d}.csv"
+            _fluid_csv(run_dir / rel, fs)
+            outputs.append(rel)
+        if want_chain:
+            chain_rows.append(chain_row(fs, params))
+        if want_ids and n == mid:
+            rows = identity_rows_at(primary, mid, fs, params, order, scenario.alpha_branch)
+            rel = "diagnostics/identities.csv"
+            write_csv(run_dir / rel, _IDENT_HEADER, [("%s\n", ([r.row() for r in rows],))])
+            outputs.append(rel)
 
     equivalence = None
     if "equivalence" in scenario.diagnostics and direct is not None and recon is not None:
@@ -213,13 +213,6 @@ def run(scenario: Scenario, outdir) -> RunResult:
         report = conservation_report(primary, order=order)
         rel = "diagnostics/conservation.csv"
         _write_rows(run_dir / rel, _CONSV_HEADER, report.rows())
-        outputs.append(rel)
-
-    if "identities" in scenario.diagnostics and nt >= 3:
-        mid = max(1, min(nt // 2, nt - 2))
-        rows = identity_rows_at(primary, mid, params, order, scenario.alpha_branch)
-        rel = "diagnostics/identities.csv"
-        write_csv(run_dir / rel, _IDENT_HEADER, [("%s\n", ([r.row() for r in rows],))])
         outputs.append(rel)
 
     if chain_rows:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +138,15 @@ class CustomFields:
     base: str = "."  # the config's directory, which relative paths are read from
 
 
+_RECIPE_TAGS = {RestState: "rest_state", PlaneWave: "plane_wave",
+                GaussianPacket: "gaussian_packet", CustomFields: "custom"}
+
+
+def _json_object(items) -> dict:
+    """asdict's dict factory: tuples become lists, as the manifest's JSON reads back."""
+    return {key: list(value) if isinstance(value, tuple) else value for key, value in items}
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -151,7 +160,16 @@ class Scenario:
     diagnostics: tuple = ()
     alpha_branch: str = "auto"
     derivative_order: int = 2
-    config_echo: dict = field(default_factory=dict, compare=False)
+
+    @property
+    def config_echo(self) -> dict:
+        """Fully-defaulted config dict, echoed into the run manifest."""
+        echo = asdict(self, dict_factory=_json_object)
+        echo["physics"] = echo.pop("params")
+        initial = echo.pop("recipe")
+        initial.pop("base", None)  # where a custom recipe's files are read from
+        echo["initial_data"] = {"recipe": _RECIPE_TAGS[type(self.recipe)], **initial}
+        return echo
 
 
 def _parse_k(raw, grid: Grid, where: str) -> tuple:
@@ -307,13 +325,10 @@ def scenario_from_dict(config: dict, base: Path | None = None) -> Scenario:
     if order not in (2, 4):
         raise ConfigError("derivative_order: must be 2 or 4")
 
-    echo = normalized_config(name, grid, params, recipe, duration, record_every,
-                             pipeline, fluid_map, diags, branch, order)
     return Scenario(name=name, grid=grid, params=params, recipe=recipe,
                     duration=duration, record_every=record_every,
                     pipeline=pipeline, fluid_map=fluid_map, diagnostics=diags,
-                    alpha_branch=branch, derivative_order=order,
-                    config_echo=echo)
+                    alpha_branch=branch, derivative_order=order)
 
 
 def read_config(path) -> dict:
@@ -330,45 +345,6 @@ def read_config(path) -> dict:
 
 def load_scenario(path) -> Scenario:
     return scenario_from_dict(read_config(path), base=Path(path).parent)
-
-
-def normalized_config(name, grid, params, recipe, duration, record_every,
-                      pipeline, fluid_map, diags, branch, order) -> dict:
-    """Fully-defaulted config dict, echoed into the run manifest."""
-    if isinstance(recipe, RestState):
-        initial = {"recipe": "rest_state", "amplitude": recipe.amplitude,
-                   "spin_angle": recipe.spin_angle,
-                   "relative_phase": recipe.relative_phase}
-    elif isinstance(recipe, PlaneWave):
-        initial = {"recipe": "plane_wave", "k": list(recipe.k),
-                   "amplitude": recipe.amplitude, "spin_angle": recipe.spin_angle,
-                   "relative_phase": recipe.relative_phase,
-                   "energy_branch": recipe.energy_branch}
-    elif isinstance(recipe, GaussianPacket):
-        initial = {"recipe": "gaussian_packet", "k": list(recipe.k),
-                   "center": list(recipe.center), "width": list(recipe.width),
-                   "amplitude": recipe.amplitude, "spin_angle": recipe.spin_angle,
-                   "relative_phase": recipe.relative_phase}
-    else:
-        initial = {"recipe": "custom", "psi1_file": recipe.psi1_file,
-                   "psi2_file": recipe.psi2_file}
-    return {
-        "name": name,
-        "grid": {"extents": list(grid.extents), "points": list(grid.points),
-                 "dt": grid.dt, "cfl_factor": grid.cfl_factor},
-        "physics": {"hbar": params.hbar, "m": params.m, "c": params.c,
-                    "eps_density_rel": params.eps_density_rel,
-                    "eps_beta_rel": params.eps_beta_rel,
-                    "instability_growth": params.instability_growth},
-        "initial_data": initial,
-        "duration": duration,
-        "record_every": record_every,
-        "pipeline": pipeline,
-        "fluid_map": fluid_map,
-        "diagnostics": list(diags),
-        "alpha_branch": branch,
-        "derivative_order": order,
-    }
 
 
 def _spin_pair(chi: float, phase: float) -> np.ndarray:

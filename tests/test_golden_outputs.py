@@ -1,7 +1,9 @@
 """Shipped configs keep producing byte-identical output trees.
 
 golden_outputs.json holds the sha256 of every output file of three shipped
-configs. A change that deliberately alters the numbers or the file format
+configs and of the two small multi-axis configs below, which pin the 2-D and
+3-D gradient, fluid-map and identity paths the shipped 1-D configs never
+reach. A change that deliberately alters the numbers or the file format
 regenerates it and says why.
 """
 
@@ -12,16 +14,51 @@ from pathlib import Path
 import pytest
 
 from diracfluid.runner import run
-from diracfluid.scenarios import load_scenario
+from diracfluid.scenarios import load_scenario, scenario_from_dict
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((Path(__file__).with_name("golden_outputs.json")).read_text())
 
+MULTI_AXIS_CONFIGS = {
+    "golden_2d_both": {
+        "name": "golden_2d_both",
+        "grid": {"extents": [8.0, 8.0], "points": [16, 16]},
+        "physics": {"eps_density_rel": 1e-3},
+        "initial_data": {"recipe": "gaussian_packet", "k": [0.5, 0.25],
+                         "width": [1.5, 2.0], "spin_angle": 0.35, "relative_phase": 0.2},
+        "duration": 0.5,
+        "pipeline": "both",
+        "fluid_map": True,
+        "diagnostics": ["equivalence", "conservation", "identities", "approximation_chain"],
+    },
+    "golden_3d_dirac": {
+        "name": "golden_3d_dirac",
+        "grid": {"extents": [8.0, 8.0, 8.0], "points": [8, 8, 8]},
+        "physics": {"eps_beta_rel": 1e-5},
+        "initial_data": {"recipe": "gaussian_packet", "k": [0.3, 0.0, 0.2],
+                         "width": 2.0, "spin_angle": 0.6, "relative_phase": -0.4},
+        "duration": 0.75,
+        "pipeline": "dirac",
+        "fluid_map": True,
+        "diagnostics": ["conservation", "identities", "approximation_chain"],
+        "alpha_branch": "plus",
+        "derivative_order": 4,
+    },
+}
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
+
+def _output_hashes(run_dir: Path) -> dict:
+    return {p.relative_to(run_dir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in run_dir.rglob("*") if p.is_file() and p.name != "manifest.json"}
+
+
+@pytest.mark.parametrize("name", sorted(set(GOLDEN) - set(MULTI_AXIS_CONFIGS)))
 def test_shipped_config_outputs_match_golden_hashes(tmp_path, name):
     run(load_scenario(REPO / "configs" / f"{name}.json"), tmp_path)
-    run_dir = tmp_path / name
-    hashes = {p.relative_to(run_dir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-              for p in run_dir.rglob("*") if p.is_file() and p.name != "manifest.json"}
-    assert hashes == GOLDEN[name]
+    assert _output_hashes(tmp_path / name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_AXIS_CONFIGS))
+def test_multi_axis_outputs_match_golden_hashes(tmp_path, name):
+    run(scenario_from_dict(MULTI_AXIS_CONFIGS[name]), tmp_path)
+    assert _output_hashes(tmp_path / name) == GOLDEN[name]

@@ -5,16 +5,14 @@ import numpy as np
 from diracfluid.clifford import gamma
 from diracfluid.dynamics import evolve
 from diracfluid.lagrangian import (ConservationReport, conservation_report,
-                                   fisher_terms, four_gradient,
-                                   identity_residual,
+                                   fisher_terms, identity_residual,
                                    lagrangian_classical_clebsch,
                                    lagrangian_classical_fluid,
                                    lagrangian_quantum_polar, lagrangian_split,
-                                   lagrangian_spinor,
                                    lagrangian_spinor_from_gradients,
                                    probability_current,
                                    relative_residual)
-from diracfluid.lattice import make_grid, minkowski_square
+from diracfluid.lattice import four_gradient, make_grid, minkowski_square
 from diracfluid.params import PhysParams
 from diracfluid.scenarios import build_initial, scenario_from_dict
 from diracfluid.synthetic import (spinor_from_polar, spinor_gradient_from_polar,
@@ -122,21 +120,6 @@ def test_classical_fluid_form_clamps_spacelike_points():
                                2.0 * 3.0, rtol=1e-15)
     np.testing.assert_allclose(lagrangian_classical_fluid(rho_bar * 3.0, v_time, PARAMS),
                                6.0 * 1.0, rtol=1e-15)
-
-
-def test_lagrangian_spinor_from_levels_matches_gradient_form():
-    grid = make_grid([2.0 * np.pi], [64], dt=0.02)
-    x = grid.axis_coordinates(0)
-    h = 0.02
-
-    def level(t):
-        wave = np.exp(1j * (0.8 * t + 2.0 * x))
-        return np.stack([(1.0 + 0.3 * np.cos(x)) * wave, 0.7 * wave])
-
-    direct = lagrangian_spinor(level(-h), level(0.0), level(h), h, grid, PARAMS)
-    d = four_gradient(level(-h), level(0.0), level(h), h, grid)
-    np.testing.assert_allclose(
-        direct, lagrangian_spinor_from_gradients(level(0.0), d, PARAMS), rtol=1e-13)
 
 
 def test_conservation_report_on_short_packet_run():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from diracfluid import fluid, runner
 from diracfluid.dynamics import evolve
 from diracfluid.fluid import MASK_NAMES, FluidState, PointMask, fluid_state
 from diracfluid.lattice import file_sha256, make_grid, read_snapshot
@@ -141,7 +142,7 @@ def test_fluid_csv_bytes_match_row_loop(tmp_path, points):
     v_c = rng.normal(size=(4,) + shape)
     fs = FluidState(grid=grid, x0=0.5, rho_bar=scalars[0], theta=scalars[1], alpha=alpha,
                     v_c=v_c, rho_0=scalars[3], a_0=scalars[4], mask=mask,
-                    gradients=None)
+                    gradients=None, amplitudes=None, roots=None)
     _fluid_csv(tmp_path / "fluid.csv", fs)
     written = (tmp_path / "fluid.csv").read_bytes()
     assert written == _row_loop_fluid_csv(fs)
@@ -182,13 +183,35 @@ def test_reduced_pipeline_runs_without_direct(tmp_path):
 def test_identity_rows_and_chain_shape():
     scenario = scenario_from_dict(_packet_config())
     traj = evolve(build_initial(scenario), scenario.duration, scenario.params)
-    rows = identity_rows_at(traj, len(traj.x0) // 2, scenario.params, 2, "auto")
-    assert [r.name for r in rows] == IDENTITY_ORDER
-    assert all(r.grid_tag == "64" for r in rows)
-    assert rows[3].branch == "auto" and rows[1].branch == "-"
-
     mid = len(traj.x0) // 2
     fs = fluid_state(traj.psi1[mid - 1], traj.psi1[mid], traj.psi1[mid + 1],
                      traj.record_step, float(traj.x0[mid]), scenario.grid,
                      scenario.params)
+    rows = identity_rows_at(traj, mid, fs, scenario.params, 2, "auto")
+    assert [r.name for r in rows] == IDENTITY_ORDER
+    assert all(r.grid_tag == "64" for r in rows)
+    assert rows[3].branch == "auto" and rows[1].branch == "-"
     assert chain_row(fs, scenario.params).shape == (9,)
+
+
+@pytest.mark.parametrize("overrides", [{}, {"fluid_map": False, "diagnostics": ["identities"]}],
+                         ids=["fluid_map", "identities_only"])
+def test_run_evaluates_phase_gradients_once_per_level(tmp_path, monkeypatch, overrides):
+    # the identity rows reuse the fluid map of their level instead of rebuilding it
+    seen = []
+    original = fluid.phase_gradients
+
+    def counted(prev, curr, nxt, *args, **kwargs):
+        seen.append(curr.copy())
+        return original(prev, curr, nxt, *args, **kwargs)
+
+    for module in (fluid, runner):  # wherever a caller looks the name up
+        monkeypatch.setattr(module, "phase_gradients", counted, raising=False)
+    scenario = scenario_from_dict(_packet_config(**overrides))
+    run(scenario, tmp_path)
+    traj = evolve(build_initial(scenario), scenario.duration, scenario.params)
+    nt = len(traj.x0)
+    expected = range(1, nt - 1) if scenario.fluid_map else [nt // 2]
+    assert len(seen) == len(expected)
+    for curr, n in zip(seen, expected):
+        np.testing.assert_array_equal(curr, traj.psi1[n])

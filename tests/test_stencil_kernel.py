@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from diracfluid.clifford import pauli
 from diracfluid.dynamics import DiracState, dirac_rhs, evolve, sigma_dot_grad, step
 from diracfluid.errors import NumericalInstabilityError
-from diracfluid.lattice import (Grid, laplacian, make_grid, second_derivative,
-                                spatial_derivative)
+from diracfluid.lattice import (Grid, four_gradient, laplacian, make_grid,
+                                second_derivative, spatial_derivative)
 from diracfluid.params import PhysParams
 from diracfluid.reduction import (evolve_reduced, initial_time_derivative,
                                   initialize_reduced, reduced_step)
@@ -150,6 +150,27 @@ def test_stencils_match_roll_reference(case):
                 assert_bit_equal(second_derivative(g, grid, axis, order),
                                  ref_second_derivative(g, grid, axis, order))
             assert_bit_equal(laplacian(g, grid, order), ref_laplacian(g, grid, order))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases)
+def test_four_gradient_matches_per_axis_reference(case):
+    # one all-axes stencil pass gives the bits of one roll derivative per axis;
+    # components past the grid's axes are exact +0.0
+    dims, points, order, seed = case
+    grid = _grid(dims, points, order)
+    rng = np.random.default_rng(seed)
+    h = float(rng.uniform(0.01, 0.1))
+    for lead in ((), (2,), (4,)):
+        stacked = _field(rng, (3,) + lead + grid.shape, zero_component=False)
+        for levels in (tuple(stacked), tuple(np.ascontiguousarray(stacked.real))):
+            got = four_gradient(*levels, h, grid, order)
+            assert got.shape == (4,) + levels[1].shape
+            assert_bit_equal(got[0], (levels[2] - levels[0]) / (2.0 * h))
+            for axis in range(dims):
+                assert_bit_equal(got[1 + axis],
+                                 ref_spatial_derivative(levels[1], grid, axis, order))
+            assert_bit_equal(got[1 + dims:], np.zeros_like(got[1 + dims:]))
 
 
 @settings(max_examples=40, deadline=None)
