@@ -13,9 +13,10 @@ each stage takes one stencil pass for both spinors.  One `lattice.Stencil`
 holds the stage buffers; each stage is written straight into its padded
 buffer, the stage slopes are summed in place, and only the new level is a
 fresh array.  The stencil rides along on the states a step returns, so a
-trajectory reuses one set of buffers and frees it when the loop ends.  Each step computes max|psi| once; the next step's growth check and the
-cumulative runaway check reuse it.  Levels are bit-identical to the einsum
-and np.roll form of the equations, which the tests keep as the reference.
+trajectory reuses one set of buffers and frees it when the loop ends.  Each
+step computes max|psi| once; the next step's growth check and the cumulative
+runaway check reuse it.  Levels are bit-identical to the einsum and np.roll
+form of the equations, which the tests keep as the reference.
 """
 
 from __future__ import annotations

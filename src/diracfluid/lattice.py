@@ -9,6 +9,8 @@ Conventions used throughout the package:
 * the time coordinate is x0 = c*t and all time derivatives are taken with
   respect to x0; `four_gradient` is the one d_mu on three recorded levels,
   shared by the fluid map, the identity rows and the current divergence;
+* the central first difference D_i is the one spatial operator: the
+  Laplacian is sum_i D_i D_i = (sigma^i D_i)^2;
 * four-vectors are plain (4, *grid.shape) arrays: gradients hold lower-index
   components, velocities and currents upper-index ones; the metric
   signature is (+, -, -, -).
@@ -129,8 +131,6 @@ class Stencil:
         self.shifted = [[along(a, g + s, n) for s in range(-g, g + 1)]
                         for a, n in enumerate(grid.shape)]
         self.div1 = [(2.0 if order == 2 else 12.0) * dx for dx in grid.dx]
-        self.div2 = [dx ** 2 if order == 2 else 12.0 * dx ** 2 for dx in grid.dx]
-        self.e, self.t = np.empty(shape, dtype), np.empty(shape, dtype)
         self.flip = (Ellipsis, slice(None, None, -1)) + (slice(None),) * grid.dims
         self.scratch = [np.empty(shape, dtype) for _ in range(scratch)]  # for callers
 
@@ -148,41 +148,40 @@ class Stencil:
         for ghost, source in self.ghosts:
             np.copyto(ghost, source)
 
-    def first_numerator(self, axis: int, out: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # scratch fields made on first use: e holds the axes past the first of a
+    # multi-axis sum, t the second product of an order-4 difference
+    e = functools.cached_property(lambda self: np.empty_like(self.inner))
+    t = functools.cached_property(lambda self: np.empty_like(self.inner))
+
+    def first_numerator(self, axis: int, out: np.ndarray) -> np.ndarray:
         """The loaded field's first difference along axis, before its division."""
         v = self.shifted[axis]
         if self.order == 2:
             return np.subtract(v[2], v[0], out=out)
-        np.subtract(np.multiply(8.0, v[3], out=out), v[4], out=out)  # -f[i+2] + 8 f[i+1]
-        np.subtract(out, np.multiply(8.0, v[1], out=t), out=out)     # - 8 f[i-1]
-        return np.add(out, v[0], out=out)                             # + f[i-2]
+        np.subtract(np.multiply(8.0, v[3], out=out), v[4], out=out)   # -f[i+2] + 8 f[i+1]
+        np.subtract(out, np.multiply(8.0, v[1], out=self.t), out=out)  # - 8 f[i-1]
+        return np.add(out, v[0], out=out)                               # + f[i-2]
 
-    def second(self, axis: int, out: np.ndarray) -> np.ndarray:
-        """Second derivative of the loaded field along axis into out."""
-        v, t = self.shifted[axis], self.t
-        if self.order == 2:  # f[i+1] - 2 f[i] + f[i-1]
-            np.subtract(v[2], np.multiply(2.0, v[1], out=out), out=out)
-            np.add(out, v[0], out=out)
-        else:  # -f[i+2] + 16 f[i+1] - 30 f[i] + 16 f[i-1] - f[i-2]
-            np.subtract(np.multiply(16.0, v[3], out=out), v[4], out=out)
-            np.subtract(out, np.multiply(30.0, v[2], out=t), out=out)
-            np.add(out, np.multiply(16.0, v[1], out=t), out=out)
-            np.subtract(out, v[0], out=out)
-        return np.divide(out, self.div2[axis], out=out)
+    def first(self, axis: int, out: np.ndarray) -> np.ndarray:
+        """D_axis of the loaded field into out."""
+        return np.divide(self.first_numerator(axis, out), self.div1[axis], out=out)
 
     def gradient(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
         """d_i f for every spatial axis i into out[i], out of shape (dims, *f.shape)."""
         self.load(f)
         for axis in range(self.grid.dims):
-            self.first_numerator(axis, out[axis], self.t)
-            np.divide(out[axis], self.div1[axis], out=out[axis])
+            self.first(axis, out[axis])
         return out
 
     def laplacian(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
-        self.load(f)
-        self.second(0, out)
-        for axis in range(1, self.grid.dims):
-            np.add(out, self.second(axis, self.e), out=out)
+        """sum_i D_i D_i f, axes summed left to right: the square of sigma.D."""
+        for axis in range(self.grid.dims):
+            d = out if axis == 0 else self.e
+            for source in (f, d):
+                self.load(source)
+                self.first(axis, d)
+            if axis:
+                np.add(out, d, out=out)
         return out
 
     def sigma_dot_grad(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -195,29 +194,23 @@ class Stencil:
         """
         self.load(f)
         dims, flip = self.grid.dims, self.flip
-        self.first_numerator(0, out[flip], self.t[flip])
+        self.first_numerator(0, out[flip])
         np.multiply(out, 1.0 / self.div1[0], out=out)
         for axis, factors in ((1, [-1j, 1j]), (2, [1.0, -1.0]))[:dims - 1]:
             swap = flip if axis == 1 else Ellipsis
-            self.first_numerator(axis, self.e[swap], self.t[swap])
+            self.first_numerator(axis, self.e[swap])
             factor = np.reshape(factors, (2,) + (1,) * dims) * (1.0 / self.div1[axis])
             np.add(out, np.multiply(self.e, factor, out=self.e), out=out)
         return np.add(out, 0.0, out=out)
 
 
-def _loaded(f: np.ndarray, grid: Grid, axis: int, order: int) -> Stencil:
+def spatial_derivative(f: np.ndarray, grid: Grid, axis: int, order: int = 2) -> np.ndarray:
+    """Periodic central first derivative along one spatial axis, order 2 or 4."""
     if not 0 <= axis < grid.dims:
         raise GridError(f"axis {axis} out of range for a {grid.dims}-dim grid")
     stencil = Stencil(f.shape, grid, order, f.dtype)
     stencil.load(f)
-    return stencil
-
-
-def spatial_derivative(f: np.ndarray, grid: Grid, axis: int, order: int = 2) -> np.ndarray:
-    """Periodic central first derivative along one spatial axis, order 2 or 4."""
-    stencil = _loaded(f, grid, axis, order)
-    out = stencil.first_numerator(axis, np.empty(f.shape, f.dtype), stencil.t)
-    return np.divide(out, stencil.div1[axis], out=out)
+    return stencil.first(axis, np.empty(f.shape, f.dtype))
 
 
 def four_gradient(prev: np.ndarray, curr: np.ndarray, nxt: np.ndarray,
@@ -232,12 +225,8 @@ def four_gradient(prev: np.ndarray, curr: np.ndarray, nxt: np.ndarray,
     return out
 
 
-def second_derivative(f: np.ndarray, grid: Grid, axis: int, order: int = 2) -> np.ndarray:
-    """Periodic central second derivative along one spatial axis, order 2 or 4."""
-    return _loaded(f, grid, axis, order).second(axis, np.empty(f.shape, f.dtype))
-
-
 def laplacian(f: np.ndarray, grid: Grid, order: int = 2) -> np.ndarray:
+    """sum_i D_i D_i f with the first differences D_i of spatial_derivative."""
     return Stencil(f.shape, grid, order, f.dtype).laplacian(f, np.empty(f.shape, f.dtype))
 
 

@@ -119,15 +119,15 @@ def test_override_syntax_errors_exit_1(tmp_path, capsys):
 
 
 def test_unstable_run_exits_2(tmp_path, capsys):
-    # order-4 Laplacian symbol exceeds the three-level stability bound at
-    # cfl = 1, so round-off seeds exponential growth that trips the guard
+    # at m = 20 and cfl = 1, h*omega ~ 3.9 is past RK4's 2*sqrt(2) limit, so
+    # the packet grows exponentially until the cumulative guard trips
     config = _write_config(tmp_path, {
         "name": "blowup",
         "grid": {"extents": [6.283185307179586], "points": [32], "cfl_factor": 1.0},
+        "physics": {"m": 20},
         "initial_data": {"recipe": "gaussian_packet", "width": 0.5},
         "duration": 12.0,
-        "pipeline": "reduced",
-        "derivative_order": 4,
+        "pipeline": "dirac",
         "diagnostics": [],
     })
     assert main(["run", "--config", config,

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from diracfluid.errors import GridError, SnapshotIOError
-from diracfluid.lattice import (file_sha256, integrate_volume, laplacian,
+from diracfluid.lattice import (file_sha256, four_gradient, integrate_volume, laplacian,
                                 make_grid, minkowski_dot_components,
                                 minkowski_square, mode_amplitude, read_snapshot,
-                                second_derivative, spatial_derivative,
-                                write_snapshot)
+                                spatial_derivative, write_snapshot)
 
 
 def test_make_grid_defaults_dt_to_cfl_bound():
@@ -86,26 +85,42 @@ def test_first_derivative_discrete_symbol():
                                    sym4 * f, rtol=1e-13, atol=1e-13)
 
 
-def test_second_derivative_discrete_symbol():
-    grid = make_grid([2.0 * np.pi], [64])
-    x = grid.axis_coordinates(0)
-    dx = grid.dx[0]
-    for m in (1, 7):
-        f = np.exp(1j * m * x)
-        sym2 = -2.0 * (1.0 - np.cos(m * dx)) / dx ** 2
-        np.testing.assert_allclose(second_derivative(f, grid, 0, order=2),
-                                   sym2 * f, rtol=1e-12, atol=1e-12)
-        sym4 = -(30.0 - 32.0 * np.cos(m * dx) + 2.0 * np.cos(2.0 * m * dx)) / (12.0 * dx ** 2)
-        np.testing.assert_allclose(second_derivative(f, grid, 0, order=4),
-                                   sym4 * f, rtol=1e-12, atol=1e-12)
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("dims", [1, 2, 3])
+def test_laplacian_discrete_symbol(dims, order):
+    # the Laplacian is sum_i D_i D_i, so a plane wave picks up -sum_i kappa(k_i)^2
+    # with kappa the first difference's symbol
+    grid = make_grid([2.0 * np.pi, 5.0, 3.3][:dims], [16, 12, 10][:dims])
+    ks = [2.0 * np.pi * m / L for m, L in zip((3, 2, 1), grid.extents)]
+    f = np.exp(1j * sum(k * x for k, x in zip(ks, grid.meshes())))
+    kappa2 = 0.0
+    for k, dx in zip(ks, grid.dx):
+        kappa = (np.sin(k * dx) if order == 2
+                 else (8.0 * np.sin(k * dx) - np.sin(2.0 * k * dx)) / 6.0) / dx
+        kappa2 += kappa ** 2
+    np.testing.assert_allclose(laplacian(f, grid, order), -kappa2 * f, rtol=1e-12, atol=1e-12)
 
 
-def test_laplacian_sums_axes():
-    grid = make_grid([2.0 * np.pi, 2.0 * np.pi], [16, 24])
-    mx, my = grid.meshes()
-    f = np.cos(2.0 * mx) * np.sin(3.0 * my)
-    expected = (second_derivative(f, grid, 0) + second_derivative(f, grid, 1))
-    np.testing.assert_allclose(laplacian(f, grid), expected, atol=0)
+def test_order2_four_gradient_allocates_no_scratch():
+    # an order-2 gradient uses neither the order-4 product field nor the
+    # multi-axis sum field: its peak is the output, the padded copy and the
+    # ufunc iterator's buffers (np.getbufsize() items per strided operand);
+    # half a field of slack, so one stray scratch field fails
+    grid = make_grid([1.0, 1.0], [64, 64])
+    rng = np.random.default_rng(3)
+    levels = [rng.normal(size=(4, 64, 64)) + 1j * rng.normal(size=(4, 64, 64))
+              for _ in range(3)]
+    four_gradient(*levels, 0.1, grid)  # warm-up
+    tracemalloc.start()
+    try:
+        out = four_gradient(*levels, 0.1, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    field = levels[1]
+    pad = 4 * 66 * 66 * field.itemsize
+    buffers = 2 * np.getbufsize() * field.itemsize
+    assert peak < out.nbytes + pad + buffers + field.nbytes // 2
 
 
 def test_derivative_validation():
@@ -114,7 +129,7 @@ def test_derivative_validation():
     with pytest.raises(GridError):
         spatial_derivative(f, grid, 0, order=3)
     with pytest.raises(GridError):
-        second_derivative(f, grid, 0, order=6)
+        laplacian(f, grid, order=6)
     with pytest.raises(GridError):
         spatial_derivative(f, grid, 1)
     with pytest.raises(GridError):

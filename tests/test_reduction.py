@@ -6,11 +6,11 @@ import pytest
 
 from diracfluid import reduction
 from diracfluid.clifford import pauli
-from diracfluid.dynamics import DiracState, evolve
+from diracfluid.dynamics import DiracState, evolve, sigma_dot_grad
 from diracfluid.errors import GridError, NumericalInstabilityError
 from diracfluid.lattice import laplacian, make_grid, spatial_derivative
 from diracfluid.params import PhysParams
-from diracfluid.reduction import (build_W, compare_trajectories,
+from diracfluid.reduction import (compare_trajectories,
                                   equivalence_report, evolve_reduced,
                                   initial_time_derivative, initialize_reduced,
                                   kg_residual_norm, reduced_step,
@@ -24,10 +24,10 @@ def _uniform_state(grid, amp=1.0):
     return DiracState(psi1=psi1, psi2=np.zeros_like(psi1), x0=0.0, grid=grid)
 
 
-def _gaussian_scenario(duration=1.0, pipeline="reduced"):
+def _gaussian_scenario(duration=1.0, pipeline="reduced", cfl_factor=0.25):
     return scenario_from_dict({
         "name": "t",
-        "grid": {"extents": [20.0], "points": [256], "cfl_factor": 0.25},
+        "grid": {"extents": [20.0], "points": [256], "cfl_factor": cfl_factor},
         "initial_data": {"recipe": "gaussian_packet", "k": [0.5], "width": 2.0,
                          "spin_angle": 0.35, "relative_phase": 0.2},
         "duration": duration,
@@ -57,7 +57,7 @@ def test_initial_slope_is_hatted_form():
     rng = np.random.default_rng(9)
     psi10 = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
     psi20 = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
-    slope = initial_time_derivative(psi10, psi20, grid, params)
+    slope = initial_time_derivative(psi10, -sigma_dot_grad(psi20, grid), params)
     sigma_grad = pauli(1) @ spatial_derivative(psi20, grid, 0)
     np.testing.assert_allclose(slope, -2j * params.mass_wavenumber * psi10 - sigma_grad,
                                rtol=0, atol=1e-13)
@@ -82,14 +82,14 @@ def test_uniform_mode_exact_discrete_root():
 
 def test_plane_wave_discrete_root_matches_quadratic():
     # growth factors solve (1+i mu h) g^2 - (2 - h^2 k2t) g + (1-i mu h) = 0
-    # with k2t the second-difference symbol; np.roots is the oracle
+    # with k2t the symbol of D D, the first difference squared; np.roots is the oracle
     grid = make_grid([8.0 * np.pi], [64], dt=0.05)
     params = PhysParams()
     h = params.c * grid.dt
     mu = params.mass_wavenumber
     k = 0.5
     dx = grid.dx[0]
-    k2t = 2.0 * (1.0 - np.cos(k * dx)) / dx ** 2
+    k2t = np.sin(k * dx) ** 2 / dx ** 2
     roots = np.roots([1.0 + 1j * mu * h, -(2.0 - h * h * k2t), 1.0 - 1j * mu * h])
     assert np.allclose(np.abs(roots), 1.0, atol=1e-12)
     g = roots[np.argmin(np.abs(roots - np.exp(-2j * np.arctan(mu * h))))]
@@ -104,12 +104,38 @@ def test_plane_wave_discrete_root_matches_quadratic():
     np.testing.assert_allclose(stepped.psi1hat, g * psi1, rtol=1e-13, atol=1e-13)
 
 
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("dims", [1, 2, 3])
+def test_laplacian_is_square_of_sigma_dot_grad(dims, order):
+    # the Pauli matrices anticommute and the lattice differences commute, so
+    # (sigma.D)^2 = sum_i D_i D_i: the reduction is exact on the lattice
+    grid = make_grid([2.0 * np.pi, 5.0, 3.3][:dims], [12, 10, 9][:dims])
+    rng = np.random.default_rng(dims + order)
+    shape = (2,) + grid.shape
+    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    lap = laplacian(psi, grid, order)
+    squared = sigma_dot_grad(sigma_dot_grad(psi, grid, order), grid, order)
+    assert np.max(np.abs(lap - squared)) < 1e-13 * np.max(np.abs(lap))
+
+
+def test_route_gap_is_three_level_time_error():
+    # both routes solve the same semi-discrete system, so at a fixed grid the
+    # gap falls as dt^2: a factor 4 at each halving of the time step
+    sups = []
+    for cfl in (0.25, 0.125, 0.0625):
+        scenario = _gaussian_scenario(duration=2.0, pipeline="both", cfl_factor=cfl)
+        sups.append(equivalence_report(build_initial(scenario), scenario.duration,
+                                       scenario.params).max_sup)
+    for coarse, fine in zip(sups, sups[1:]):
+        assert 3.5 <= coarse / fine <= 4.5
+
+
 def test_bootstrap_is_third_order_accurate():
     # Taylor start against the exact rest rotation exp(-2i mu h)
     grid = make_grid([2.0 * np.pi], [8], dt=0.01)
     params = PhysParams()
     state = initialize_reduced(_uniform_state(grid), params)
-    slope = initial_time_derivative(state.psi1hat, state.psi2hat0, grid, params)
+    slope = initial_time_derivative(state.psi1hat, state.W, params)
     stepped = reduced_step(state, grid.dt, params, initial_slope=slope)
     exact = state.psi1hat * np.exp(-2j * params.mass_wavenumber * 0.01)
     err = float(np.max(np.abs(stepped.psi1hat - exact)))
@@ -124,7 +150,7 @@ def test_reconstruct_psi2_exact_at_start():
     psi2 = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
     initial = DiracState(psi1=psi1, psi2=psi2, x0=0.0, grid=grid)
     traj = evolve_reduced(initial, grid.dt, params)
-    np.testing.assert_array_equal(traj.W, build_W(psi2, grid))
+    np.testing.assert_array_equal(traj.W, -sigma_dot_grad(psi2, grid))
     # the running integral is zero at x0 = 0, so level 0 rebuilds psi2 exactly
     recon = unhat_trajectory(traj)
     assert recon.x0[0] == 0.0
@@ -231,5 +257,6 @@ def test_reduced_one_step_detector():
         DiracState(psi1=spike, psi2=np.zeros_like(spike), x0=0.0, grid=grid),
         PhysParams())
     state.psi1hat_prev = spike.copy()
+    # h = 6 dx is far past the three-level limit h = 2 dx: the spike grows ~15x in one step
     with pytest.raises(NumericalInstabilityError):
-        reduced_step(state, 3.0 * grid.dx[0], PhysParams())
+        reduced_step(state, 6.0 * grid.dx[0], PhysParams())

@@ -1,8 +1,9 @@
 """The stencil kernel against the einsum/np.roll steppers it replaced.
 
 The reference functions below are the earlier implementation, kept verbatim
-as the oracle.  The kernel repeats their arithmetic ufunc for ufunc, so every
-comparison is on bit patterns (uint64 views), which also tells -0.0 from +0.0.
+as the oracle; ref_laplacian applies its first difference twice per axis.
+The kernel repeats their arithmetic ufunc for ufunc, so every comparison is
+on bit patterns (uint64 views), which also tells -0.0 from +0.0.
 Fields carry signed zeros, both at random points and as whole components that
 stay exactly zero, because those are where reordered arithmetic would show.
 """
@@ -15,8 +16,7 @@ from hypothesis import strategies as st
 from diracfluid.clifford import pauli
 from diracfluid.dynamics import DiracState, dirac_rhs, evolve, sigma_dot_grad, step
 from diracfluid.errors import NumericalInstabilityError
-from diracfluid.lattice import (Grid, four_gradient, laplacian, make_grid,
-                                second_derivative, spatial_derivative)
+from diracfluid.lattice import Grid, four_gradient, laplacian, make_grid, spatial_derivative
 from diracfluid.params import PhysParams
 from diracfluid.reduction import (evolve_reduced, initial_time_derivative,
                                   initialize_reduced, reduced_step)
@@ -36,21 +36,15 @@ def ref_spatial_derivative(f, grid, axis, order=2):
     ) / (12.0 * dx)
 
 
-def ref_second_derivative(f, grid, axis, order=2):
-    ax = f.ndim - grid.dims + axis
-    dx2 = grid.dx[axis] ** 2
-    if order == 2:
-        return (np.roll(f, -1, ax) - 2.0 * f + np.roll(f, 1, ax)) / dx2
-    return (
-        -np.roll(f, -2, ax) + 16.0 * np.roll(f, -1, ax) - 30.0 * f
-        + 16.0 * np.roll(f, 1, ax) - np.roll(f, 2, ax)
-    ) / (12.0 * dx2)
-
-
 def ref_laplacian(f, grid, order=2):
-    out = ref_second_derivative(f, grid, 0, order)
+    """sum_i D_i D_i f, the first difference applied twice per axis, summed left to right."""
+    def dd(axis):
+        d = ref_spatial_derivative(f, grid, axis, order)
+        return ref_spatial_derivative(d, grid, axis, order)
+
+    out = dd(0)
     for axis in range(1, grid.dims):
-        out = out + ref_second_derivative(f, grid, axis, order)
+        out = out + dd(axis)
     return out
 
 
@@ -147,8 +141,6 @@ def test_stencils_match_roll_reference(case):
             for axis in range(dims):
                 assert_bit_equal(spatial_derivative(g, grid, axis, order),
                                  ref_spatial_derivative(g, grid, axis, order))
-                assert_bit_equal(second_derivative(g, grid, axis, order),
-                                 ref_second_derivative(g, grid, axis, order))
             assert_bit_equal(laplacian(g, grid, order), ref_laplacian(g, grid, order))
 
 
@@ -212,8 +204,8 @@ def test_reduced_steps_match_reference(case, n_steps):
     params = PhysParams(m=float(rng.uniform(0.5, 2.0)))
     initial = DiracState(_field(rng, (2,) + grid.shape), _field(rng, (2,) + grid.shape),
                          0.0, grid)
-    slope = initial_time_derivative(initial.psi1, initial.psi2, grid, params, order)
     state = initialize_reduced(initial, params, order)
+    slope = initial_time_derivative(initial.psi1, state.W, params)
     psi, prev, integral = initial.psi1.copy(), None, np.zeros_like(initial.psi1)
     for _ in range(n_steps):
         state = reduced_step(state, grid.dt, params, order=order, initial_slope=slope)
@@ -279,8 +271,9 @@ def test_cumulative_runaway_detector_rk4():
 
 
 def test_cumulative_runaway_detector_reduced():
-    # h = 1.1 dx puts the three-level scheme just past h*k_max = 2: ~2.4x per step
-    grid = _past_stability_grid(1.1)
+    # the Laplacian sum_i D_i D_i has symbol sin^2(k dx)/dx^2 <= 1/dx^2, so the
+    # three-level scheme is stable up to h = 2 dx; h = 2.2 dx is just past it: ~2.4x per step
+    grid = _past_stability_grid(2.2)
     params = PhysParams(instability_growth=1e3)
     with pytest.raises(NumericalInstabilityError, match="cumulative growth"):
         evolve_reduced(_spike(grid), 200 * grid.dt, params, record_every=50)
