@@ -23,7 +23,7 @@ from .lagrangian import (conservation_report, fisher_terms,
                          probability_current, relative_residual)
 from .lattice import make_grid, minkowski_square, mode_amplitude
 from .params import PhysParams
-from .reduction import equivalence_report, evolve_reduced, unhat_trajectory
+from .reduction import equivalence_report, evolve_reduced
 from .runner import identity_rows_at
 from .scenarios import (build_initial, positive_energy_closure,
                         scenario_from_dict)
@@ -65,8 +65,7 @@ def check_dispersion() -> tuple[bool, str]:
         "pipeline": "reduced",
     })
     params = scenario.params
-    traj = evolve_reduced(build_initial(scenario), scenario.duration, params)
-    recon = unhat_trajectory(traj)
+    recon = evolve_reduced(build_initial(scenario), scenario.duration, params)
     amps = mode_amplitude(recon.psi1[:, 0], scenario.grid, (2,))
     h = recon.record_step
     steps = np.angle(amps[1:] * np.conj(amps[:-1]))

@@ -131,10 +131,10 @@ def step(state: DiracState, dt: float, params: PhysParams, order: int = 2) -> Di
 
 def n_steps_for(duration: float, dt: float, record_every: int) -> int:
     """Step count covering duration, rounded up to a whole number of records."""
-    if duration <= 0:
-        raise GridError(f"duration must be positive, got {duration}")
+    if not 0 < duration < 2.0 ** 63 * dt:
+        raise GridError(f"duration: must be positive and under 2^63 steps, got {duration}")
     if record_every < 1:
-        raise GridError(f"record_every must be >= 1, got {record_every}")
+        raise GridError(f"record_every: must be >= 1, got {record_every}")
     n = int(np.ceil(duration / dt - 1e-9))
     n = max(n, 1)
     return ((n + record_every - 1) // record_every) * record_every

@@ -17,11 +17,11 @@ per axis: both routes solve one semi-discrete system and differ by time error.
 
 The stepper is an explicit three-level scheme: central differences for both
 time derivatives, the Laplacian evaluated on the middle level, and a per-point
-complex solve for the newest level.  It is stable while h^2 sum_i max kappa_i^2
-<= 2 + 2 sqrt(1 + mu^2 h^2), kappa_i the symbol of D_i: h <= 2 dx/sqrt(dims)
-at order 2 (every make_grid grid), about 1.46 dx/sqrt(dims) at order 4.  The
-running integral is accumulated with the trapezoidal rule and the first level
-is bootstrapped by a Taylor step that uses the equation itself for d0^2.
+complex solve for the newest level.  `max_stable_step` is its stability limit:
+h <= 2 dx/sqrt(dims) at order 2 (every make_grid grid), about 1.46 dx/sqrt(dims)
+at order 4.  The running integral is accumulated with the trapezoidal rule and
+the first level is bootstrapped by a Taylor step that uses the equation itself
+for d0^2.
 
 Each step evaluates the Laplacian through a `lattice.Stencil` and forms the
 three-level update and the trapezoidal sum in its scratch buffers; only the
@@ -30,6 +30,10 @@ the states a step returns, and max|psi1hat| is computed once per step
 and reused by the next step's growth check and by the cumulative runaway
 check.  The arithmetic repeats the plain numpy expressions of the scheme ufunc
 for ufunc, so levels are bit-identical to them.
+
+Both routes return one trajectory type: `evolve_reduced` records psi1hat and
+its integral, and `unhat_trajectory` then overwrites them in place with the
+un-hatted psi1 and the rebuilt psi2 of a `dynamics.SpinorTrajectory`.
 """
 
 from __future__ import annotations
@@ -45,54 +49,47 @@ from .lattice import Grid, Stencil, integrate_volume, laplacian
 from .params import PhysParams
 
 
+def max_stable_step(grid: Grid, params: PhysParams, order: int = 2) -> float:
+    """Largest h = c*dt with h^2 K <= 2 + 2 sqrt(1 + mu^2 h^2), K = sum_i max kappa_i^2.
+
+    kappa_i is the symbol of D_i on the grid's own modes k*dx = 2 pi j / N;
+    solving the bound for h gives h = 2 sqrt(K + mu^2) / K.
+    """
+    K = 0.0
+    for n, dx in zip(grid.points, grid.dx):
+        theta = 2.0 * np.pi * np.arange(n) / n
+        kdx = np.sin(theta) if order == 2 else (8.0 * np.sin(theta) - np.sin(2.0 * theta)) / 6.0
+        K += float(np.max(kdx ** 2)) / dx ** 2
+    return 2.0 * np.sqrt(K + params.mass_wavenumber ** 2) / K
+
+
 @dataclass
 class ReducedState:
     """State of the second-order evolution at time coordinate x0.
 
     psi1hat_prev is the level one step behind psi1hat (None only before the
     bootstrap step); int_psi1hat is the trapezoidal accumulation of psi1hat
-    from 0 to x0; W = -sigma^k d_k psi2hat0 is static; max_abs is max|psi1hat|
-    and stencil holds the stepper's buffers.
+    from 0 to x0; max_abs is max|psi1hat| and stencil holds the stepper's
+    buffers.
     """
 
     psi1hat: np.ndarray
     psi1hat_prev: np.ndarray | None
     int_psi1hat: np.ndarray
-    W: np.ndarray
-    psi2hat0: np.ndarray
     x0: float
     grid: Grid
-    max_abs: float | None = None
+    max_abs: float
     stencil: Stencil | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if self.max_abs is None:
-            self.max_abs = float(np.max(np.abs(self.psi1hat)))
 
-
-@dataclass
-class ReducedTrajectory:
-    """Recorded psi1hat and integral levels plus the static reconstruction data."""
-
-    x0: np.ndarray           # (nt,)
-    psi1hat: np.ndarray      # (nt, 2, *grid.shape)
-    int_psi1hat: np.ndarray  # (nt, 2, *grid.shape)
-    psi2hat0: np.ndarray
-    W: np.ndarray
-    grid: Grid
-    params: PhysParams
-
-    @property
-    def record_step(self) -> float:
-        return float(self.x0[1] - self.x0[0]) if len(self.x0) > 1 else 0.0
-
-
-def initial_time_derivative(psi10, W: np.ndarray, params: PhysParams) -> np.ndarray:
+def initial_time_derivative(initial: DiracState, params: PhysParams,
+                            order: int = 2) -> np.ndarray:
     """Initial d0 slope of psi1hat: -2i*mu*psi1(0) + W, W = -sigma^i d_i psi2(0)."""
-    return -2j * params.mass_wavenumber * psi10 + W
+    W = -sigma_dot_grad(initial.psi2, initial.grid, order)  # hatted = plain at x0 = 0
+    return -2j * params.mass_wavenumber * initial.psi1 + W
 
 
-def initialize_reduced(initial: DiracState, params: PhysParams, order: int = 2) -> ReducedState:
+def initialize_reduced(initial: DiracState) -> ReducedState:
     """ReducedState at x0 = 0 from Dirac initial data (x0 must be 0)."""
     if initial.x0 != 0.0:
         raise GridError("reduction expects initial data at x0 = 0")
@@ -100,10 +97,9 @@ def initialize_reduced(initial: DiracState, params: PhysParams, order: int = 2) 
         psi1hat=initial.psi1.copy(),
         psi1hat_prev=None,
         int_psi1hat=np.zeros_like(initial.psi1),
-        W=-sigma_dot_grad(initial.psi2, initial.grid, order),  # hatted = plain at x0 = 0
-        psi2hat0=initial.psi2.copy(),
         x0=0.0,
         grid=initial.grid,
+        max_abs=float(np.max(np.abs(initial.psi1))),
     )
 
 
@@ -134,36 +130,36 @@ def reduced_step(state: ReducedState, dt: float, params: PhysParams,
     new_max = float(np.abs(new).max())
     check_growth(state.max_abs, new_max, state.x0 + h, params, "psi1hat")
     integral = np.add(state.int_psi1hat, np.multiply(0.5 * h, np.add(psi, new, out=a), out=a))
-    return ReducedState(new, psi, integral, state.W, state.psi2hat0, state.x0 + h,
-                        state.grid, new_max, st)
+    return ReducedState(new, psi, integral, state.x0 + h, state.grid, new_max, st)
 
 
 def evolve_reduced(initial: DiracState, duration: float, params: PhysParams,
-                   record_every: int = 1, order: int = 2) -> ReducedTrajectory:
-    """Integrate the reduced system, recording every record_every steps."""
+                   record_every: int = 1, order: int = 2) -> SpinorTrajectory:
+    """Integrate the reduced system; record psi1 and psi2 every record_every steps."""
     grid = initial.grid
     n = n_steps_for(duration, grid.dt, record_every)
-    start = initialize_reduced(initial, params, order)
-    slope = initial_time_derivative(initial.psi1, start.W, params)
-    xs, (levels, ints), last = run_steps(
-        start,
+    slope = initial_time_derivative(initial, params, order)
+    xs, (psi1, psi2), _ = run_steps(
+        initialize_reduced(initial),
         lambda s: reduced_step(s, grid.dt, params, order=order, initial_slope=slope),
         n, record_every, ("psi1hat", "int_psi1hat"))
-    return ReducedTrajectory(xs, levels, ints, last.psi2hat0, last.W, grid, params)
+    unhat_trajectory(xs, psi1, psi2, initial, params, order)
+    return SpinorTrajectory(xs, psi1, psi2, grid, params)
 
 
-def unhat_trajectory(traj: ReducedTrajectory, order: int = 2) -> SpinorTrajectory:
-    """Reconstruct psi2hat per level and undo the phase shift on both spinors."""
-    mu = traj.params.mass_wavenumber
-    phases = np.exp(1j * mu * traj.x0)
-    nt = len(traj.x0)
-    psi1 = traj.psi1hat * phases.reshape((nt,) + (1,) * (traj.psi1hat.ndim - 1))
-    psi2 = np.empty_like(psi1)
-    st = Stencil(traj.psi2hat0.shape, traj.grid, order, complex, 1)
-    for n in range(nt):
-        psi2hat = traj.psi2hat0 - st.sigma_dot_grad(traj.int_psi1hat[n], st.scratch[0])
-        psi2[n] = phases[n] * psi2hat
-    return SpinorTrajectory(traj.x0.copy(), psi1, psi2, traj.grid, traj.params)
+def unhat_trajectory(x0: np.ndarray, psi1hat: np.ndarray, int_psi1hat: np.ndarray,
+                     initial: DiracState, params: PhysParams, order: int = 2) -> None:
+    """Undo the phase shift in place: psi1hat levels become psi1, integral levels psi2.
+
+    Level n of psi2 is exp(i*mu*x0) * (psi2(0) - sigma^i d_i int_psi1hat).
+    """
+    phases = np.exp(1j * params.mass_wavenumber * x0)
+    st = Stencil(initial.psi2.shape, initial.grid, order, complex, 1)
+    psi2hat = st.scratch[0]
+    for n, phase in enumerate(phases):
+        np.multiply(psi1hat[n], phase, out=psi1hat[n])
+        st.sigma_dot_grad(int_psi1hat[n], psi2hat)
+        np.multiply(phase, np.subtract(initial.psi2, psi2hat, out=psi2hat), out=int_psi1hat[n])
 
 
 # ---------------------------------------------------------------------------
@@ -254,5 +250,5 @@ def equivalence_report(initial: DiracState, duration: float, params: PhysParams,
                        record_every: int = 1, order: int = 2) -> EquivalenceReport:
     """Run both evolution routes from the same initial data and compare them."""
     direct = evolve(initial, duration, params, record_every=record_every, order=order)
-    reduced = evolve_reduced(initial, duration, params, record_every=record_every, order=order)
-    return route_equivalence(direct, unhat_trajectory(reduced, order=order), order)
+    recon = evolve_reduced(initial, duration, params, record_every=record_every, order=order)
+    return route_equivalence(direct, recon, order)

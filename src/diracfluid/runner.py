@@ -38,8 +38,7 @@ from .lagrangian import (conservation_report, fisher_terms, identity_residual,
                          lagrangian_split)
 from .lattice import (file_sha256, four_gradient, index_prefixes, minkowski_square,
                       write_csv, write_snapshot)
-from .reduction import (EquivalenceReport, evolve_reduced, route_equivalence,
-                        unhat_trajectory)
+from .reduction import EquivalenceReport, evolve_reduced, route_equivalence
 from .scenarios import Scenario, build_initial
 from .version import __version__
 
@@ -146,10 +145,8 @@ _IDENT_HEADER = "identity_name,grid_tag,branch,residual_l2,residual_sup,masked_f
 def run(scenario: Scenario, outdir) -> RunResult:
     """Execute the scenario and write all requested artifacts under outdir/name."""
     run_dir = Path(outdir) / scenario.name
-    snap_dir = run_dir / "snapshots"
-    diag_dir = run_dir / "diagnostics"
-    snap_dir.mkdir(parents=True, exist_ok=True)
-    diag_dir.mkdir(parents=True, exist_ok=True)
+    for sub in ("snapshots", "diagnostics"):
+        (run_dir / sub).mkdir(parents=True, exist_ok=True)
 
     grid = scenario.grid
     params = scenario.params
@@ -158,14 +155,12 @@ def run(scenario: Scenario, outdir) -> RunResult:
 
     direct = None
     recon = None
-    reduced = None
     if scenario.pipeline in ("dirac", "both"):
         direct = evolve(initial, scenario.duration, params,
                         record_every=scenario.record_every, order=order)
     if scenario.pipeline in ("reduced", "both"):
-        reduced = evolve_reduced(initial, scenario.duration, params,
-                                 record_every=scenario.record_every, order=order)
-        recon = unhat_trajectory(reduced, order=order)
+        recon = evolve_reduced(initial, scenario.duration, params,
+                               record_every=scenario.record_every, order=order)
     primary = direct if direct is not None else recon
 
     outputs = []
@@ -229,7 +224,7 @@ def run(scenario: Scenario, outdir) -> RunResult:
         "duration_actual": n_steps * grid.dt,
         "scheme": {
             "dirac": f"rk4/central-{order}" if direct is not None else None,
-            "reduced": f"three-level/central-{order}" if reduced is not None else None,
+            "reduced": f"three-level/central-{order}" if recon is not None else None,
         },
         "outputs": {rel: file_sha256(run_dir / rel) for rel in sorted(outputs)},
     }

@@ -35,10 +35,11 @@ from pathlib import Path
 import numpy as np
 
 from .clifford import pauli, sigma_dot
-from .dynamics import DiracState
+from .dynamics import DiracState, n_steps_for
 from .errors import ConfigError
 from .lattice import Grid, make_grid, read_snapshot
 from .params import PhysParams
+from .reduction import max_stable_step
 
 RECIPE_NAMES = ("rest_state", "plane_wave", "gaussian_packet", "custom")
 
@@ -237,9 +238,7 @@ def _parse_recipe(section: dict, grid: Grid, base: Path):
             raise ConfigError(f"initial_data.center: expected {grid.dims} coordinates")
         center = tuple(_as_float(v, f"initial_data.center[{i}]")
                        for i, v in enumerate(center_raw))
-        width_raw = section.get("width", None)
-        if width_raw is None:
-            raise ConfigError("initial_data.width: required key missing")
+        width_raw = _require(section, "width", "initial_data")
         if isinstance(width_raw, (int, float)) and not isinstance(width_raw, bool):
             widths = (_as_float(width_raw, "initial_data.width"),) * grid.dims
         elif isinstance(width_raw, list) and len(width_raw) == grid.dims:
@@ -295,11 +294,8 @@ def scenario_from_dict(config: dict, base: Path | None = None) -> Scenario:
     recipe = _parse_recipe(_require(config, "initial_data", ""), grid, base)
 
     duration = _as_float(_require(config, "duration", ""), "duration")
-    if duration <= 0:
-        raise ConfigError("duration: must be positive")
     record_every = _as_int(config.get("record_every", 1), "record_every")
-    if record_every < 1:
-        raise ConfigError("record_every: must be >= 1")
+    levels = n_steps_for(duration, grid.dt, record_every) // record_every + 1
     pipeline = config.get("pipeline", "both")
     if pipeline not in ("dirac", "reduced", "both"):
         raise ConfigError("pipeline: must be 'dirac', 'reduced', or 'both'")
@@ -324,6 +320,19 @@ def scenario_from_dict(config: dict, base: Path | None = None) -> Scenario:
     order = _as_int(config.get("derivative_order", 2), "derivative_order")
     if order not in (2, 4):
         raise ConfigError("derivative_order: must be 2 or 4")
+
+    interior = [d for d in diags if d in ("identities", "approximation_chain")]
+    interior += ["fluid_map"] if fluid_map else []
+    if levels < 3 and interior:
+        raise ConfigError(f"duration: {levels} recorded levels leave no interior level "
+                          f"for {', '.join(interior)}; at least 3 are needed")
+    if pipeline != "dirac":
+        h, h_max = params.c * grid.dt, max_stable_step(grid, params, order)
+        if h > h_max:
+            raise ConfigError(
+                f"{'grid.cfl_factor' if dt is None else 'grid.dt'}: step c*dt = {h:.6g} is "
+                f"past the reduced route's stability limit {h_max:.6g} "
+                f"(derivative_order {order}); take a smaller step or pipeline 'dirac'")
 
     return Scenario(name=name, grid=grid, params=params, recipe=recipe,
                     duration=duration, record_every=record_every,
@@ -403,8 +412,7 @@ def build_initial(scenario: Scenario) -> DiracState:
     psi2 = read_snapshot(Path(recipe.base) / recipe.psi2_file, grid)
     if psi1.shape[0] != 2 or psi2.shape[0] != 2:
         raise ConfigError("custom initial data must hold 2 components per file")
-    return DiracState(psi1=psi1.astype(complex), psi2=psi2.astype(complex),
-                      x0=0.0, grid=grid)
+    return DiracState(psi1=psi1, psi2=psi2, x0=0.0, grid=grid)
 
 
 def positive_energy_closure(psi1: np.ndarray, grid: Grid, params: PhysParams) -> np.ndarray:

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import diracfluid
 from diracfluid.checks import CHECK_NAMES
@@ -116,6 +117,28 @@ def test_override_syntax_errors_exit_1(tmp_path, capsys):
         assert main(["run", "--config", config, "--outdir", out,
                      "--override", spec]) == EXIT_CONFIG
         assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("top", [[1, 2], "x", 3, None])
+def test_override_on_non_object_config_exits_1(tmp_path, capsys, top):
+    config = _write_config(tmp_path, top)
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--outdir", str(out),
+                 "--override", "duration=1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: top level") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_run_without_interior_level_writes_nothing(tmp_path, capsys):
+    # slow_packet asks for the fluid map, identities and the chain; one step leaves
+    # two recorded levels and no interior one
+    config = Path(__file__).resolve().parent.parent / "configs" / "slow_packet.json"
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--outdir", str(out),
+                 "--override", "duration=0.01"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: duration: ")
+    assert not out.exists()
 
 
 def test_unstable_run_exits_2(tmp_path, capsys):

@@ -1,12 +1,14 @@
 """Second-order reduction: exact discrete roots, the bootstrap step, the
 psi2 reconstruction, and the residual diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from diracfluid import reduction
 from diracfluid.clifford import pauli
-from diracfluid.dynamics import DiracState, evolve, sigma_dot_grad
+from diracfluid.dynamics import DiracState, evolve, n_steps_for, run_steps, sigma_dot_grad
 from diracfluid.errors import GridError, NumericalInstabilityError
 from diracfluid.lattice import laplacian, make_grid, spatial_derivative
 from diracfluid.params import PhysParams
@@ -14,7 +16,7 @@ from diracfluid.reduction import (compare_trajectories,
                                   equivalence_report, evolve_reduced,
                                   initial_time_derivative, initialize_reduced,
                                   kg_residual_norm, reduced_step,
-                                  residual_series, unhat_trajectory)
+                                  residual_series)
 from diracfluid.scenarios import build_initial, scenario_from_dict
 
 
@@ -40,12 +42,12 @@ def test_initialize_requires_time_zero():
     state = _uniform_state(grid)
     state.x0 = 0.1
     with pytest.raises(GridError):
-        initialize_reduced(state, PhysParams())
+        initialize_reduced(state)
 
 
 def test_first_step_needs_slope():
     grid = make_grid([2.0 * np.pi], [8])
-    reduced = initialize_reduced(_uniform_state(grid), PhysParams())
+    reduced = initialize_reduced(_uniform_state(grid))
     with pytest.raises(GridError):
         reduced_step(reduced, grid.dt, PhysParams())
 
@@ -57,7 +59,7 @@ def test_initial_slope_is_hatted_form():
     rng = np.random.default_rng(9)
     psi10 = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
     psi20 = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
-    slope = initial_time_derivative(psi10, -sigma_dot_grad(psi20, grid), params)
+    slope = initial_time_derivative(DiracState(psi10, psi20, 0.0, grid), params)
     sigma_grad = pauli(1) @ spatial_derivative(psi20, grid, 0)
     np.testing.assert_allclose(slope, -2j * params.mass_wavenumber * psi10 - sigma_grad,
                                rtol=0, atol=1e-13)
@@ -71,7 +73,7 @@ def test_uniform_mode_exact_discrete_root():
     h = params.c * grid.dt
     mu = params.mass_wavenumber
     g = (1.0 - 1j * mu * h) / (1.0 + 1j * mu * h)
-    state = initialize_reduced(_uniform_state(grid), params)
+    state = initialize_reduced(_uniform_state(grid))
     state.psi1hat_prev = state.psi1hat / g
     stepped = reduced_step(state, grid.dt, params)
     np.testing.assert_allclose(stepped.psi1hat, g * state.psi1hat,
@@ -98,7 +100,7 @@ def test_plane_wave_discrete_root_matches_quadratic():
     wave = np.exp(1j * k * x)
     psi1 = np.stack([wave, np.zeros_like(wave)])
     state = initialize_reduced(
-        DiracState(psi1=psi1, psi2=np.zeros_like(psi1), x0=0.0, grid=grid), params)
+        DiracState(psi1=psi1, psi2=np.zeros_like(psi1), x0=0.0, grid=grid))
     state.psi1hat_prev = psi1 / g
     stepped = reduced_step(state, grid.dt, params)
     np.testing.assert_allclose(stepped.psi1hat, g * psi1, rtol=1e-13, atol=1e-13)
@@ -134,8 +136,9 @@ def test_bootstrap_is_third_order_accurate():
     # Taylor start against the exact rest rotation exp(-2i mu h)
     grid = make_grid([2.0 * np.pi], [8], dt=0.01)
     params = PhysParams()
-    state = initialize_reduced(_uniform_state(grid), params)
-    slope = initial_time_derivative(state.psi1hat, state.W, params)
+    initial = _uniform_state(grid)
+    state = initialize_reduced(initial)
+    slope = initial_time_derivative(initial, params)
     stepped = reduced_step(state, grid.dt, params, initial_slope=slope)
     exact = state.psi1hat * np.exp(-2j * params.mass_wavenumber * 0.01)
     err = float(np.max(np.abs(stepped.psi1hat - exact)))
@@ -149,19 +152,33 @@ def test_reconstruct_psi2_exact_at_start():
     psi1 = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
     psi2 = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
     initial = DiracState(psi1=psi1, psi2=psi2, x0=0.0, grid=grid)
-    traj = evolve_reduced(initial, grid.dt, params)
-    np.testing.assert_array_equal(traj.W, -sigma_dot_grad(psi2, grid))
     # the running integral is zero at x0 = 0, so level 0 rebuilds psi2 exactly
-    recon = unhat_trajectory(traj)
+    recon = evolve_reduced(initial, grid.dt, params)
     assert recon.x0[0] == 0.0
     np.testing.assert_array_equal(recon.psi2[0], psi2)
+
+
+def test_reduced_route_peak_is_two_recorded_arrays():
+    # the un-hat overwrites the recorded psi1hat and integral levels in place,
+    # so beyond those two arrays the route holds only per-step buffers
+    scenario = _gaussian_scenario()
+    initial = build_initial(scenario)
+    n = 400
+    one_array = (n + 1) * initial.psi1.nbytes
+    tracemalloc.start()
+    try:
+        traj = evolve_reduced(initial, n * scenario.grid.dt, scenario.params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.psi1.nbytes == traj.psi2.nbytes == one_array
+    assert peak <= 2.25 * one_array
 
 
 def test_kg_residual_small_on_evolved_field():
     scenario = _gaussian_scenario()
     params = scenario.params
-    traj = evolve_reduced(build_initial(scenario), scenario.duration, params)
-    recon = unhat_trajectory(traj)
+    recon = evolve_reduced(build_initial(scenario), scenario.duration, params)
     h = recon.record_step
     mid = len(recon.x0) // 2
     res = kg_residual_norm(recon.psi1[mid - 1], recon.psi1[mid], recon.psi1[mid + 1],
@@ -176,27 +193,33 @@ def test_kg_residual_small_on_evolved_field():
 def test_integral_accumulates_psi1hat():
     scenario = _gaussian_scenario()
     params = scenario.params
-    traj = evolve_reduced(build_initial(scenario), scenario.duration, params)
-    h = traj.record_step
-    mid = len(traj.x0) // 2
+    grid = scenario.grid
+    initial = build_initial(scenario)
+    slope = initial_time_derivative(initial, params)
+    xs, (psi1hat, int_psi1hat), _ = run_steps(
+        initialize_reduced(initial),
+        lambda s: reduced_step(s, grid.dt, params, initial_slope=slope),
+        n_steps_for(scenario.duration, grid.dt, 1), 1, ("psi1hat", "int_psi1hat"))
+    h = float(xs[1] - xs[0])
+    mid = len(xs) // 2
     # central difference of the trapezoid accumulation returns the midpoint
     # field up to O(h^2)
-    d0_int = (traj.int_psi1hat[mid + 1] - traj.int_psi1hat[mid - 1]) / (2.0 * h)
-    assert float(np.max(np.abs(d0_int - traj.psi1hat[mid]))) < 2e-3
-    # the integral solves (d0^2 + 2i mu d0 - lap) int_psi1hat = W
-    prev, curr, nxt = traj.int_psi1hat[mid - 1:mid + 2]
+    d0_int = (int_psi1hat[mid + 1] - int_psi1hat[mid - 1]) / (2.0 * h)
+    assert float(np.max(np.abs(d0_int - psi1hat[mid]))) < 2e-3
+    # the integral solves (d0^2 + 2i mu d0 - lap) int_psi1hat = W, W = -sigma.D psi2(0)
+    W = -sigma_dot_grad(initial.psi2, grid)
+    prev, curr, nxt = int_psi1hat[mid - 1:mid + 2]
     mu = params.mass_wavenumber
     res = ((nxt - 2.0 * curr + prev) / (h * h) + 2j * mu * (nxt - prev) / (2.0 * h)
-           - laplacian(curr, scenario.grid) - traj.W)
-    rel = float(np.max(np.abs(res)) / np.max(np.abs(traj.W)))
+           - laplacian(curr, grid) - W)
+    rel = float(np.max(np.abs(res)) / np.max(np.abs(W)))
     assert rel < 2e-2
 
 
 def test_residual_series_layout():
     scenario = _gaussian_scenario(duration=0.5)
-    traj = evolve_reduced(build_initial(scenario), scenario.duration, scenario.params,
-                          record_every=5)
-    recon = unhat_trajectory(traj)
+    recon = evolve_reduced(build_initial(scenario), scenario.duration, scenario.params,
+                           record_every=5)
     series = residual_series(recon.psi1, recon.x0, scenario.grid, scenario.params)
     assert np.isnan(series[0]) and np.isnan(series[-1])
     assert np.all(np.isfinite(series[1:-1]))
@@ -204,9 +227,8 @@ def test_residual_series_layout():
 
 def test_residual_series_takes_one_laplacian_per_level(monkeypatch):
     scenario = _gaussian_scenario(duration=0.5)
-    traj = evolve_reduced(build_initial(scenario), scenario.duration, scenario.params,
-                          record_every=5)
-    recon = unhat_trajectory(traj)
+    recon = evolve_reduced(build_initial(scenario), scenario.duration, scenario.params,
+                           record_every=5)
     calls = []
     monkeypatch.setattr(reduction, "laplacian",
                         lambda *a, **k: calls.append(1) or laplacian(*a, **k))
@@ -217,8 +239,7 @@ def test_residual_series_takes_one_laplacian_per_level(monkeypatch):
 def test_unhat_first_level_is_initial_data():
     scenario = _gaussian_scenario(duration=0.2)
     initial = build_initial(scenario)
-    traj = evolve_reduced(initial, scenario.duration, scenario.params)
-    recon = unhat_trajectory(traj)
+    recon = evolve_reduced(initial, scenario.duration, scenario.params)
     np.testing.assert_array_equal(recon.psi1[0], initial.psi1)
     np.testing.assert_allclose(recon.psi2[0], initial.psi2, rtol=0, atol=1e-15)
 
@@ -254,8 +275,7 @@ def test_reduced_one_step_detector():
     spike = np.zeros((2, 64), dtype=complex)
     spike[0, 32] = 1.0
     state = initialize_reduced(
-        DiracState(psi1=spike, psi2=np.zeros_like(spike), x0=0.0, grid=grid),
-        PhysParams())
+        DiracState(psi1=spike, psi2=np.zeros_like(spike), x0=0.0, grid=grid))
     state.psi1hat_prev = spike.copy()
     # h = 6 dx is far past the three-level limit h = 2 dx: the spike grows ~15x in one step
     with pytest.raises(NumericalInstabilityError):

@@ -121,6 +121,37 @@ def test_energy_branch_and_diagnostics_rules():
                          "needs pipeline 'both'")
 
 
+@pytest.mark.parametrize("request_", [{"fluid_map": True}, {"diagnostics": ["identities"]},
+                                      {"diagnostics": ["approximation_chain"]}])
+def test_interior_level_outputs_need_three_recorded_levels(request_):
+    # dx = pi/8, so dt = pi/32: one step (2 levels) leaves no interior level
+    short = _base_config(duration=0.05, pipeline="dirac", **request_)
+    _expect_config_error(short, r"^duration: 2 recorded levels leave no interior level")
+    assert scenario_from_dict({**short, "duration": 0.15}).duration == 0.15  # 3 steps
+    _expect_config_error({**short, "duration": 0.15, "record_every": 3}, "^duration: ")
+    assert scenario_from_dict(_base_config(duration=0.05, diagnostics=["conservation"]))
+
+
+def _cubic_packet(pipeline, **grid):
+    # 8^3 points over extents 8: the order-4 symbol peaks at kappa^2 dx^2 = 16/9
+    # on these modes, so the three-level limit is h = 2 sqrt(3*16/9 + 1)/(3*16/9) = 0.944
+    return {"name": "cube", "grid": {"extents": [8.0] * 3, "points": [8] * 3, **grid},
+            "initial_data": {"recipe": "gaussian_packet", "width": 2.0},
+            "duration": 1.0, "pipeline": pipeline, "derivative_order": 4}
+
+
+def test_reduced_step_past_three_level_limit_rejected():
+    for pipeline in ("reduced", "both"):
+        _expect_config_error(_cubic_packet(pipeline, cfl_factor=1.0),
+                             r"^grid\.cfl_factor: step c\*dt = 1 is past .* limit 0\.9437")
+        _expect_config_error(_cubic_packet(pipeline, dt=0.95, cfl_factor=1.0),
+                             r"^grid\.dt: ")
+        assert scenario_from_dict(_cubic_packet(pipeline, cfl_factor=0.8)).grid.dt == 0.8
+        assert scenario_from_dict(_cubic_packet(pipeline, dt=0.94, cfl_factor=1.0)).grid.dt == 0.94
+    # the RK4 route has its own limit and keeps cfl 1
+    assert scenario_from_dict(_cubic_packet("dirac", cfl_factor=1.0)).grid.dt == 1.0
+
+
 def test_diagnostics_defaults_follow_pipeline():
     assert scenario_from_dict(_base_config()).diagnostics == ("equivalence",
                                                               "conservation")

@@ -14,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracfluid.clifford import pauli
-from diracfluid.dynamics import DiracState, dirac_rhs, evolve, sigma_dot_grad, step
+from diracfluid.dynamics import (DiracState, dirac_rhs, evolve, n_steps_for, run_steps,
+                                 sigma_dot_grad, step)
 from diracfluid.errors import NumericalInstabilityError
-from diracfluid.lattice import Grid, four_gradient, laplacian, make_grid, spatial_derivative
+from diracfluid.lattice import (Grid, Stencil, four_gradient, laplacian, make_grid,
+                                spatial_derivative)
 from diracfluid.params import PhysParams
 from diracfluid.reduction import (evolve_reduced, initial_time_derivative,
                                   initialize_reduced, reduced_step)
@@ -87,6 +89,20 @@ def ref_reduced_step(psi, prev, integral, grid, dt, params, order=2, slope=None)
         num = 2.0 * psi - (1.0 - 1j * mu * h) * prev + h * h * lap
         new = num / (1.0 + 1j * mu * h)
     return new, integral + 0.5 * h * (psi + new)
+
+
+def ref_unhat(x0, psi1hat, int_psi1hat, psi2hat0, grid, params, order=2):
+    """(psi1, psi2) levels from the hatted ones, as fresh arrays."""
+    mu = params.mass_wavenumber
+    phases = np.exp(1j * mu * x0)
+    nt = len(x0)
+    psi1 = psi1hat * phases.reshape((nt,) + (1,) * (psi1hat.ndim - 1))
+    psi2 = np.empty_like(psi1)
+    st = Stencil(psi2hat0.shape, grid, order, complex, 1)
+    for n in range(nt):
+        psi2hat = psi2hat0 - st.sigma_dot_grad(int_psi1hat[n], st.scratch[0])
+        psi2[n] = phases[n] * psi2hat
+    return psi1, psi2
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +220,8 @@ def test_reduced_steps_match_reference(case, n_steps):
     params = PhysParams(m=float(rng.uniform(0.5, 2.0)))
     initial = DiracState(_field(rng, (2,) + grid.shape), _field(rng, (2,) + grid.shape),
                          0.0, grid)
-    state = initialize_reduced(initial, params, order)
-    slope = initial_time_derivative(initial.psi1, state.W, params)
+    state = initialize_reduced(initial)
+    slope = initial_time_derivative(initial, params, order)
     psi, prev, integral = initial.psi1.copy(), None, np.zeros_like(initial.psi1)
     for _ in range(n_steps):
         state = reduced_step(state, grid.dt, params, order=order, initial_slope=slope)
@@ -214,6 +230,31 @@ def test_reduced_steps_match_reference(case, n_steps):
         psi, prev = new, psi
         assert_bit_equal(state.psi1hat, psi)
         assert_bit_equal(state.int_psi1hat, integral)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cases, st.integers(1, 3), st.integers(1, 4))
+def test_in_place_unhat_matches_reference(case, record_every, n_records):
+    # evolve_reduced overwrites its recorded hatted levels with (psi1, psi2);
+    # the bits must be those of the fresh-array reconstruction
+    dims, points, order, seed = case
+    grid = _grid(dims, points, order)
+    rng = np.random.default_rng(seed)
+    params = PhysParams(m=float(rng.uniform(0.5, 2.0)))
+    initial = DiracState(_field(rng, (2,) + grid.shape), _field(rng, (2,) + grid.shape),
+                         0.0, grid)
+    duration = n_records * record_every * grid.dt
+    slope = initial_time_derivative(initial, params, order)
+    xs, (psi1hat, int_psi1hat), _ = run_steps(
+        initialize_reduced(initial),
+        lambda s: reduced_step(s, grid.dt, params, order=order, initial_slope=slope),
+        n_steps_for(duration, grid.dt, record_every), record_every,
+        ("psi1hat", "int_psi1hat"))
+    psi1, psi2 = ref_unhat(xs, psi1hat, int_psi1hat, initial.psi2, grid, params, order)
+    traj = evolve_reduced(initial, duration, params, record_every=record_every, order=order)
+    assert_bit_equal(traj.x0, xs)
+    assert_bit_equal(traj.psi1, psi1)
+    assert_bit_equal(traj.psi2, psi2)
 
 
 @pytest.mark.parametrize("dims", [1, 2, 3])
@@ -244,9 +285,9 @@ def test_recorded_levels_are_not_overwritten(dims):
     for j in range(3):
         assert_bit_equal(sparse.psi1[j], dense.psi1[4 * j])
         assert_bit_equal(sparse.psi2[j], dense.psi2[4 * j])
-        assert_bit_equal(red_sparse.psi1hat[j], red_dense.psi1hat[4 * j])
-        assert_bit_equal(red_sparse.int_psi1hat[j], red_dense.int_psi1hat[4 * j])
-    assert len({level.tobytes() for level in red_dense.psi1hat}) == 9
+        assert_bit_equal(red_sparse.psi1[j], red_dense.psi1[4 * j])
+        assert_bit_equal(red_sparse.psi2[j], red_dense.psi2[4 * j])
+    assert len({level.tobytes() for level in red_dense.psi1}) == 9
 
 
 def _past_stability_grid(factor):
