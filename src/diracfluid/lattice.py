@@ -13,13 +13,19 @@ Conventions used throughout the package:
   Laplacian is sum_i D_i D_i = (sigma^i D_i)^2;
 * four-vectors are plain (4, *grid.shape) arrays: gradients hold lower-index
   components, velocities and currents upper-index ones; the metric
-  signature is (+, -, -, -).
+  signature is (+, -, -, -);
+* every CSV goes through `write_csv`, which encodes a large file on two
+  processes, with a forked helper formatting the second half of its rows,
+  when the process is single-threaded; the bytes are the same either way.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import os
+import shutil
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,15 +284,27 @@ def minkowski_square(a: np.ndarray) -> np.ndarray:
 # CSV output
 #
 # write_csv is the one encoder for every CSV the package writes: snapshots,
-# fluid maps and diagnostics.  It streams rows in blocks of _CSV_BLOCK_ROWS and
-# formats each row with one `row_fmt % row`: indices as %d, floats as %.17g so
-# values round-trip bit-exactly; the file format is unchanged.  Snapshots have
-# one row per lattice point per component (unused axes carry index 0) under one
-# of the two headers below.
+# fluid maps and diagnostics.  It formats rows in blocks of _CSV_BLOCK_ROWS,
+# each with one `(row_fmt * k) % values` that is byte-identical to `row_fmt %
+# row` per row: indices as %d, floats as %.17g so values round-trip
+# bit-exactly.  Snapshots have one row per lattice point per component (unused
+# axes carry index 0) under one of the two headers below.
+#
+# A CSV of at least _SPLIT_ROWS rows is encoded on two processes when the
+# machine gives this process two CPUs and the process has a single OS thread
+# (fork is only safe then): a forked helper formats the second half of the
+# rows into its own memory and sends it through a pipe, while this process
+# writes the header and the first half, then copies the pipe into the file in
+# _PIPE_CHUNK pieces and reaps the helper.  The file is the same either way.
+# On a 2-core Xeon VM, fork plus reap costs about 2 ms at 70 MB resident and a
+# two-float row about 2 us; alternating runs of a complex 1-D snapshot at that
+# size took 18.7 -> 15.8 ms at 2^13 rows and 35.8 -> 24.7 ms at 2^14.
 
 _COMPLEX_HEADER = "axis0,axis1,axis2,component,re,im"
 _REAL_HEADER = "axis0,axis1,axis2,component,value"
 _CSV_BLOCK_ROWS = 4096
+_SPLIT_ROWS = 1 << 14
+_PIPE_CHUNK = 1 << 16
 
 
 @functools.lru_cache(maxsize=4)
@@ -297,15 +315,74 @@ def index_prefixes(shape: tuple[int, ...]) -> tuple[str, ...]:
     return tuple(map("%d,%d,%d,".__mod__, zip(*idx)))
 
 
+def _encode(sections, lo: int, hi: int):
+    """Yield the text of rows [lo, hi) of the concatenated sections, one block at a time."""
+    start = 0
+    for row_fmt, columns in sections:
+        n, width = len(columns[0]), len(columns)
+        for a in range(max(lo - start, 0), min(hi - start, n), _CSV_BLOCK_ROWS):
+            b = min(a + _CSV_BLOCK_ROWS, hi - start, n)
+            # interleave into a presized list: tuple(chain(*zip(...))) grows its
+            # tuple and raised a 32^3 run's peak RSS by about 1 MB
+            values = [None] * ((b - a) * width)
+            for j, column in enumerate(columns):
+                block = column[a:b]
+                values[j::width] = block.tolist() if isinstance(block, np.ndarray) else block
+            yield (row_fmt * (b - a)) % tuple(values)
+        start += n
+
+
+def _can_split(rows: int) -> bool:
+    """Whether a CSV of this many rows is worth, and safe, to encode on two processes."""
+    if rows < _SPLIT_ROWS or not hasattr(os, "fork"):
+        return False
+    try:
+        return len(os.sched_getaffinity(0)) >= 2 and len(os.listdir("/proc/self/task")) == 1
+    except (AttributeError, OSError):
+        return False
+
+
 def write_csv(path, header: str, sections) -> None:
-    """Write header, then `row_fmt % row` per row of each (row_fmt, equal-length columns)."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        for row_fmt, columns in sections:
-            for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-                block = [c[lo:lo + _CSV_BLOCK_ROWS] for c in columns]
-                block = [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
-                fh.write("".join(map(row_fmt.__mod__, zip(*block))))
+    """Write header, then `row_fmt % row` per row of each (row_fmt, equal-length columns).
+
+    Large files are encoded on two processes (see above); a helper that fails
+    raises SnapshotIOError naming path, and it is always reaped.
+    """
+    sections = list(sections)
+    total = sum(len(columns[0]) for _, columns in sections)
+    if not _can_split(total):
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(header + "\n")
+            fh.writelines(_encode(sections, 0, total))
+        return
+    mid = total // 2
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the helper leaves only through os._exit, never into the caller
+        try:
+            os.close(read_end)
+            blocks = [text.encode("ascii") for text in _encode(sections, mid, total)]
+            with open(write_end, "wb") as pipe:
+                pipe.writelines(blocks)
+            os._exit(0)
+        except BaseException:
+            import traceback  # only a failing helper needs it
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(1)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe, open(path, "w", encoding="ascii") as fh:
+            fh.write(header + "\n")
+            fh.writelines(_encode(sections, 0, mid))
+            fh.flush()
+            shutil.copyfileobj(pipe, fh.buffer, _PIPE_CHUNK)
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        raise SnapshotIOError(f"cannot write {path}: the CSV helper process failed "
+                              f"(exit code {os.waitstatus_to_exitcode(status)})")
 
 
 def _snapshot_components(f: np.ndarray, grid: Grid) -> np.ndarray:

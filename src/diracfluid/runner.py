@@ -13,8 +13,13 @@
 The manifest carries no timestamps or machine identifiers and every float is
 written at 17 significant digits, so re-running the same config produces
 byte-identical files.  Every CSV is written by the one encoder,
-`lattice.write_csv`, which streams rows in fixed-size blocks; the file format
-is unchanged.
+`lattice.write_csv`, which streams rows in fixed-size blocks and encodes large
+files on two processes when it safely can; the bytes are the same either way.
+
+The tree is built in a hidden staging directory, `<outdir>/.<name>.*/`, and
+renamed into place over any earlier tree once its manifest is written.  The
+staging directory is removed on success and on any error, an interrupt
+included, so `<outdir>/<name>` always holds exactly one whole run.
 
 `run` builds one `FluidState` per interior level (only the middle one when
 neither the fluid map nor the approximation chain is asked for), and the
@@ -25,6 +30,8 @@ gradients and alpha roots from that state instead of rebuilding them.
 from __future__ import annotations
 
 import json
+import shutil
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -143,10 +150,29 @@ _IDENT_HEADER = "identity_name,grid_tag,branch,residual_l2,residual_sup,masked_f
 
 
 def run(scenario: Scenario, outdir) -> RunResult:
-    """Execute the scenario and write all requested artifacts under outdir/name."""
-    run_dir = Path(outdir) / scenario.name
+    """Execute the scenario and write all requested artifacts under outdir/name.
+
+    The tree is staged beside outdir/name and replaces it whole, or not at all.
+    """
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    run_dir = outdir / scenario.name
+    staging = Path(tempfile.mkdtemp(prefix=f".{scenario.name}.", dir=outdir))
+    try:  # the tree is made inside the private staging directory, so it keeps the umask
+        stage = staging / scenario.name
+        manifest, equivalence = _write_tree(scenario, stage)
+        if run_dir.exists():
+            run_dir.rename(staging / "previous")
+        stage.rename(run_dir)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return RunResult(run_dir=run_dir, manifest=manifest, equivalence=equivalence)
+
+
+def _write_tree(scenario: Scenario, run_dir: Path):
+    """Evolve the scenario, write its tree into run_dir and return (manifest, equivalence)."""
     for sub in ("snapshots", "diagnostics"):
-        (run_dir / sub).mkdir(parents=True, exist_ok=True)
+        (run_dir / sub).mkdir(parents=True)
 
     grid = scenario.grid
     params = scenario.params
@@ -231,4 +257,4 @@ def run(scenario: Scenario, outdir) -> RunResult:
     with open(run_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return RunResult(run_dir=run_dir, manifest=manifest, equivalence=equivalence)
+    return manifest, equivalence

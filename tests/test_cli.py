@@ -156,6 +156,22 @@ def test_unstable_run_exits_2(tmp_path, capsys):
     assert main(["run", "--config", config,
                  "--outdir", str(tmp_path / "out")]) == EXIT_UNSTABLE
     assert "numerical instability" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "blowup").exists()
+    assert list((tmp_path / "out").iterdir()) == []   # no staging directory left
+
+
+def test_rerun_replaces_the_whole_tree(tmp_path):
+    # the shorter rerun writes fewer levels; none of the first run's files may survive
+    config = str(Path(__file__).resolve().parent.parent / "configs" / "rest.json")
+    out = tmp_path / "out"
+    for override in ([], ["--override", "duration=0.25"]):
+        assert main(["run", "--config", config, "--outdir", str(out), *override]) == EXIT_OK
+        manifest = json.loads((out / "rest" / "manifest.json").read_text())
+        on_disk = {p.relative_to(out / "rest").as_posix()
+                   for p in (out / "rest").rglob("*") if p.is_file()}
+        assert on_disk == set(manifest["outputs"]) | {"manifest.json"}
+        assert [p.name for p in out.iterdir()] == ["rest"]
+    assert manifest["n_steps"] == 5000
 
 
 def test_snapshot_io_errors_exit_3(tmp_path, capsys):
