@@ -14,7 +14,8 @@ Conventions used throughout the package:
 * four-vectors are plain (4, *grid.shape) arrays: gradients hold lower-index
   components, velocities and currents upper-index ones; the metric
   signature is (+, -, -, -);
-* every CSV goes through `write_csv`, which encodes a large file on two
+* every CSV goes through `write_csv`, which formats blocks of text and float
+  columns whole in numpy (`csvblock`), and which encodes a large file on two
   processes, with a forked helper formatting the second half of its rows,
   when the process is single-threaded; the bytes are the same either way.
 """
@@ -284,11 +285,21 @@ def minkowski_square(a: np.ndarray) -> np.ndarray:
 # CSV output
 #
 # write_csv is the one encoder for every CSV the package writes: snapshots,
-# fluid maps and diagnostics.  It formats rows in blocks of _CSV_BLOCK_ROWS,
-# each with one `(row_fmt * k) % values` that is byte-identical to `row_fmt %
-# row` per row: indices as %d, floats as %.17g so values round-trip
-# bit-exactly.  Snapshots have one row per lattice point per component (unused
-# axes carry index 0) under one of the two headers below.
+# fluid maps and diagnostics.  Rows go out in blocks, and every block is
+# byte-identical to `row_fmt % row` per row: indices as %d, floats as %.17g so
+# values round-trip bit-exactly.  Snapshots have one row per lattice point per
+# component (unused axes carry index 0) under one of the two headers below.
+#
+# A block of at least _VECTOR_ROWS rows whose row_fmt holds only literal text,
+# %s over text arrays and %.17g over float64 arrays is built whole in numpy by
+# `csvblock` (see there), at about 100-150 ns per float against 600-700 ns
+# through `%` on a 2-core Xeon VM; other blocks use one `(row_fmt * k) %
+# values`.  Blocks win from about 100 rows on (snapshot rows of 2 floats, 64 /
+# 128 / 256 of them: 150 / 347 / 597 us row by row, 131 / 188 / 295 us as one
+# block), hence _VECTOR_ROWS; _CSV_BLOCK_ROWS keeps a block's temporaries near
+# 0.5 MB, and 1024 to 8192 rows ran at the same speed.  `csvblock` is imported
+# on the first such block: a run that writes only small CSVs never compiles
+# it (with bytecode caching off, doing so raised peak RSS by 0.3-0.5 MB).
 #
 # A CSV of at least _SPLIT_ROWS rows is encoded on two processes when the
 # machine gives this process two CPUs and the process has a single OS thread
@@ -296,39 +307,51 @@ def minkowski_square(a: np.ndarray) -> np.ndarray:
 # rows into its own memory and sends it through a pipe, while this process
 # writes the header and the first half, then copies the pipe into the file in
 # _PIPE_CHUNK pieces and reaps the helper.  The file is the same either way.
-# On a 2-core Xeon VM, fork plus reap costs about 2 ms at 70 MB resident and a
-# two-float row about 2 us; alternating runs of a complex 1-D snapshot at that
-# size took 18.7 -> 15.8 ms at 2^13 rows and 35.8 -> 24.7 ms at 2^14.
+# On a 2-core Xeon VM, fork plus reap costs about 2 ms at 70 MB resident;
+# with the per-row encoder alone, alternating runs of a complex 1-D snapshot
+# took 18.7 -> 15.8 ms at 2^13 rows and 35.8 -> 24.7 ms at 2^14.
 
 _COMPLEX_HEADER = "axis0,axis1,axis2,component,re,im"
 _REAL_HEADER = "axis0,axis1,axis2,component,value"
-_CSV_BLOCK_ROWS = 4096
+_CSV_BLOCK_ROWS = 2048
+_VECTOR_ROWS = 128
 _SPLIT_ROWS = 1 << 14
 _PIPE_CHUNK = 1 << 16
 
 
 @functools.lru_cache(maxsize=4)
-def index_prefixes(shape: tuple[int, ...]) -> tuple[str, ...]:
-    """The "axis0,axis1,axis2," row prefix of every lattice point, in C order."""
+def index_prefixes(shape: tuple[int, ...]) -> np.ndarray:
+    """The "axis0,axis1,axis2," row prefix of every lattice point, in C order, as bytes."""
     idx = np.indices(shape).reshape(len(shape), -1).tolist()
     idx += [[0] * len(idx[0])] * (3 - len(shape))
-    return tuple(map("%d,%d,%d,".__mod__, zip(*idx)))
+    return np.array([b"%d,%d,%d," % row for row in zip(*idx)])
 
 
 def _encode(sections, lo: int, hi: int):
-    """Yield the text of rows [lo, hi) of the concatenated sections, one block at a time."""
+    """Yield the bytes of rows [lo, hi) of the concatenated sections, one block at a time."""
     start = 0
     for row_fmt, columns in sections:
         n, width = len(columns[0]), len(columns)
-        for a in range(max(lo - start, 0), min(hi - start, n), _CSV_BLOCK_ROWS):
-            b = min(a + _CSV_BLOCK_ROWS, hi - start, n)
+        first, stop = max(lo - start, 0), min(hi - start, n)
+        vector = None  # drop the last section's buffers before making this one's
+        if stop - first >= _VECTOR_ROWS:
+            from . import csvblock
+            vector = csvblock.vector_section(row_fmt, columns,
+                                             min(stop - first, _CSV_BLOCK_ROWS))
+        for a in range(first, stop, _CSV_BLOCK_ROWS):
+            b = min(a + _CSV_BLOCK_ROWS, stop)
+            if vector and b - a >= _VECTOR_ROWS:
+                yield vector(a, b)
+                continue
             # interleave into a presized list: tuple(chain(*zip(...))) grows its
             # tuple and raised a 32^3 run's peak RSS by about 1 MB
             values = [None] * ((b - a) * width)
             for j, column in enumerate(columns):
                 block = column[a:b]
-                values[j::width] = block.tolist() if isinstance(block, np.ndarray) else block
-            yield (row_fmt * (b - a)) % tuple(values)
+                if isinstance(block, np.ndarray):  # bytes are written as their text
+                    block = (block.astype("U") if block.dtype.kind == "S" else block).tolist()
+                values[j::width] = block
+            yield ((row_fmt * (b - a)) % tuple(values)).encode("ascii")
         start += n
 
 
@@ -351,8 +374,8 @@ def write_csv(path, header: str, sections) -> None:
     sections = list(sections)
     total = sum(len(columns[0]) for _, columns in sections)
     if not _can_split(total):
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(header + "\n")
+        with open(path, "wb") as fh:
+            fh.write(header.encode("ascii") + b"\n")
             fh.writelines(_encode(sections, 0, total))
         return
     mid = total // 2
@@ -361,7 +384,7 @@ def write_csv(path, header: str, sections) -> None:
     if pid == 0:  # the helper leaves only through os._exit, never into the caller
         try:
             os.close(read_end)
-            blocks = [text.encode("ascii") for text in _encode(sections, mid, total)]
+            blocks = list(_encode(sections, mid, total))
             with open(write_end, "wb") as pipe:
                 pipe.writelines(blocks)
             os._exit(0)
@@ -373,11 +396,10 @@ def write_csv(path, header: str, sections) -> None:
             os._exit(1)
     os.close(write_end)
     try:
-        with open(read_end, "rb") as pipe, open(path, "w", encoding="ascii") as fh:
-            fh.write(header + "\n")
+        with open(read_end, "rb") as pipe, open(path, "wb") as fh:
+            fh.write(header.encode("ascii") + b"\n")
             fh.writelines(_encode(sections, 0, mid))
-            fh.flush()
-            shutil.copyfileobj(pipe, fh.buffer, _PIPE_CHUNK)
+            shutil.copyfileobj(pipe, fh, _PIPE_CHUNK)
     finally:
         status = os.waitpid(pid, 0)[1]
     if status:
@@ -435,7 +457,11 @@ def read_snapshot(path, grid: Grid) -> np.ndarray:
     expected_cols = 6 if complex_field else 5
     if raw.shape[1] != expected_cols:
         raise SnapshotIOError(f"{path}: expected {expected_cols} columns, got {raw.shape[1]}")
-    comp = raw[:, 3].astype(np.int64)
+    indices = raw[:, :4]  # NaN fails every comparison
+    if not np.all((indices >= 0) & (indices < 2 ** 31) & (np.floor(indices) == indices)):
+        raise SnapshotIOError(f"{path}: axis and component indices must be non-negative integers")
+    idx = indices.astype(np.int64)
+    comp = idx[:, 3]
     ncomp = int(comp.max()) + 1 if raw.size else 0
     if ncomp not in (1, 2, 4):
         raise SnapshotIOError(f"{path}: component count {ncomp} not in (1, 2, 4)")
@@ -444,17 +470,16 @@ def read_snapshot(path, grid: Grid) -> np.ndarray:
         raise SnapshotIOError(
             f"{path}: {raw.shape[0]} rows, expected {ncomp * npts} for grid {grid.shape}"
         )
-    idx = raw[:, :3].astype(np.int64)
     for j in range(grid.dims):
-        if idx[:, j].min() < 0 or idx[:, j].max() >= grid.points[j]:
+        if idx[:, j].max() >= grid.points[j]:
             raise SnapshotIOError(f"{path}: axis{j} index out of range for grid {grid.shape}")
-    if np.any(idx[:, grid.dims:] != 0):
+    if np.any(idx[:, grid.dims:3] != 0):
         raise SnapshotIOError(f"{path}: nonzero index on unused axis")
     # a view, not re + 1j*im, which turns an infinite im into a NaN re and drops -0.0
     values = np.ascontiguousarray(raw[:, 4:]).view(complex if complex_field else float)[:, 0]
     out = np.empty((ncomp,) + grid.shape, dtype=values.dtype)
     seen = np.zeros(out.shape, dtype=bool)
-    index = (comp,) + tuple(idx[:, j] for j in range(grid.dims))
+    index = (comp, *idx[:, :grid.dims].T)
     out[index] = values
     seen[index] = True
     if not seen.all():

@@ -60,7 +60,7 @@ def max_stable_step(grid: Grid, params: PhysParams, order: int = 2) -> float:
         theta = 2.0 * np.pi * np.arange(n) / n
         kdx = np.sin(theta) if order == 2 else (8.0 * np.sin(theta) - np.sin(2.0 * theta)) / 6.0
         K += float(np.max(kdx ** 2)) / dx ** 2
-    return 2.0 * np.sqrt(K + params.mass_wavenumber ** 2) / K
+    return 2.0 * float(np.hypot(np.sqrt(K), params.mass_wavenumber)) / K  # mu^2 may overflow
 
 
 @dataclass

@@ -31,9 +31,12 @@ pytestmark = pytest.mark.skipif(not _two_cpus(), reason="needs fork and two usab
 PRELUDE = """
 import json, os, sys
 import numpy as np
-from diracfluid import lattice
+from diracfluid import csvblock, lattice
 forks = []
 os.register_at_fork(before=lambda: forks.append(1))
+vector_blocks = []  # csvblock.format17 calls in this process (the helper's are its own)
+format17 = csvblock.format17
+csvblock.format17 = lambda *args: vector_blocks.append(1) or format17(*args)
 
 
 def unsplit_then_split(write):
@@ -42,11 +45,12 @@ def unsplit_then_split(write):
     lattice._SPLIT_ROWS = sys.maxsize
     write("one.csv")
     lattice._SPLIT_ROWS = 1
-    before = len(forks)
+    before, blocks = len(forks), len(vector_blocks)
     write("two.csv")
     lattice._SPLIT_ROWS = threshold
     with open("one.csv", "rb") as a, open("two.csv", "rb") as b:
-        return {"same": a.read() == b.read(), "forks": len(forks) - before}
+        return {"same": a.read() == b.read(), "forks": len(forks) - before,
+                "vector_blocks": len(vector_blocks) - blocks}
 """
 
 
@@ -71,15 +75,20 @@ def test_split_bytes_equal_unsplit(tmp_path):
         rng = np.random.default_rng(11)
         out = {}
 
-        # uneven sections in three formats, one empty; mid falls inside a
-        # section and inside one of its blocks for every total below
+        # uneven sections in four formats, one empty; mid falls inside the
+        # last section, which numpy formats in blocks, and inside one of its
+        # blocks for every total below
+        last = rng.normal(size=(2, 20000)) * 10.0 ** rng.integers(-30, 30, (2, 20000))
+        last[1, ::97] = np.resize(edge, last[1, ::97].size)
+        labels = np.array(["ok", "vacuum", "degenerate"])[np.arange(20000) % 3]
         for n_first in (1, 5000, 9000):
             first = rng.normal(size=n_first)
             first[:min(n_first, len(edge))] = edge[:n_first]
             sections = [("%.17g\\n", (first,)),
                         ("%s,%d\\n", (["a", "b", "c"] * 1400, list(range(4200)))),
                         ("%s\\n", ([],)),
-                        ("x,%.17g,%.17g\\n", (-rng.normal(size=4099), edge * 512 + [1.5] * 3))]
+                        ("x,%.17g,%.17g\\n", (-rng.normal(size=4099), edge * 512 + [1.5] * 3)),
+                        ("%s;%.17g,%.17g\\n", (labels, last[0], last[1]))]
             def write(path):
                 lattice.write_csv(path, "h,e,a,d", sections)
             out[f"sections/{n_first}"] = unsplit_then_split(write)
@@ -119,6 +128,7 @@ def test_split_bytes_equal_unsplit(tmp_path):
     for name, case in result.items():
         assert case["same"], name
         assert case["forks"] == 1, name
+        assert case["vector_blocks"] > 0, name
         assert case.get("reference", True), name
 
 

@@ -337,6 +337,32 @@ def test_read_snapshot_error_branches(tmp_path):
     with pytest.raises(SnapshotIOError, match="unused axis"):
         read_snapshot(unused, grid)
 
+    # index columns that np.loadtxt reads as floats: a negative component on half
+    # the rows, fractional axis indices that swap two points, a fractional component
+    def with_fields(edit):
+        rows = [row.split(",") for row in lines[1:]]
+        for i, row in enumerate(rows):
+            edit(i, row)
+        return "\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n"
+
+    def negative_component(i, row):
+        row[3] = "-1" if i % 2 else row[3]
+
+    def fractional_axis(i, row):
+        row[0] = {2: "3.9", 3: "2.5"}.get(i, row[0])
+
+    def fractional_component(i, row):
+        row[3] = "0.7" if i == 5 else row[3]
+
+    def huge_axis(i, row):  # would wrap when cast to an integer index
+        row[0] = "1e300" if i == 6 else row[0]
+
+    for edit in (negative_component, fractional_axis, fractional_component, huge_axis):
+        bad = tmp_path / f"{edit.__name__}.csv"
+        bad.write_text(with_fields(edit))
+        with pytest.raises(SnapshotIOError, match=f"{bad.name}.*non-negative integers"):
+            read_snapshot(bad, grid)
+
     garbled = tmp_path / "g.csv"
     garbled.write_text(lines[0] + "\nnot,numbers,at,all,x\n")
     with pytest.raises(SnapshotIOError):
