@@ -15,18 +15,13 @@ Conventions used throughout the package:
   components, velocities and currents upper-index ones; the metric
   signature is (+, -, -, -);
 * every CSV goes through `write_csv`, which formats blocks of text and float
-  columns whole in numpy (`csvblock`), and which encodes a large file on two
-  processes, with a forked helper formatting the second half of its rows,
-  when the process is single-threaded; the bytes are the same either way.
+  columns whole in numpy (`csvblock`).
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import os
-import shutil
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -301,22 +296,15 @@ def minkowski_square(a: np.ndarray) -> np.ndarray:
 # on the first such block: a run that writes only small CSVs never compiles
 # it (with bytecode caching off, doing so raised peak RSS by 0.3-0.5 MB).
 #
-# A CSV of at least _SPLIT_ROWS rows is encoded on two processes when the
-# machine gives this process two CPUs and the process has a single OS thread
-# (fork is only safe then): a forked helper formats the second half of the
-# rows into its own memory and sends it through a pipe, while this process
-# writes the header and the first half, then copies the pipe into the file in
-# _PIPE_CHUNK pieces and reaps the helper.  The file is the same either way.
-# On a 2-core Xeon VM, fork plus reap costs about 2 ms at 70 MB resident;
-# with the per-row encoder alone, alternating runs of a complex 1-D snapshot
-# took 18.7 -> 15.8 ms at 2^13 rows and 35.8 -> 24.7 ms at 2^14.
+# Every file is encoded in the calling process.  With blocks formatted in
+# numpy, a forked helper formatting half of a large file's rows lost to one
+# process on a 2-core Xeon VM (a complex two-component 32^3 snapshot: 50 ms
+# split, 40 ms in one process), as both halves ran at about half speed.
 
 _COMPLEX_HEADER = "axis0,axis1,axis2,component,re,im"
 _REAL_HEADER = "axis0,axis1,axis2,component,value"
 _CSV_BLOCK_ROWS = 2048
 _VECTOR_ROWS = 128
-_SPLIT_ROWS = 1 << 14
-_PIPE_CHUNK = 1 << 16
 
 
 @functools.lru_cache(maxsize=4)
@@ -327,19 +315,16 @@ def index_prefixes(shape: tuple[int, ...]) -> np.ndarray:
     return np.array([b"%d,%d,%d," % row for row in zip(*idx)])
 
 
-def _encode(sections, lo: int, hi: int):
-    """Yield the bytes of rows [lo, hi) of the concatenated sections, one block at a time."""
-    start = 0
+def _encode(sections):
+    """Yield the bytes of the rows of each section in turn, one block at a time."""
     for row_fmt, columns in sections:
         n, width = len(columns[0]), len(columns)
-        first, stop = max(lo - start, 0), min(hi - start, n)
         vector = None  # drop the last section's buffers before making this one's
-        if stop - first >= _VECTOR_ROWS:
+        if n >= _VECTOR_ROWS:
             from . import csvblock
-            vector = csvblock.vector_section(row_fmt, columns,
-                                             min(stop - first, _CSV_BLOCK_ROWS))
-        for a in range(first, stop, _CSV_BLOCK_ROWS):
-            b = min(a + _CSV_BLOCK_ROWS, stop)
+            vector = csvblock.vector_section(row_fmt, columns, min(n, _CSV_BLOCK_ROWS))
+        for a in range(0, n, _CSV_BLOCK_ROWS):
+            b = min(a + _CSV_BLOCK_ROWS, n)
             if vector and b - a >= _VECTOR_ROWS:
                 yield vector(a, b)
                 continue
@@ -352,59 +337,13 @@ def _encode(sections, lo: int, hi: int):
                     block = (block.astype("U") if block.dtype.kind == "S" else block).tolist()
                 values[j::width] = block
             yield ((row_fmt * (b - a)) % tuple(values)).encode("ascii")
-        start += n
-
-
-def _can_split(rows: int) -> bool:
-    """Whether a CSV of this many rows is worth, and safe, to encode on two processes."""
-    if rows < _SPLIT_ROWS or not hasattr(os, "fork"):
-        return False
-    try:
-        return len(os.sched_getaffinity(0)) >= 2 and len(os.listdir("/proc/self/task")) == 1
-    except (AttributeError, OSError):
-        return False
 
 
 def write_csv(path, header: str, sections) -> None:
-    """Write header, then `row_fmt % row` per row of each (row_fmt, equal-length columns).
-
-    Large files are encoded on two processes (see above); a helper that fails
-    raises SnapshotIOError naming path, and it is always reaped.
-    """
-    sections = list(sections)
-    total = sum(len(columns[0]) for _, columns in sections)
-    if not _can_split(total):
-        with open(path, "wb") as fh:
-            fh.write(header.encode("ascii") + b"\n")
-            fh.writelines(_encode(sections, 0, total))
-        return
-    mid = total // 2
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the helper leaves only through os._exit, never into the caller
-        try:
-            os.close(read_end)
-            blocks = list(_encode(sections, mid, total))
-            with open(write_end, "wb") as pipe:
-                pipe.writelines(blocks)
-            os._exit(0)
-        except BaseException:
-            import traceback  # only a failing helper needs it
-            traceback.print_exc()
-            sys.stderr.flush()
-        finally:
-            os._exit(1)
-    os.close(write_end)
-    try:
-        with open(read_end, "rb") as pipe, open(path, "wb") as fh:
-            fh.write(header.encode("ascii") + b"\n")
-            fh.writelines(_encode(sections, 0, mid))
-            shutil.copyfileobj(pipe, fh, _PIPE_CHUNK)
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if status:
-        raise SnapshotIOError(f"cannot write {path}: the CSV helper process failed "
-                              f"(exit code {os.waitstatus_to_exitcode(status)})")
+    """Write header, then `row_fmt % row` per row of each (row_fmt, equal-length columns)."""
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + b"\n")
+        fh.writelines(_encode(sections))
 
 
 def _snapshot_components(f: np.ndarray, grid: Grid) -> np.ndarray:

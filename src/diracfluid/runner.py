@@ -13,8 +13,7 @@
 The manifest carries no timestamps or machine identifiers and every float is
 written at 17 significant digits, so re-running the same config produces
 byte-identical files.  Every CSV is written by the one encoder,
-`lattice.write_csv`, which streams rows in fixed-size blocks and encodes large
-files on two processes when it safely can; the bytes are the same either way.
+`lattice.write_csv`, which streams rows in fixed-size blocks.
 
 The tree is built in a hidden staging directory, `<outdir>/.<name>.*/`, and
 renamed into place over any earlier tree once its manifest is written.  The

@@ -4,9 +4,13 @@
 `csvblock.vector_section` builds whole blocks of rows from it.  Both are checked
 against Python's own formatting: the formatter on arbitrary bit patterns and a
 fixed list of edge values, the sections at every call site's row format, on
-both sides of `_VECTOR_ROWS` and of a block edge.
+both sides of `_VECTOR_ROWS` and of a block edge, and whole files of several
+sections.  A write that fails partway through is a `SnapshotIOError` and
+leaves no tree behind.
 """
 
+import errno
+import json
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -17,6 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracfluid import csvblock, lattice
+from diracfluid.cli import EXIT_IO, EXIT_OK, main
+from diracfluid.errors import SnapshotIOError
 from diracfluid.fluid import FluidState, PointMask
 from diracfluid.runner import _fluid_csv, _write_rows
 
@@ -129,11 +135,17 @@ def _values(rng, shape) -> np.ndarray:
     return f
 
 
-def _both_paths(monkeypatch, path, write) -> tuple[bytes, bytes, int]:
-    """(bytes as written, bytes with every block per row, format17 calls of the first)."""
+def _count_format17(monkeypatch) -> list:
+    """A list that gains one entry per csvblock.format17 call from now on."""
     calls = []
     format17 = csvblock.format17
     monkeypatch.setattr(csvblock, "format17", lambda *args: calls.append(1) or format17(*args))
+    return calls
+
+
+def _both_paths(monkeypatch, path, write) -> tuple[bytes, bytes, int]:
+    """(bytes as written, bytes with every block per row, format17 calls of the first)."""
+    calls = _count_format17(monkeypatch)
     write(path)
     vector = path.read_bytes()
     monkeypatch.setattr(lattice, "_VECTOR_ROWS", sys.maxsize)
@@ -193,3 +205,105 @@ def test_text_rows_match_per_row(monkeypatch, tmp_path, rows, as_array):
         lambda p: lattice.write_csv(p, "identity_name,rest", [("%s\n", (column,))]))
     assert vector == per_row == ("identity_name,rest\n" + "".join(
         t + "\n" for t in texts)).encode("ascii")
+
+
+# ---------------------------------------------------------------------------
+# whole files against Python's own formatting
+
+EDGE_VALUES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, 2.0 ** 60 + 1.0]
+
+
+@pytest.mark.parametrize("n_first", [1, 5000, 9000])
+def test_sections_match_percent_across_block_edges(monkeypatch, tmp_path, n_first):
+    # uneven sections in four formats, one empty; a block edge falls inside
+    # every section of more than _CSV_BLOCK_ROWS rows, and the last section
+    # is formatted in numpy
+    rng = np.random.default_rng(n_first)
+    last = rng.normal(size=(2, 20000)) * 10.0 ** rng.integers(-30, 30, (2, 20000))
+    last[1, ::97] = np.resize(EDGE_VALUES, last[1, ::97].size)
+    labels = np.array(["ok", "vacuum", "degenerate"])[np.arange(20000) % 3]
+    first = rng.normal(size=n_first)
+    first[:len(EDGE_VALUES)] = EDGE_VALUES[:n_first]
+    sections = [("%.17g\n", (first,)),
+                ("%s,%d\n", (["a", "b", "c"] * 1400, list(range(4200)))),
+                ("%s\n", ([],)),
+                ("x,%.17g,%.17g\n", (-rng.normal(size=4099), EDGE_VALUES * 512 + [1.5] * 3)),
+                ("%s;%.17g,%.17g\n", (labels, last[0], last[1]))]
+    calls = _count_format17(monkeypatch)
+    lattice.write_csv(tmp_path / "m.csv", "h,e,a,d", sections)
+    rows = "".join(fmt % row for fmt, columns in sections for row in zip(*columns))
+    assert (tmp_path / "m.csv").read_bytes() == ("h,e,a,d\n" + rows).encode("ascii")
+    assert calls
+
+
+@pytest.mark.parametrize("ncomp", [1, 2, 4])
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_snapshot_edge_values_match_percent(monkeypatch, tmp_path, ncomp, is_complex):
+    points = (8, 9, 10)
+    grid = lattice.make_grid([1.0] * 3, points)
+    rng = np.random.default_rng(10 * ncomp + is_complex)
+    shape = (ncomp,) + points
+    parts = [rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30, shape)
+             for _ in range(1 + is_complex)]
+    for part, start in zip(parts, (0, 3)):
+        part.reshape(-1)[start::89] = np.resize(EDGE_VALUES, part.reshape(-1)[start::89].size)
+    f = parts[0]
+    if is_complex:
+        f = f.astype(complex)
+        f.imag = parts[1]  # set in place: adding 1j * imag would turn -0.0 into 0.0
+    calls = _count_format17(monkeypatch)
+    lattice.write_snapshot(tmp_path / "s.csv", f[0] if ncomp == 1 else f, grid)
+    row_fmt = "%d,%d,%d,%d," + ("%.17g,%.17g\n" if is_complex else "%.17g\n")
+    rows = "".join(row_fmt % (*point, c, *((v.real, v.imag) if is_complex else (v,)))
+                   for c in range(ncomp)
+                   for point, v in zip(np.ndindex(points), f[c].reshape(-1).tolist()))
+    header = lattice._COMPLEX_HEADER if is_complex else lattice._REAL_HEADER
+    assert (tmp_path / "s.csv").read_bytes() == (header + "\n" + rows).encode("ascii")
+    assert calls
+
+
+def test_fluid_csv_with_mask_column_matches_per_row(monkeypatch, tmp_path):
+    grid = lattice.make_grid([1.0, 1.0], [40, 41])
+    rng = np.random.default_rng(41)
+    scalars = [rng.normal(size=grid.shape) for _ in range(5)]
+    mask = (np.arange(scalars[0].size) % len(PointMask)).astype(np.uint8).reshape(grid.shape)
+    scalars[2][mask != PointMask.OK] = np.nan
+    scalars[2].reshape(-1)[:len(EDGE_VALUES)] = EDGE_VALUES
+    fs = FluidState(grid=grid, x0=0.5, rho_bar=scalars[0], theta=scalars[1],
+                    alpha=scalars[2], v_c=rng.normal(size=(4,) + grid.shape),
+                    rho_0=scalars[3], a_0=scalars[4], mask=mask,
+                    gradients=None, amplitudes=None, roots=None)
+    vector, per_row, calls = _both_paths(monkeypatch, tmp_path / "f.csv",
+                                         lambda p: _fluid_csv(p, fs))
+    assert vector == per_row
+    assert calls
+
+
+def test_write_failing_partway_is_snapshot_io_error_and_leaves_no_tree(
+        monkeypatch, tmp_path, capsys):
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps({
+        "name": "big", "grid": {"extents": [4096.0], "points": [4096]},
+        "initial_data": {"recipe": "rest_state"}, "duration": 0.5,
+        "pipeline": "dirac", "fluid_map": False, "diagnostics": []}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--outdir", str(out)]) == EXIT_OK
+    earlier = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    encode = lattice._encode
+
+    def encode_then_fail(sections):
+        blocks = encode(sections)
+        yield next(blocks)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(lattice, "_encode", encode_then_fail)
+    grid = lattice.make_grid([1.0], [4096])
+    with pytest.raises(SnapshotIOError, match="s.csv: .*No space left"):
+        lattice.write_snapshot(tmp_path / "s.csv", np.zeros((2, 4096), complex), grid)
+
+    # a failed rerun leaves the earlier tree as it was and no staging directory
+    assert main(["run", "--config", str(config), "--outdir", str(out)]) == EXIT_IO
+    assert "psi1_000000.csv" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["big"]
+    assert {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()} == earlier

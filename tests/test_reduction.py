@@ -132,6 +132,31 @@ def test_route_gap_is_three_level_time_error():
         assert 3.5 <= coarse / fine <= 4.5
 
 
+def _full_scan_max_stable_step(grid, params, order):
+    """max_stable_step with kappa^2 evaluated on every mode of every axis."""
+    K = 0.0
+    for n, dx in zip(grid.points, grid.dx):
+        theta = 2.0 * np.pi * np.arange(n) / n
+        kdx = np.sin(theta) if order == 2 else (8.0 * np.sin(theta) - np.sin(2.0 * theta)) / 6.0
+        K += float(np.max(kdx ** 2)) / dx ** 2
+    return 2.0 * float(np.hypot(np.sqrt(K), params.mass_wavenumber)) / K
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_max_stable_step_equals_full_mode_scan(order):
+    # the window beside 2 pi - t matters: without it, 1774 of N = 8..20000
+    # come out one ulp off
+    params = PhysParams(m=0.7)
+    sizes = list(range(8, 3001)) + np.random.default_rng(order).integers(3001, 10 ** 5, 20).tolist()
+    for n in sizes:
+        grid = make_grid([0.37 * n], [n])
+        assert reduction.max_stable_step(grid, params, order) == \
+            _full_scan_max_stable_step(grid, params, order), n
+    grid = make_grid([3.0, 5.0, 7.0], [97, 64, 1001])
+    assert reduction.max_stable_step(grid, params, order) == \
+        _full_scan_max_stable_step(grid, params, order)
+
+
 def test_bootstrap_is_third_order_accurate():
     # Taylor start against the exact rest rotation exp(-2i mu h)
     grid = make_grid([2.0 * np.pi], [8], dt=0.01)

@@ -367,6 +367,7 @@ def _floats(obj):
 @settings(max_examples=400, deadline=None)
 @given(case=st.sampled_from(_CASES), value=_JSON_VALUES)
 @example(case=(0, ("physics", "hbar")), value=1.1043709611054946e-180)  # mu^2 overflowed
+@example(case=(1, ("grid", "points")), value=[32, 1107310680])  # an 8 GiB mode scan
 def test_any_json_value_yields_finite_scenario_or_config_error(case, value):
     index, path = case
     config = copy.deepcopy(_BASE_CONFIGS[index])
