@@ -20,7 +20,7 @@ from .lagrangian import (conservation_report, fisher_terms,
                          lagrangian_classical_clebsch,
                          lagrangian_classical_fluid, lagrangian_quantum_polar,
                          lagrangian_spinor_from_gradients, lagrangian_split,
-                         probability_current, relative_residual)
+                         median, probability_current, relative_residual)
 from .lattice import make_grid, minkowski_square, mode_amplitude
 from .params import PhysParams
 from .reduction import equivalence_report, evolve_reduced
@@ -67,7 +67,7 @@ def check_dispersion() -> tuple[bool, str]:
     params = scenario.params
     recon = evolve_reduced(build_initial(scenario), scenario.duration, params)
     amps = mode_amplitude(recon.psi1[:, 0], scenario.grid, (2,))
-    h = recon.record_step
+    h = float(recon.x0[1] - recon.x0[0])
     steps = np.angle(amps[1:] * np.conj(amps[:-1]))
     omega = -float(np.mean(steps)) / h
     target = np.sqrt(k * k + params.mass_wavenumber ** 2)
@@ -189,10 +189,8 @@ def check_lagrangian_split_polar() -> tuple[bool, str]:
     residuals = []
     for points in (64, 128, 256):
         state, grid_n, params_n = _smooth_periodic_state(points)
-        traj = evolve(state, 2 * grid_n.dt, params_n)
-        fs = fluid_state(traj.psi1[0], traj.psi1[1], traj.psi1[2], traj.record_step,
-                         float(traj.x0[1]), grid_n, params_n)
-        rows = identity_rows_at(traj, 1, fs, params_n, 2, "auto")
+        fs = fluid_state(state.psi1, state.psi2, 0.0, grid_n, params_n)
+        rows = identity_rows_at(state.psi1, fs, params_n, 2, "auto")
         residuals.append(next(r.residual_l2 for r in rows if r.name == "split_identity"))
     slopes = [np.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
     ok = (split_sup < 1e-10 and polar_sup < 1e-10 and fisher_sup < 1e-12
@@ -259,9 +257,7 @@ def _slow_packet_state():
 def check_approximation_chain() -> tuple[bool, str]:
     """Slow packet: near-classical medians; rest limit: exact to round-off."""
     state, grid, params = _slow_packet_state()
-    traj = evolve(state, 3 * grid.dt, params)
-    fs = fluid_state(traj.psi1[0], traj.psi1[1], traj.psi1[2], traj.record_step,
-                     float(traj.x0[1]), grid, params)
+    fs = fluid_state(state.psi1, state.psi2, 0.0, grid, params)
     ok_pts = fs.mask == int(PointMask.OK)
     vv = minkowski_square(fs.v_c)
     speed = np.sqrt(np.where(vv >= 0, vv, 0.0))
@@ -270,8 +266,8 @@ def check_approximation_chain() -> tuple[bool, str]:
     # the far tail carry no mass and are numerically meaningless there
     bulk = ok_pts & (fs.rho_bar >= 1e-6 * float(np.max(fs.rho_bar)))
     max_space = float(np.max(space_speed[bulk])) / params.c
-    med_speed = float(np.median(np.abs(speed[ok_pts] / params.c - 1.0)))
-    med_dens = float(np.median(np.abs(fs.rho_0[ok_pts] / (2.0 * fs.rho_bar[ok_pts]) - 1.0)))
+    med_speed = median(np.abs(speed[ok_pts] / params.c - 1.0))
+    med_dens = median(np.abs(fs.rho_0[ok_pts] / (2.0 * fs.rho_bar[ok_pts]) - 1.0))
 
     rest_devs = []
     for c in (1.0, 2.5):

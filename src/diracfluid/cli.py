@@ -7,14 +7,12 @@ check), 2 numerical instability detected, 3 snapshot/file I/O failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from .checks import CHECK_NAMES, run_checks
 from .errors import ConfigError, NumericalInstabilityError, SnapshotIOError
 from .runner import run
-from .scenarios import RECIPE_NAMES, RECIPE_SUMMARIES, read_config, scenario_from_dict
+from .scenarios import RECIPE_NAMES, RECIPE_SUMMARIES, load_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -22,33 +20,8 @@ EXIT_UNSTABLE = 2
 EXIT_IO = 3
 
 
-def _apply_override(config: dict, spec: str) -> None:
-    if "=" not in spec:
-        raise ConfigError(f"override {spec!r} must look like key.path=value")
-    path, raw = spec.split("=", 1)
-    keys = [k for k in path.split(".") if k]
-    if not keys:
-        raise ConfigError(f"override {spec!r} has an empty key path")
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw  # bare strings may be given unquoted
-    node = config
-    for key in keys[:-1]:
-        node = node.setdefault(key, {})
-        if not isinstance(node, dict):
-            raise ConfigError(f"override {path}: {key} does not hold an object")
-    node[keys[-1]] = value
-
-
 def _cmd_run(args) -> int:
-    config = read_config(args.config)
-    if not isinstance(config, dict):
-        raise ConfigError("top level: expected a JSON object")
-    for override in args.override:
-        _apply_override(config, override)
-    scenario = scenario_from_dict(config, base=Path(args.config).parent)
-    result = run(scenario, args.outdir)
+    result = run(load_scenario(args.config, args.override), args.outdir)
     print(f"{result.run_dir}: {len(result.manifest['outputs'])} outputs, "
           f"{result.manifest['n_steps']} steps")
     return EXIT_OK

@@ -66,11 +66,6 @@ class SpinorTrajectory:
     grid: Grid
     params: PhysParams
 
-    @property
-    def record_step(self) -> float:
-        """x0 spacing between recorded levels."""
-        return float(self.x0[1] - self.x0[0]) if len(self.x0) > 1 else 0.0
-
 
 def check_growth(old_max: float, new_max: float, x0: float, params: PhysParams,
                  name: str) -> None:
@@ -99,11 +94,16 @@ def sigma_dot_grad(psi: np.ndarray, grid: Grid, order: int = 2) -> np.ndarray:
 
 
 def dirac_rhs(psi1, psi2, grid: Grid, params: PhysParams, order: int = 2):
-    """d0(psi1, psi2) of the coupled two-spinor system."""
-    st = Stencil((2, 2) + grid.shape, grid, order, complex, 2)
-    np.copyto(st.inner, (psi1, psi2))
-    d = _rhs(st, params.mass_wavenumber, st.scratch[1])
-    return d[0], d[1]
+    """d0(psi1, psi2) of the coupled system at one level: every d0 of a recorded level.
+
+    sigma.D goes one spinor at a time through one stencil, with the ufuncs of
+    a stepper stage, so the values are bit-identical to a stage's.
+    """
+    st = Stencil(np.shape(psi1), grid, order)
+    d1, d2 = (st.sigma_dot_grad(f, np.empty(st.inner.shape, complex)) for f in (psi2, psi1))
+    mu = params.mass_wavenumber
+    return (np.subtract(np.multiply(-1j * mu, psi1), d1, out=d1),
+            np.subtract(np.multiply(1j * mu, psi2), d2, out=d2))
 
 
 def step(state: DiracState, dt: float, params: PhysParams, order: int = 2) -> DiracState:

@@ -14,10 +14,11 @@ with b = dnu.dbeta, d = dbeta.dbeta, e = dbeta.(2 dnu + dbeta), i.e.
     alpha = (-b +- sqrt(b^2 + sin^2(theta) d e)) / d.
 
 Phase gradients are evaluated as (hbar/m) Im(psi* d psi)/|psi|^2 with d psi
-from one `lattice.four_gradient` of psi1, never by unwrapping arg(psi).
-`fluid_state` builds the map once per level; the FluidState keeps its
-amplitudes, gradients (d psi included) and alpha roots, and the identity rows
-of that level read them from it.
+from one `lattice.four_gradient` of psi1, never by unwrapping arg(psi), and
+d0 psi1 from the equation of motion (`dynamics.dirac_rhs` of the level's
+pair).  `fluid_state` builds the map once per level from that level alone;
+the FluidState keeps its amplitudes, gradients (d psi included) and alpha
+roots, and the identity rows of that level read them from it.
 
 Points where the map degenerates are masked rather than patched:
 LOW_DENSITY (|psi_s|^2 under a relative floor), DEGENERATE_BETA
@@ -34,6 +35,7 @@ from enum import IntEnum
 
 import numpy as np
 
+from .dynamics import dirac_rhs
 from .errors import GridError
 from .lattice import Grid, four_gradient, minkowski_dot_components, minkowski_square
 from .params import PhysParams
@@ -85,24 +87,22 @@ class PhaseGradients:
     dpsi: np.ndarray     # d_mu psi1, (4, 2, *grid.shape), the stencil gradient they come from
 
 
-def phase_gradients(psi1_prev, psi1_curr, psi1_next, h: float, grid: Grid,
-                    params: PhysParams, order: int = 2) -> PhaseGradients:
-    """(hbar/m) Im(psi_s* d_mu psi_s)/|psi_s|^2 for both spins from three psi1 levels.
+def phase_gradients(psi1, d0psi1, grid: Grid, params: PhysParams,
+                    order: int = 2) -> PhaseGradients:
+    """(hbar/m) Im(psi_s* d_mu psi_s)/|psi_s|^2 for both spins on one psi1 level.
 
-    Both spin components take d_mu from one `four_gradient` of psi1 (x0
-    spacing h); points under the density floor get zero gradients.
+    Both spin components take d_mu from one `four_gradient` of psi1 with the
+    given d0 psi1; points under the density floor get zero gradients.
     """
-    if h <= 0:
-        raise GridError(f"time-level spacing must be positive, got {h}")
-    mag2 = np.abs(psi1_curr) ** 2
+    mag2 = np.abs(psi1) ** 2
     floor = params.eps_density_rel * float(np.max(mag2[0] + mag2[1]))
     low = mag2 < floor if floor > 0 else mag2 <= 0
-    dpsi = four_gradient(psi1_prev, psi1_curr, psi1_next, h, grid, order)
+    dpsi = four_gradient(psi1, d0psi1, grid, order)
     # only the grid's axes: Im(psi* 0) can be -0.0, the components past them stay +0.0
     used = slice(0, 1 + grid.dims)
     scale = params.hbar / params.m
     d = np.zeros((4, 2) + grid.shape)
-    d[used] = scale * np.imag(np.conj(psi1_curr) * dpsi[used]) / np.where(low, 1.0, mag2)
+    d[used] = scale * np.imag(np.conj(psi1) * dpsi[used]) / np.where(low, 1.0, mag2)
     d[:, low] = 0.0
     d_up, d_down = d[:, 0], d[:, 1]
     return PhaseGradients(d_nu_up=d_up, d_nu_down=d_down, d_nu=d_up, d_beta=d_down - d_up,
@@ -222,11 +222,12 @@ class FluidState:
         return (self.mask == int(PointMask.OK)) | (self.mask == int(PointMask.DEGENERATE_BETA))
 
 
-def fluid_state(psi1_prev, psi1_curr, psi1_next, h: float, x0: float, grid: Grid,
-                params: PhysParams, order: int = 2, branch: str = "auto") -> FluidState:
-    """Assemble the full spinor -> fluid map on the middle of three psi1 levels."""
-    amp = amplitudes(psi1_curr, params)
-    grads = phase_gradients(psi1_prev, psi1_curr, psi1_next, h, grid, params, order)
+def fluid_state(psi1, psi2, x0: float, grid: Grid, params: PhysParams,
+                order: int = 2, branch: str = "auto") -> FluidState:
+    """Assemble the full spinor -> fluid map on one level, d0 psi1 from `dirac_rhs`."""
+    amp = amplitudes(psi1, params)
+    grads = phase_gradients(psi1, dirac_rhs(psi1, psi2, grid, params, order)[0],
+                            grid, params, order)
     alpha = clebsch_alpha(grads.d_nu, grads.d_beta, amp.theta, params, branch)
     low = amp.low_density | grads.low_density
     fallback = low | alpha.degenerate | alpha.complex_disc

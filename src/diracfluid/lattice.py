@@ -1,5 +1,5 @@
-"""Uniform periodic lattice: grids, central differences, the three-level
-four-gradient, Minkowski algebra, CSV output.
+"""Uniform periodic lattice: grids, central differences, the four-gradient,
+Minkowski algebra, CSV output.
 
 Conventions used throughout the package:
 
@@ -7,8 +7,9 @@ Conventions used throughout the package:
   spatial lattice axes, so a two-spinor field has shape (2, *grid.shape) and a
   scalar field has shape grid.shape;
 * the time coordinate is x0 = c*t and all time derivatives are taken with
-  respect to x0; `four_gradient` is the one d_mu on three recorded levels,
-  shared by the fluid map, the identity rows and the current divergence;
+  respect to x0; `four_gradient` is the one d_mu of a recorded level, which
+  takes d0 as given (from the equation of motion, `dynamics.dirac_rhs`) and
+  adds the spatial differences; the fluid map and the identity rows share it;
 * the central first difference D_i is the one spatial operator: the
   Laplacian is sum_i D_i D_i = (sigma^i D_i)^2;
 * four-vectors are plain (4, *grid.shape) arrays: gradients hold lower-index
@@ -215,15 +216,14 @@ def spatial_derivative(f: np.ndarray, grid: Grid, axis: int, order: int = 2) -> 
     return stencil.first(axis, np.empty(f.shape, f.dtype))
 
 
-def four_gradient(prev: np.ndarray, curr: np.ndarray, nxt: np.ndarray,
-                  h: float, grid: Grid, order: int = 2) -> np.ndarray:
-    """Lower-index d_mu (4, *curr.shape) of the middle of three x0 levels h apart.
+def four_gradient(f: np.ndarray, d0f: np.ndarray, grid: Grid, order: int = 2) -> np.ndarray:
+    """Lower-index d_mu (4, *f.shape) of one x0 level: d0f as given, central differences in space.
 
-    Central differences in x0 and space; components past grid.dims are exact zeros.
+    Components past grid.dims are exact zeros.
     """
-    out = np.zeros((4,) + curr.shape, dtype=curr.dtype)
-    np.divide(np.subtract(nxt, prev, out=out[0]), 2.0 * h, out=out[0])
-    Stencil(curr.shape, grid, order, curr.dtype).gradient(curr, out[1:1 + grid.dims])
+    out = np.zeros((4,) + f.shape, dtype=f.dtype)
+    out[0] = d0f
+    Stencil(f.shape, grid, order, f.dtype).gradient(f, out[1:1 + grid.dims])
     return out
 
 
@@ -244,7 +244,8 @@ def mode_amplitude(f: np.ndarray, grid: Grid, mode: tuple[int, ...]) -> np.ndarr
     """Amplitude of the plane wave exp(i*sum_j 2pi*mode_j*x_j/L_j) in f.
 
     Returns the complex projection (mean of f * conj(wave)) with any leading
-    component axes preserved.
+    component axes preserved, as one matrix product: f * conj(wave) would be
+    a temporary the size of f (3.3 MB for the dispersion check's levels).
     """
     if len(mode) != grid.dims:
         raise GridError(f"mode needs {grid.dims} integers, got {len(mode)}")
@@ -254,9 +255,8 @@ def mode_amplitude(f: np.ndarray, grid: Grid, mode: tuple[int, ...]) -> np.ndarr
         shape = [1] * grid.dims
         shape[j] = grid.points[j]
         phase = phase + (k_j * grid.axis_coordinates(j)).reshape(shape)
-    wave = np.exp(-1j * phase)
-    spatial_axes = tuple(range(-grid.dims, 0))
-    return np.mean(f * wave, axis=spatial_axes)
+    wave = np.exp(-1j * phase).reshape(-1)
+    return np.reshape(f, f.shape[:f.ndim - grid.dims] + (-1,)) @ wave / wave.size
 
 
 # ---------------------------------------------------------------------------

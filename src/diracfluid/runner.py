@@ -23,7 +23,9 @@ included, so `<outdir>/<name>` always holds exactly one whole run.
 `run` builds one `FluidState` per interior level (only the middle one when
 neither the fluid map nor the approximation chain is asked for), and the
 identity chain of the middle level, `identity_rows_at`, reads its amplitudes,
-gradients and alpha roots from that state instead of rebuilding them.
+gradients and alpha roots from that state instead of rebuilding them.  Each
+level's d0 is `dynamics.dirac_rhs` of its (psi1, psi2), the rebuilt pair on the
+reduced route, so no output of a level depends on `record_every`.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .fluid import MASK_NAMES, FluidState, PointMask, fluid_state
 from .lagrangian import (conservation_report, fisher_terms, identity_residual,
                          lagrangian_classical_clebsch, lagrangian_classical_fluid,
                          lagrangian_quantum_polar, lagrangian_spinor_from_gradients,
-                         lagrangian_split)
+                         lagrangian_split, median)
 from .lattice import (file_sha256, four_gradient, index_prefixes, minkowski_square,
                       write_csv, write_snapshot)
 from .reduction import EquivalenceReport, evolve_reduced, route_equivalence
@@ -73,27 +75,29 @@ def _fluid_csv(path: Path, fs: FluidState) -> None:
     write_csv(path, _FLUID_HEADER, [(_FLUID_ROW, columns)])
 
 
-def identity_rows_at(traj, level: int, fs: FluidState, params, order: int, branch: str):
-    """Evaluate the Lagrangian identity chain at one interior recorded level.
+def identity_rows_at(psi1, fs: FluidState, params, order: int, branch: str):
+    """Evaluate the Lagrangian identity chain on one recorded level.
 
-    fs is that level's fluid map (same order and branch), whose amplitudes,
-    gradients, alpha roots and v_C are reused; the amplitude gradients come
-    from the same `four_gradient`, so each row reports pure algebraic
-    consistency, not discretization error.
+    fs is that level's fluid map of psi1 (same order and branch), whose
+    amplitudes, gradients, alpha roots and v_C are reused.  The amplitude
+    fields take d0 by the chain rule from the map's d0 psi1 and their spatial
+    parts from the stencil, so the time parts of every row hold to rounding
+    and the split row keeps the stencil's spatial error.
     """
-    tag = "x".join(str(p) for p in traj.grid.points)
+    tag = "x".join(str(p) for p in fs.grid.points)
     amp, grads, roots = fs.amplitudes, fs.gradients, fs.roots
     ok = fs.mask != int(PointMask.LOW_DENSITY)
 
-    l_spinor = lagrangian_spinor_from_gradients(traj.psi1[level], grads.dpsi, params)
+    l_spinor = lagrangian_spinor_from_gradients(psi1, grads.dpsi, params)
 
-    def _amp_fields(psi1):
-        r_up, r_down = np.abs(psi1[0]), np.abs(psi1[1])
-        return np.stack([r_up, r_down, np.sqrt(r_up ** 2 + r_down ** 2),
-                         np.arctan2(r_down, r_up)])
-
-    levels = [_amp_fields(traj.psi1[n]) for n in (level - 1, level, level + 1)]
-    grad = four_gradient(*levels, traj.record_step, traj.grid, order)
+    # d0|psi_s| = Re(psi_s* d0 psi_s)/|psi_s|, then R and theta by the chain rule
+    # with (R_up, R_down) = R (cos theta, sin theta); zero where the divisor is
+    fields = np.stack([amp.R_up, amp.R_down, amp.R, amp.theta])
+    d0r = np.real(np.conj(psi1) * grads.dpsi[0]) / np.where(fields[:2] > 0, fields[:2], 1.0)
+    cos, sin = np.cos(amp.theta), np.sin(amp.theta)
+    d0 = np.stack([*d0r, cos * d0r[0] + sin * d0r[1],
+                   (cos * d0r[1] - sin * d0r[0]) / np.where(amp.R > 0, amp.R, 1.0)])
+    grad = four_gradient(fields, d0, fs.grid, order)
     dR_up, dR_down, dR, dtheta = (grad[:, i] for i in range(4))
     l_q, l_c = lagrangian_split(amp.R_up, amp.R_down, dR_up, dR_down,
                                 grads.d_nu_up, grads.d_nu_down, params)
@@ -129,8 +133,8 @@ def chain_row(fs: FluidState, params) -> np.ndarray:
     dens_dev = np.abs(fs.rho_0 / np.where(usable, 2.0 * fs.rho_bar, 1.0) - 1.0)
     space_speed = np.sqrt(sum(fs.v_c[i] ** 2 for i in (1, 2, 3)))
     if np.any(usable):
-        stats = [float(np.median(speed_dev[usable])), float(np.max(speed_dev[usable])),
-                 float(np.median(dens_dev[usable])), float(np.max(dens_dev[usable])),
+        stats = [median(speed_dev[usable]), float(np.max(speed_dev[usable])),
+                 median(dens_dev[usable]), float(np.max(dens_dev[usable])),
                  float(np.max(space_speed[usable])) / params.c]
     else:
         stats = [np.nan] * 5
@@ -178,8 +182,7 @@ def _write_tree(scenario: Scenario, run_dir: Path):
     order = scenario.derivative_order
     initial = build_initial(scenario)
 
-    direct = None
-    recon = None
+    direct = recon = None
     if scenario.pipeline in ("dirac", "both"):
         direct = evolve(initial, scenario.duration, params,
                         record_every=scenario.record_every, order=order)
@@ -201,15 +204,14 @@ def _write_tree(scenario: Scenario, run_dir: Path):
     chain_rows = []
     want_chain = "approximation_chain" in scenario.diagnostics
     want_ids = "identities" in scenario.diagnostics
-    mid = max(1, min(nt // 2, nt - 2))
+    mid = nt // 2  # interior: validation asks for 3 levels when identities are wanted
     if scenario.fluid_map or want_chain:
         levels = range(1, nt - 1)
     else:
-        levels = [mid] if want_ids and nt >= 3 else []
+        levels = [mid] if want_ids else []
     for n in levels:
-        fs = fluid_state(primary.psi1[n - 1], primary.psi1[n], primary.psi1[n + 1],
-                         primary.record_step, float(primary.x0[n]), grid, params,
-                         order=order, branch=scenario.alpha_branch)
+        fs = fluid_state(primary.psi1[n], primary.psi2[n], float(primary.x0[n]), grid,
+                         params, order=order, branch=scenario.alpha_branch)
         if scenario.fluid_map:
             rel = f"snapshots/fluid_{n * scenario.record_every:06d}.csv"
             _fluid_csv(run_dir / rel, fs)
@@ -217,7 +219,7 @@ def _write_tree(scenario: Scenario, run_dir: Path):
         if want_chain:
             chain_rows.append(chain_row(fs, params))
         if want_ids and n == mid:
-            rows = identity_rows_at(primary, mid, fs, params, order, scenario.alpha_branch)
+            rows = identity_rows_at(primary.psi1[n], fs, params, order, scenario.alpha_branch)
             rel = "diagnostics/identities.csv"
             write_csv(run_dir / rel, _IDENT_HEADER, [("%s\n", ([r.row() for r in rows],))])
             outputs.append(rel)

@@ -340,20 +340,40 @@ def scenario_from_dict(config: dict, base: Path | None = None) -> Scenario:
                     alpha_branch=branch, derivative_order=order)
 
 
-def read_config(path) -> dict:
-    """The parsed JSON of a scenario file, not yet validated."""
+def _apply_override(config: dict, spec: str) -> None:
+    if "=" not in spec:
+        raise ConfigError(f"override {spec!r} must look like key.path=value")
+    path, raw = spec.split("=", 1)
+    keys = [k for k in path.split(".") if k]
+    if not keys:
+        raise ConfigError(f"override {spec!r} has an empty key path")
+    try:
+        value = json.loads(raw)
+    except json.JSONDecodeError:
+        value = raw  # bare strings may be given unquoted
+    node = config
+    for key in keys[:-1]:
+        node = node.setdefault(key, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"override {path}: {key} does not hold an object")
+    node[keys[-1]] = value
+
+
+def load_scenario(path, overrides=()) -> Scenario:
+    """Read a scenario file, apply "key.path=value" overrides (JSON values) and validate it."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        config = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-
-
-def load_scenario(path) -> Scenario:
-    return scenario_from_dict(read_config(path), base=Path(path).parent)
+    if not isinstance(config, dict):
+        raise ConfigError("top level: expected a JSON object")
+    for spec in overrides:
+        _apply_override(config, spec)
+    return scenario_from_dict(config, base=Path(path).parent)
 
 
 def _spin_pair(chi: float, phase: float) -> np.ndarray:

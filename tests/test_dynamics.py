@@ -104,7 +104,6 @@ def test_evolve_recording_layout():
     traj = evolve(_rest_state(grid), 1.0, params, record_every=4)
     assert len(traj.x0) == 20 / 4 + 1
     np.testing.assert_allclose(np.diff(traj.x0), 4 * params.c * 0.05)
-    assert traj.record_step == pytest.approx(0.2)
     assert traj.x0[0] == 0.0
     assert traj.psi1.shape == traj.psi2.shape == (6, 2, 8)
 

@@ -4,12 +4,14 @@ the Clebsch velocity, and the point masks."""
 import numpy as np
 import pytest
 
+from diracfluid.dynamics import dirac_rhs
 from diracfluid.errors import GridError
 from diracfluid.fluid import (MASK_NAMES, PointMask, amplitudes, clebsch_alpha,
                               clebsch_velocity, fluid_state, phase_gradients,
                               rest_density)
 from diracfluid.lattice import make_grid, minkowski_square
 from diracfluid.params import PhysParams
+from diracfluid.scenarios import positive_energy_closure
 from diracfluid.synthetic import synthetic_clebsch_inputs
 
 PARAMS = PhysParams()
@@ -47,44 +49,39 @@ def test_amplitudes_zero_field_flagged():
 
 
 def test_phase_gradients_measure_stencil_symbols():
-    # psi_s = R_s exp(i(0.7 t + 3 x + phi_s)); the extracted gradients are the
-    # central-difference symbols sin(0.7 h)/h and sin(3 dx)/dx, not 0.7 and 3
+    # psi_s = R_s exp(i(0.7 t + 3 x + phi_s)) with its exact d0 psi given: the
+    # time gradient is 0.7, the spatial one the central-difference symbol
+    # sin(3 dx)/dx, not 3
     grid = make_grid([2.0 * np.pi], [64], dt=0.02)
     x = grid.axis_coordinates(0)
-    h = 0.02
+    wave = np.exp(1j * 3.0 * x)
+    psi = np.stack([0.6 * wave, 0.8 * np.exp(0.25j) * wave])
 
-    def level(t):
-        wave = np.exp(1j * (0.7 * t + 3.0 * x))
-        return np.stack([0.6 * wave, 0.8 * np.exp(0.25j) * wave])
-
-    grads = phase_gradients(level(-h), level(0.0), level(h), h, grid, PARAMS)
-    np.testing.assert_allclose(grads.d_nu[0], np.sin(0.7 * h) / h, rtol=1e-13)
+    grads = phase_gradients(psi, 0.7j * psi, grid, PARAMS)
+    np.testing.assert_allclose(grads.d_nu[0], 0.7, rtol=1e-13)
     np.testing.assert_allclose(grads.d_nu[1], np.sin(3.0 * grid.dx[0]) / grid.dx[0],
                                rtol=1e-13)
     assert grads.d_nu is grads.d_nu_up
+    np.testing.assert_array_equal(grads.dpsi[0], 0.7j * psi)
     # both components share the phase up to a constant, so beta is flat
     assert float(np.max(np.abs(grads.d_beta))) < 1e-13
     assert not grads.low_density.any()
-    with pytest.raises(GridError):
-        phase_gradients(level(-h), level(0.0), level(h), 0.0, grid, PARAMS)
 
 
 def test_phase_gradients_zero_out_low_density_sites():
     grid = make_grid([2.0 * np.pi], [64], dt=0.02)
     x = grid.axis_coordinates(0)
-    h = 0.02
+    wave = np.exp(1j * 3.0 * x)
+    psi = np.stack([0.6 * wave, 0.8 * wave])
+    psi[:, 10] = 0.0
 
-    def level(t):
-        wave = np.exp(1j * (0.7 * t + 3.0 * x))
-        psi = np.stack([0.6 * wave, 0.8 * wave])
-        psi[:, 10] = 0.0
-        return psi
-
-    grads = phase_gradients(level(-h), level(0.0), level(h), h, grid, PARAMS)
+    grads = phase_gradients(psi, 0.7j * psi, grid, PARAMS)
     assert grads.low_density[10]
     assert np.all(grads.d_nu[:, 10] == 0.0)
     # sites outside the stencil footprint of the hole are untouched
-    np.testing.assert_allclose(grads.d_nu[0, 20], np.sin(0.7 * h) / h, rtol=1e-13)
+    np.testing.assert_allclose(grads.d_nu[0, 20], 0.7, rtol=1e-13)
+    np.testing.assert_allclose(grads.d_nu[1, 20], np.sin(3.0 * grid.dx[0]) / grid.dx[0],
+                               rtol=1e-13)
 
 
 def test_clebsch_alpha_frozen_roots():
@@ -177,30 +174,27 @@ def test_rest_density_values_and_clamp():
     np.testing.assert_allclose(rho_0, 2.0, rtol=1e-15)  # clamped speed 0
 
 
-def _packet_levels(grid, h):
-    # smooth two-spinor with genuinely varying relative phase so that
-    # d_beta.d_beta stays positive and the full map is exercised
+def _packet_pair(grid):
+    # smooth two-spinor with genuinely varying relative phase so that the
+    # full map is exercised, and its positive-energy lower spinor
     x = grid.axis_coordinates(0)
-
-    def level(t):
-        r_up = 1.0 + 0.2 * np.cos(x)
-        r_down = 0.9 + 0.1 * np.sin(x)
-        nu_up = 0.05 * np.sin(x) + 0.9 * t
-        nu_down = 0.08 * np.cos(x) + 0.6 * t
-        return np.stack([r_up * np.exp(1j * nu_up), r_down * np.exp(1j * nu_down)])
-
-    return level(-h), level(0.0), level(h)
+    r_up = 1.0 + 0.2 * np.cos(x)
+    r_down = 0.9 + 0.1 * np.sin(x)
+    psi1 = np.stack([r_up * np.exp(0.05j * np.sin(x)), r_down * np.exp(0.08j * np.cos(x))])
+    return psi1, positive_energy_closure(psi1, grid, PARAMS)
 
 
 def test_fluid_state_all_ok_and_norm_identity():
     grid = make_grid([2.0 * np.pi], [64], dt=0.02)
-    prev, curr, nxt = _packet_levels(grid, 0.02)
-    fs = fluid_state(prev, curr, nxt, 0.02, 0.0, grid, PARAMS)
+    psi1, psi2 = _packet_pair(grid)
+    fs = fluid_state(psi1, psi2, 0.0, grid, PARAMS)
     assert fs.mask_fraction(PointMask.OK) == 1.0
     assert fs.usable.all()
     assert np.all(np.isfinite(fs.alpha))
 
     g = fs.gradients
+    # d0 psi1 is the equation of motion's, bit for bit
+    np.testing.assert_array_equal(g.dpsi[0], dirac_rhs(psi1, psi2, grid, PARAMS)[0])
     s2 = np.sin(fs.theta) ** 2
     vv = minkowski_square(fs.v_c)
     expect = ((1.0 - s2) * minkowski_square(g.d_nu)
@@ -212,10 +206,9 @@ def test_fluid_state_all_ok_and_norm_identity():
 
 def test_fluid_state_mask_priority_and_nan_alpha():
     grid = make_grid([2.0 * np.pi], [64], dt=0.02)
-    prev, curr, nxt = _packet_levels(grid, 0.02)
-    for lvl in (prev, curr, nxt):
-        lvl[:, 30:34] = 0.0
-    fs = fluid_state(prev, curr, nxt, 0.02, 0.0, grid, PARAMS)
+    psi1, psi2 = _packet_pair(grid)
+    psi1[:, 30:34] = 0.0
+    fs = fluid_state(psi1, psi2, 0.0, grid, PARAMS)
     assert np.all(fs.mask[30:34] == int(PointMask.LOW_DENSITY))
     np.testing.assert_array_equal(np.isnan(fs.alpha), fs.mask != int(PointMask.OK))
     total = sum(fs.mask_fraction(flag) for flag in PointMask)
@@ -223,24 +216,18 @@ def test_fluid_state_mask_priority_and_nan_alpha():
 
 
 def test_fluid_state_exact_rest_levels_stay_usable():
-    # uniform rotation exp(-i mu t): beta gradients are pure round-off, so the
-    # degenerate floor (relative to max|d|) lets noise points through with a
-    # benign small root; the measured speed defect is the time-stencil bias
-    # sin(mu h)/(mu h) - 1 ~ -(mu h)^2/6
+    # uniform rest state, psi2 = 0: the equation of motion gives d0 psi1 =
+    # -i mu psi1 exactly, so v_C = (c, 0, 0, 0) and rho_0 = 2 rho_bar up to
+    # rounding, with no time-stencil bias
     grid = make_grid([2.0 * np.pi], [8], dt=0.025)
-    h = 0.025
     pair = np.array([0.6, 0.8 * np.exp(0.25j)])
-    base = np.broadcast_to(pair[:, None], (2,) + grid.shape).astype(complex)
-    fs = fluid_state(base * np.exp(1j * PARAMS.mass_wavenumber * h), base.copy(),
-                     base * np.exp(-1j * PARAMS.mass_wavenumber * h),
-                     h, 0.0, grid, PARAMS)
+    psi1 = np.broadcast_to(pair[:, None], (2,) + grid.shape).astype(complex)
+    fs = fluid_state(psi1, np.zeros_like(psi1), 0.0, grid, PARAMS)
     assert fs.usable.all()
     vv = minkowski_square(fs.v_c)
     assert np.all(vv > 0)
-    dev = np.max(np.abs(np.sqrt(vv) / PARAMS.c - 1.0))
-    assert 0.8e-4 < dev < 1.3e-4
-    rho_dev = np.max(np.abs(fs.rho_0 / (2.0 * fs.rho_bar) - 1.0))
-    assert 0.4e-4 < rho_dev < 0.65e-4
+    assert np.max(np.abs(np.sqrt(vv) / PARAMS.c - 1.0)) <= 1e-15
+    assert np.max(np.abs(fs.rho_0 / (2.0 * fs.rho_bar) - 1.0)) <= 1e-15
 
 
 def test_mask_names_are_lowercase():

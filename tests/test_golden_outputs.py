@@ -1,6 +1,6 @@
 """Shipped configs keep producing byte-identical output trees.
 
-golden_outputs.json holds the sha256 of every output file of three shipped
+golden_outputs.json holds the sha256 of every output file of the four shipped
 configs and of the two small multi-axis configs below, which pin the 2-D and
 3-D gradient, fluid-map and identity paths the shipped 1-D configs never
 reach. A change that deliberately alters the numbers or the file format
@@ -11,6 +11,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from diracfluid.runner import run
@@ -52,10 +53,37 @@ def _output_hashes(run_dir: Path) -> dict:
             for p in run_dir.rglob("*") if p.is_file() and p.name != "manifest.json"}
 
 
+@pytest.fixture(scope="module")
+def shipped(tmp_path_factory):
+    """The run directory of a shipped config, run once per module."""
+    out = tmp_path_factory.mktemp("shipped")
+
+    def run_dir(name):
+        if not (out / name).is_dir():
+            run(load_scenario(REPO / "configs" / f"{name}.json"), out)
+        return out / name
+    return run_dir
+
+
+def test_every_shipped_config_is_pinned():
+    shipped_names = {p.stem for p in (REPO / "configs").glob("*.json")}
+    assert shipped_names == set(GOLDEN) - set(MULTI_AXIS_CONFIGS)
+
+
 @pytest.mark.parametrize("name", sorted(set(GOLDEN) - set(MULTI_AXIS_CONFIGS)))
-def test_shipped_config_outputs_match_golden_hashes(tmp_path, name):
-    run(load_scenario(REPO / "configs" / f"{name}.json"), tmp_path)
-    assert _output_hashes(tmp_path / name) == GOLDEN[name]
+def test_shipped_config_outputs_match_golden_hashes(shipped, name):
+    assert _output_hashes(shipped(name)) == GOLDEN[name]
+
+
+def test_rest_config_fluid_map_is_exact(shipped):
+    # psi2 stays 0 and d0 psi1 = -i mu psi1 from the equation of motion, so
+    # v_C = (c, 0, 0, 0) and rho_0 = 2 rho_bar hold to rounding at every level
+    chain = np.genfromtxt(shipped("rest") / "diagnostics" / "approximation_chain.csv",
+                          delimiter=",", names=True)
+    assert len(chain) == 19
+    for column in ("median_speed_dev", "max_speed_dev", "median_density_dev",
+                   "max_density_dev"):
+        assert np.all(chain[column] <= 1e-15), column
 
 
 @pytest.mark.parametrize("name", sorted(MULTI_AXIS_CONFIGS))

@@ -108,16 +108,15 @@ def test_order2_four_gradient_allocates_no_scratch():
     # half a field of slack, so one stray scratch field fails
     grid = make_grid([1.0, 1.0], [64, 64])
     rng = np.random.default_rng(3)
-    levels = [rng.normal(size=(4, 64, 64)) + 1j * rng.normal(size=(4, 64, 64))
-              for _ in range(3)]
-    four_gradient(*levels, 0.1, grid)  # warm-up
+    field, d0 = (rng.normal(size=(4, 64, 64)) + 1j * rng.normal(size=(4, 64, 64))
+                 for _ in range(2))
+    four_gradient(field, d0, grid)  # warm-up
     tracemalloc.start()
     try:
-        out = four_gradient(*levels, 0.1, grid)
+        out = four_gradient(field, d0, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    field = levels[1]
     pad = 4 * 66 * 66 * field.itemsize
     buffers = 2 * np.getbufsize() * field.itemsize
     assert peak < out.nbytes + pad + buffers + field.nbytes // 2

@@ -204,7 +204,7 @@ def test_kg_residual_small_on_evolved_field():
     scenario = _gaussian_scenario()
     params = scenario.params
     recon = evolve_reduced(build_initial(scenario), scenario.duration, params)
-    h = recon.record_step
+    h = float(recon.x0[1] - recon.x0[0])
     mid = len(recon.x0) // 2
     res = kg_residual_norm(recon.psi1[mid - 1], recon.psi1[mid], recon.psi1[mid + 1],
                            h, scenario.grid, params)

@@ -1,6 +1,7 @@
 """End-to-end runs: output tree, manifest hashing, and determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from diracfluid.dynamics import evolve
 from diracfluid.fluid import MASK_NAMES, FluidState, PointMask, fluid_state
 from diracfluid.lattice import file_sha256, make_grid, read_snapshot
 from diracfluid.runner import _fluid_csv, chain_row, identity_rows_at, run
-from diracfluid.scenarios import build_initial, scenario_from_dict
+from diracfluid.scenarios import build_initial, load_scenario, scenario_from_dict
 
+REPO = Path(__file__).resolve().parent.parent
 IDENTITY_ORDER = ["split_identity", "polar_quantum", "fisher_substitution",
                   "clebsch_classical", "fluid_classical"]
 
@@ -184,10 +186,9 @@ def test_identity_rows_and_chain_shape():
     scenario = scenario_from_dict(_packet_config())
     traj = evolve(build_initial(scenario), scenario.duration, scenario.params)
     mid = len(traj.x0) // 2
-    fs = fluid_state(traj.psi1[mid - 1], traj.psi1[mid], traj.psi1[mid + 1],
-                     traj.record_step, float(traj.x0[mid]), scenario.grid,
+    fs = fluid_state(traj.psi1[mid], traj.psi2[mid], float(traj.x0[mid]), scenario.grid,
                      scenario.params)
-    rows = identity_rows_at(traj, mid, fs, scenario.params, 2, "auto")
+    rows = identity_rows_at(traj.psi1[mid], fs, scenario.params, 2, "auto")
     assert [r.name for r in rows] == IDENTITY_ORDER
     assert all(r.grid_tag == "64" for r in rows)
     assert rows[3].branch == "auto" and rows[1].branch == "-"
@@ -201,9 +202,9 @@ def test_run_evaluates_phase_gradients_once_per_level(tmp_path, monkeypatch, ove
     seen = []
     original = fluid.phase_gradients
 
-    def counted(prev, curr, nxt, *args, **kwargs):
-        seen.append(curr.copy())
-        return original(prev, curr, nxt, *args, **kwargs)
+    def counted(psi1, *args, **kwargs):
+        seen.append(psi1.copy())
+        return original(psi1, *args, **kwargs)
 
     for module in (fluid, runner):  # wherever a caller looks the name up
         monkeypatch.setattr(module, "phase_gradients", counted, raising=False)
@@ -215,3 +216,20 @@ def test_run_evaluates_phase_gradients_once_per_level(tmp_path, monkeypatch, ove
     assert len(seen) == len(expected)
     for curr, n in zip(seen, expected):
         np.testing.assert_array_equal(curr, traj.psi1[n])
+
+
+def test_outputs_of_a_shared_step_do_not_depend_on_record_every(tmp_path):
+    # every d0 of a level comes from the equation of motion at that level, so
+    # step 32's fluid map and conservation row are the same at any cadence
+    fluid, rows = set(), set()
+    for every in (1, 8, 32):
+        scenario = load_scenario(REPO / "configs" / "gaussian_equivalence.json",
+                                 ["duration=0.625", f"record_every={every}",
+                                  'diagnostics=["conservation"]'])
+        assert scenario.duration / scenario.grid.dt == 64
+        run_dir = run(scenario, tmp_path / str(every)).run_dir
+        fluid.add((run_dir / "snapshots" / "fluid_000032.csv").read_bytes())
+        consv = (run_dir / "diagnostics" / "conservation.csv").read_text().splitlines()
+        rows.add(consv[1 + 32 // every])
+    assert len(fluid) == 1
+    assert len(rows) == 1 and float(rows.pop().split(",")[0]) == 0.3125
