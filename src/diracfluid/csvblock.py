@@ -1,4 +1,5 @@
-"""Block CSV encoding in numpy: the bytes of `row_fmt % row` for whole blocks of rows.
+"""Block CSV text in numpy: the bytes of `row_fmt % row` for whole blocks of rows,
+and the float fields of a CSV read back bit-exactly.
 
 `lattice.write_csv` hands a block here when its row_fmt holds only literal
 text, %s over arrays of text or bytes and %.17g over float64 arrays.
@@ -15,6 +16,18 @@ values, 10 <= |v| < 1e17 (no layout here), values next to a power of ten
 whose exponent estimate missed, and non-finite values (2.2 % of the values
 in the fluid-io-3d benchmark's blocks, 1.7 % in packet-2d's); and every value
 when long double is plain double (nmant < 63), which certifies nothing.
+
+`parse_fields` inverts it for `lattice.read_snapshot`.  `parse_lanes` decodes
+each field of the strict grammar [-]digits[.digits][e(+|-)dd[d]] to a uint64
+significand N and a decimal exponent E on three uint64 words per field, takes
+p = N 10^E in long double with the same power table, and keeps the rounded
+double only where p (1 - 3 2^-63) and p (1 + 3 2^-63), which bracket the
+exact value, round to the same double: where the low bits of p's significand
+sit more than a few units from a halfway point.  A valid field it cannot
+certify goes through float() alone (none of the 131 072 fields of a
+fluid-io-3d benchmark input did).  A field outside the grammar, or long
+double as plain double, makes parse_fields return None, so the caller reads
+the file with its general parser instead.
 """
 
 from __future__ import annotations
@@ -23,6 +36,7 @@ import functools
 import re
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 _FIELD = re.compile(r"%s|%\.17g")
 _SLOT = 32          # bytes per float: head word, 16 digits, exponent word
@@ -32,13 +46,14 @@ _X_END = 331        # (X = -331) stands for zero and non-finite values
 
 
 @functools.cache
-def _format_tables():
-    """Lookup tables of `format17`, indexed by decimal exponent or digit group."""
-    xs = range(-_X_OFF, _X_END)
-    # 10^(16 - X) rounded to a 64-bit significand q: the uint64 -> long double
-    # cast and ldexp are exact, so the power's only error is that rounding
+def _powers_of_ten() -> np.ndarray:
+    """10^(16 - X) in long double at index X + _X_OFF, the encoder's and the decoder's power.
+
+    Each is rounded to a 64-bit significand q: the uint64 -> long double cast
+    and ldexp are exact, so the power's only error is that rounding.
+    """
     mant, shift = [], []
-    for x in xs:
+    for x in range(-_X_OFF, _X_END):
         num, den = 10 ** max(16 - x, 0), 10 ** max(x - 16, 0)
         e = num.bit_length() - den.bit_length() - 64
         num, den = num << max(-e, 0), den << max(e, 0)
@@ -48,7 +63,14 @@ def _format_tables():
         q += 2 * r >= den
         mant.append(q >> (q >> 64))         # q = 2^64 becomes 2^63 ...
         shift.append(e + (q >> 64))         # ... times 2
-    pow10 = np.ldexp(np.array(mant, np.uint64).astype(np.longdouble), np.array(shift, np.int32))
+    return np.ldexp(np.array(mant, np.uint64).astype(np.longdouble), np.array(shift, np.int32))
+
+
+@functools.cache
+def _format_tables():
+    """Lookup tables of `format17`, indexed by decimal exponent or digit group."""
+    xs = range(-_X_OFF, _X_END)
+    pow10 = _powers_of_ten()
     # roundings + 1 (the power is exact up to 10^27 < 2^64, so one rounding
     # there), or inf where the layout has no place for X: 10 <= |x| < 1e17
     # and the zero/non-finite entry
@@ -186,3 +208,152 @@ def vector_section(row_fmt: str, columns, rows: int):
         return part.tobytes().translate(None, b"\0")
 
     return encode
+
+
+# ---------------------------------------------------------------------------
+# decoding
+
+_DECIMAL = re.compile(rb"-?[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]{2,3})?")
+_LANE = 24                  # bytes of a field decoded in lanes; longer ones go to float()
+_PARSE_BLOCK = 1 << 14      # fields per block: 2^11 and whole 32^3 files both ran slower
+_U = np.uint64
+_BELOW = 1 - np.longdouble(3 * 2.0 ** -63)     # exact when nmant >= 63
+_ABOVE = 1 + np.longdouble(3 * 2.0 ** -63)
+_POINT_BYTE = np.array([[0x0001020304050607 + (8 * j + 1) * 0x0101010101010101]
+                        for j in range(3)], np.uint64)
+
+
+def _bytes8(byte: int) -> np.uint64:
+    """A uint64 word with every byte equal to byte."""
+    return _U(byte * 0x0101010101010101)
+
+
+@functools.cache
+def _parse_tables():
+    """Lane tables of `parse_lanes`, indexed by a byte count or exponent width r."""
+    # the last k bytes of a lane, as its three little-endian words
+    tail = np.array([[0] * (_LANE - k) + [255] * k for k in range(_LANE + 1)], np.uint8)
+    tail = tail.view("<u8").T.astype(np.uint64)
+    # per exponent width r (4 for "e+dd", 5 for "e+ddd", 0 for none): the top
+    # bits of 'e' and its sign in word 2; 10^(16 - r), 10^r and the bound on
+    # word 0's 8 digits that keeps N below 2^64
+    marks = [bytes(8 - r) + b"\x80\x80" + bytes(r - 2) if r >= 4 else bytes(8) for r in range(6)]
+    marks = np.frombuffer(b"".join(marks), "<u8").astype(np.uint64)
+    scale = np.array([[10 ** (16 - r), 10 ** r, 1000 * 10 ** r] for r in range(6)], np.uint64).T
+    tens = np.array([10 ** k for k in range(20)], np.uint64)
+    nines = np.array([0] + [9 * 10 ** k for k in range(19)], np.uint64)  # 9 10^(k - 1)
+    return tail, marks, scale, tens, nines
+
+
+def _eight_digits(w: np.ndarray) -> np.ndarray:
+    """The value of 8 decimal digits per uint64 word, one per byte, the first in the low byte."""
+    w = w * _U(10) + (w >> _U(8))                 # digit pairs in bytes 0, 2, 4, 6
+    pairs = _U(0x000000FF000000FF)
+    w = ((w & pairs) * _U(100 + (10 ** 6 << 32))
+         + ((w >> _U(16)) & pairs) * _U(1 + (10 ** 4 << 32))) >> _U(32)
+    return w & _U(0xFFFFFFFF)
+
+
+def parse_lanes(u: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """(values, valid, exact) of the decimal fields u[s:e], one lane per field.
+
+    u is a uint8 array and every end is at least 24.  valid marks fields of at
+    most 24 bytes in the strict grammar; exact marks valid fields whose value
+    is certified to equal float(field), which values then holds.
+    """
+    tail, marks, scale, tens, nines = _parse_tables()
+    length = ends - starts
+    neg = u[starts] == ord("-")
+    body = np.minimum(length, _LANE) - neg          # bytes after the sign
+    # the 24 bytes that end at each field's end, byte i of the window in byte
+    # i % 8 of word i // 8; all but the field's last `body` bytes are cleared
+    w = sliding_window_view(u, _LANE)[ends - _LANE].view("<u8").T.astype(np.uint64)
+    inside = tail.take(body, axis=1)
+    w &= inside
+    # the top bit of every byte that is not a digit: below '0', above '9' or not ASCII
+    low7 = w & _bytes8(0x7F)
+    other = low7 + _bytes8(0x80 - ord("9") - 1)
+    other |= w
+    low7 += _bytes8(0x80 - ord("0"))
+    other |= np.invert(low7, out=low7)
+    other &= inside
+    other &= _bytes8(0x80)
+    # an exponent "e+dd" or "e+ddd" puts its 'e' in byte 20 or 19 (word 2)
+    w2 = w[2]
+    byte = w2 >> _U(24)
+    e19 = (byte & _U(255)) == ord("e")
+    byte >>= _U(8)
+    e20 = (byte & _U(255)) == ord("e")
+    e19 &= ~e20
+    r = e20 * 4 + e19 * 5                           # exponent bytes, 0 if none
+    esign = np.where(e20, byte >> _U(8), byte) & _U(255)
+    hundreds = ((w2 >> _U(40)) & _U(255)).astype(np.int64) - ord("0")
+    exp10 = (((w2 >> _U(48)) & _U(255)) * _U(10) + (w2 >> _U(56))).astype(np.int64)
+    exp10 += e19 * (100 * hundreds) - 11 * ord("0")  # the last two bytes are 10 d + d'
+    exp10 = np.where(esign == ord("-"), -exp10, exp10) * (r > 0)
+    # with the exponent's 'e' and sign cleared, the one non-digit left may be
+    # the point.  A lone top bit 8k + 7 of word j, times 0x0001..07 plus
+    # 8j + 1 in every byte, leaves 8j + k + 1 in the top byte.  Two or more
+    # bits leave a byte past all of them: a digit, or past the field's end
+    # (the check reads the last byte then), where decimals < 1 rejects it
+    other[2] ^= marks.take(r)
+    at = other >> _U(7)
+    at *= _POINT_BYTE
+    at >>= _U(56)
+    at = (at[0] + at[1] + at[2]).astype(np.int64)  # the point's byte + 1, or 0
+    has_point = at > 0
+    at = np.where(has_point, at - 1, _LANE - r)
+    valid = (length >= 1) & (length <= _LANE) & (at > _LANE - body)   # a digit before the point
+    valid &= (r == 0) | (esign == ord("-")) | (esign == ord("+"))
+    valid &= ~has_point | (u[ends - _LANE + np.minimum(at, _LANE - 1)] == ord("."))
+    decimals = _LANE - 1 - r - at                   # digits after the point, -1 without one
+    valid &= ~has_point | (decimals >= 1)
+    # digit values, with the point, the exponent and the cleared bytes as 0:
+    # the words read as n1 10^r, n1 = N 10 + 0 in the point's place
+    other >>= _U(7)
+    w &= ~(other * _U(255))
+    w &= _bytes8(0x0F)
+    w[2] &= ~tail[2].take(r)
+    v = _eight_digits(w)
+    top, down, bound = scale.take(r, axis=1)
+    n1 = v[0] * top + (v[1] * _U(10 ** 8) + v[2]) // down
+    k = np.where(has_point, decimals + 1, 0)
+    n = n1 - n1 // tens.take(k, mode="clip") * nines.take(k, mode="clip")
+    e = exp10 - np.maximum(decimals, 0)
+    index = 16 + _X_OFF - e                         # 10^e's place in _powers_of_ten
+    pow10 = _powers_of_ten()
+    with np.errstate(all="ignore"):
+        p = n.astype(np.longdouble) * pow10.take(index, mode="clip")
+        # p is N 10^e after two roundings of at most 2^-64: where both ends of
+        # p (1 -+ 3 2^-63) round to the same double, N 10^e rounds to it too
+        values = (p * _BELOW).astype(np.float64)
+        exact = values == (p * _ABOVE).astype(np.float64)
+    exact &= (index >= 0) & (index < len(pow10)) & (v[0] < bound) & valid
+    return np.negative(values, out=values, where=neg), valid, exact
+
+
+def parse_fields(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """float(data[s:e]) of every field, or None if one breaks the strict grammar.
+
+    Blocks of fields go through `parse_lanes`; a field it leaves uncertified,
+    or longer than 24 bytes (checked against the grammar first), goes through
+    float() alone.  None also when long double is plain double (nmant < 63)
+    or a field ends within the first 24 bytes of data.
+    """
+    if np.finfo(np.longdouble).nmant < 63 or (ends.size and ends.min() < _LANE):
+        return None
+    u = np.frombuffer(data, np.uint8)
+    out = np.empty(len(ends))
+    for a in range(0, len(ends), _PARSE_BLOCK):
+        s, e = starts[a:a + _PARSE_BLOCK], ends[a:a + _PARSE_BLOCK]
+        values, valid, exact = parse_lanes(u, s, e)
+        long = e - s > _LANE
+        if not (valid | long).all():
+            return None
+        out[a:a + len(e)] = values
+        for i in np.flatnonzero(~exact).tolist():
+            text = data[s[i]:e[i]]
+            if long[i] and not _DECIMAL.fullmatch(text):
+                return None
+            out[a + i] = float(text)
+    return out

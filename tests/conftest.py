@@ -1,7 +1,8 @@
 """Hypothesis profiles; pick one with `--hypothesis-profile`.
 
-`ci` runs the CSV encoder's property test (tests/test_csv_encoder.py) on
-20 000 derandomized examples; the default profile stays as it is.
+`ci` runs the property tests of the CSV encoder (tests/test_csv_encoder.py)
+and of the snapshot reader (tests/test_snapshot_reader.py) on 20 000
+derandomized examples each; the default profile stays as it is.
 """
 
 from hypothesis import settings

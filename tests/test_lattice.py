@@ -318,6 +318,13 @@ def test_read_snapshot_error_branches(tmp_path):
     with pytest.raises(SnapshotIOError, match="rows"):
         read_snapshot(short, grid)
 
+    # a header and no rows, or only a blank line: no loadtxt warning, and the row count named
+    for body in ("", "\n"):
+        empty = tmp_path / "e.csv"
+        empty.write_text(lines[0] + "\n" + body)
+        with pytest.raises(SnapshotIOError, match=r"e.csv: 0 rows, expected 8, 16 or 32"):
+            read_snapshot(empty, grid)
+
     # duplicate one row in place of another: right row count, missing a point
     dup = tmp_path / "d.csv"
     dup.write_text("\n".join(lines[:-1] + [lines[1]]) + "\n")
