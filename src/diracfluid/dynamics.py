@@ -16,11 +16,14 @@ fresh array.  The stencil rides along on the states a step returns, so a
 trajectory reuses one set of buffers and frees it when the loop ends.  Each
 step computes max|psi| once; the next step's growth check and the cumulative
 runaway check reuse it.  Levels are bit-identical to the einsum and np.roll
-form of the equations, which the tests keep as the reference.
+form of the equations, which the tests keep as the reference.  Small-grid
+steps pay per numpy call, so `Stencil.constants` keeps, per (h, mu), the stage
+fractions and one (2, 1, ...) factor [-i*mu, +i*mu] for both mass terms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +73,7 @@ class SpinorTrajectory:
 def check_growth(old_max: float, new_max: float, x0: float, params: PhysParams,
                  name: str) -> None:
     """The one-step instability detector shared by both steppers."""
-    if not np.isfinite(new_max):
+    if not math.isfinite(new_max):
         raise NumericalInstabilityError(f"non-finite {name} after step to x0={x0:g}")
     if old_max > 0 and new_max > params.instability_growth * old_max:
         raise NumericalInstabilityError(
@@ -79,13 +82,18 @@ def check_growth(old_max: float, new_max: float, x0: float, params: PhysParams,
         )
 
 
-def _rhs(st: Stencil, mu: float, out: np.ndarray) -> np.ndarray:
-    """d0 of the stacked stage held in st.inner, into out."""
-    y, sdg = st.inner, st.scratch[0]
-    st.sigma_dot_grad(y, sdg)
-    np.multiply(-1j * mu, y[0], out=out[0])
-    np.multiply(1j * mu, y[1], out=out[1])
-    return np.subtract(out, sdg[::-1], out=out)
+def _rk4_constants(st: Stencil, h: float, mu: float):
+    """Stage (fraction, weight) pairs, h/6, the mass factor, and sigma.D's buffer swapped."""
+    half, whole, sixth, two = (np.array(v, complex) for v in (0.5 * h, h, h / 6.0, 2.0))
+    mass = np.reshape([-1j * mu, 1j * mu], (2,) + (1,) * (st.inner.ndim - 1))
+    return ((half, two), (half, two), (whole, None)), sixth, mass, st.scratch[0][::-1]
+
+
+def _rhs(st: Stencil, mass: np.ndarray, swapped: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """d0 of the stacked stage held in st.inner, into out: mass * y - (sigma.D y) swapped."""
+    st.sigma_dot_grad(st.inner, st.scratch[0])
+    np.multiply(mass, st.inner, out=out)
+    return np.subtract(out, swapped, out=out)
 
 
 def sigma_dot_grad(psi: np.ndarray, grid: Grid, order: int = 2) -> np.ndarray:
@@ -113,18 +121,18 @@ def step(state: DiracState, dt: float, params: PhysParams, order: int = 2) -> Di
     params.instability_growth in the step or any value goes non-finite.
     """
     h = params.c * dt
-    mu = params.mass_wavenumber
     p = state.psi
     st = Stencil.reuse(state.stencil, p.shape, state.grid, order, 4)
+    stages, h6, mass, swapped = st.constants(_rk4_constants, h, params.mass_wavenumber)
     y, (_, k, acc, tmp) = st.inner, st.scratch
     np.copyto(y, p)
-    slope = _rhs(st, mu, acc)                               # acc = k1
-    for frac, weight in ((0.5 * h, 2.0), (0.5 * h, 2.0), (h, None)):
+    slope = _rhs(st, mass, swapped, acc)                    # acc = k1
+    for frac, weight in stages:
         np.add(p, np.multiply(frac, slope, out=tmp), out=y)
-        slope = _rhs(st, mu, k)
+        slope = _rhs(st, mass, swapped, k)
         np.add(acc, k if weight is None else np.multiply(weight, k, out=tmp), out=acc)
-    new = np.add(p, np.multiply(h / 6.0, acc, out=acc))    # k1 + 2 k2 + 2 k3 + k4
-    new_max = float(np.abs(new).max())
+    new = np.add(p, np.multiply(h6, acc, out=acc))          # k1 + 2 k2 + 2 k3 + k4
+    new_max = float(np.maximum.reduce(np.abs(new), axis=None))
     check_growth(state.max_abs, new_max, state.x0 + h, params, "psi")
     return DiracState.__new__(DiracState)._set(new, state.x0 + h, state.grid, new_max, st)
 

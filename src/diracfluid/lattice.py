@@ -26,6 +26,7 @@ import functools
 import hashlib
 import io
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -111,7 +112,9 @@ class Stencil:
     keeps one instance, with its scratch buffers, across its steps.  The
     derivatives repeat the np.roll expressions they replace ufunc for ufunc,
     and sigma_dot_grad matches the einsum contraction it replaces, so results
-    are bit-identical to both.
+    are bit-identical to both.  A small-grid step pays per numpy call, so an
+    instance builds its slices once, and its Pauli factors, scratch fields and
+    a stepper's `constants` (0-d arrays: cheap ufunc operands) on first use.
     """
 
     def __init__(self, shape, grid: Grid, order: int = 2, dtype=complex, scratch: int = 0):
@@ -120,8 +123,8 @@ class Stencil:
         shape = tuple(shape)
         if shape[len(shape) - grid.dims:] != grid.shape:
             raise GridError(f"field shape {shape} does not end with grid shape {grid.shape}")
-        self.key = (shape, grid, order)
-        self.grid, self.order = grid, order
+        self.key, self._made = (shape, grid, order), (None, None)
+        self.grid, self.order, self.dims = grid, order, grid.dims
         g, lead = order // 2, (slice(None),) * (len(shape) - grid.dims)
         self.pad = np.empty(shape[:len(lead)] + tuple(n + 2 * g for n in grid.shape), dtype)
         inner = [slice(g, g + n) for n in grid.shape]
@@ -152,14 +155,22 @@ class Stencil:
     def load(self, f: np.ndarray) -> None:
         """Copy f into the padded buffer (unless it is `inner`) and fill the ghosts."""
         if f is not self.inner:
-            np.copyto(self.inner, f)
+            np.copyto(self.inner, f)  # same-kind casting: a complex f into a real pad raises
         for ghost, source in self.ghosts:
-            np.copyto(ghost, source)
+            ghost[...] = source  # pad to pad, one dtype: no need for copyto's dispatch
 
     # scratch fields made on first use: e holds the axes past the first of a
     # multi-axis sum, t the second product of an order-4 difference
     e = functools.cached_property(lambda self: np.empty_like(self.inner))
     t = functools.cached_property(lambda self: np.empty_like(self.inner))
+    sigma = None  # sigma_dot_grad's factors, made on its first call
+
+    def constants(self, make, h: float, mu: float):
+        """make(self, h, mu): a stepper's constants, rebuilt when make, h or mu changes."""
+        key = (make, h, math.copysign(1.0, h), mu)  # -0.0 and +0.0 give other bits
+        if self._made[0] != key:
+            self._made = key, make(self, h, mu)
+        return self._made[1]
 
     def first_numerator(self, axis: int, out: np.ndarray) -> np.ndarray:
         """The loaded field's first difference along axis, before its division."""
@@ -177,13 +188,13 @@ class Stencil:
     def gradient(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
         """d_i f for every spatial axis i into out[i], out of shape (dims, *f.shape)."""
         self.load(f)
-        for axis in range(self.grid.dims):
+        for axis in range(self.dims):
             self.first(axis, out[axis])
         return out
 
     def laplacian(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
         """sum_i D_i D_i f, axes summed left to right: the square of sigma.D."""
-        for axis in range(self.grid.dims):
+        for axis in range(self.dims):
             d = out if axis == 0 else self.e
             for source in (f, d):
                 self.load(source)
@@ -201,15 +212,19 @@ class Stencil:
         the final +0.0 turns -0.0 into +0.0, as that einsum did.
         """
         self.load(f)
-        dims, flip = self.grid.dims, self.flip
-        self.first_numerator(0, out[flip])
-        np.multiply(out, 1.0 / self.div1[0], out=out)
-        for axis, factors in ((1, [-1j, 1j]), (2, [1.0, -1.0]))[:dims - 1]:
-            swap = flip if axis == 1 else Ellipsis
-            self.first_numerator(axis, self.e[swap])
-            factor = np.reshape(factors, (2,) + (1,) * dims) * (1.0 / self.div1[axis])
+        if self.sigma is None:  # 1/div1 of axis 0 and +0.0, then (e's view, factor) per axis
+            dtype, shape = self.pad.dtype, (2,) + (1,) * self.dims
+            views = (self.e[self.flip], self.e) if self.dims > 1 else ()
+            self.sigma = [np.array(1.0 / self.div1[0], dtype), np.zeros((), dtype)] + [
+                (e, np.reshape(pauli, shape) * (1.0 / d))
+                for e, pauli, d in zip(views, ([-1j, 1j], [1.0, -1.0]), self.div1[1:])]
+        inv_div, zero, *later = self.sigma
+        self.first_numerator(0, out[self.flip])
+        np.multiply(out, inv_div, out=out)
+        for axis, (e, factor) in enumerate(later, 1):
+            self.first_numerator(axis, e)
             np.add(out, np.multiply(self.e, factor, out=self.e), out=out)
-        return np.add(out, 0.0, out=out)
+        return np.add(out, zero, out=out)
 
 
 def spatial_derivative(f: np.ndarray, grid: Grid, axis: int, order: int = 2) -> np.ndarray:

@@ -108,6 +108,11 @@ def initialize_reduced(initial: DiracState) -> ReducedState:
     )
 
 
+def _reduced_constants(st: Stencil, h: float, mu: float):
+    """2, 1 - i*mu*h, h^2, 1 + i*mu*h and the trapezoid's h/2, as 0-d complex arrays."""
+    return [np.array(v, complex) for v in (2, 1 - 1j * mu * h, h * h, 1 + 1j * mu * h, 0.5 * h)]
+
+
 def reduced_step(state: ReducedState, dt: float, params: PhysParams,
                  order: int = 2, initial_slope: np.ndarray | None = None) -> ReducedState:
     """Advance one step of size dt.
@@ -122,6 +127,7 @@ def reduced_step(state: ReducedState, dt: float, params: PhysParams,
     psi = state.psi1hat
     st = Stencil.reuse(state.stencil, psi.shape, state.grid, order, 3)
     lap, a, b = st.scratch
+    two, behind, h2, ahead, half_h = st.constants(_reduced_constants, h, mu)
     st.laplacian(psi, lap)
     if state.psi1hat_prev is None:
         if initial_slope is None:
@@ -129,12 +135,12 @@ def reduced_step(state: ReducedState, dt: float, params: PhysParams,
         # second-order Taylor start: psi + h*D + h^2/2 * (lap psi - 2i*mu*D)
         new = psi + h * initial_slope + 0.5 * h * h * (lap - 2j * mu * initial_slope)
     else:
-        np.subtract(np.multiply(2.0, psi, out=a),
-                    np.multiply(1.0 - 1j * mu * h, state.psi1hat_prev, out=b), out=a)
-        new = np.divide(np.add(a, np.multiply(h * h, lap, out=b), out=a), 1.0 + 1j * mu * h)
-    new_max = float(np.abs(new).max())
+        np.subtract(np.multiply(two, psi, out=a),
+                    np.multiply(behind, state.psi1hat_prev, out=b), out=a)
+        new = np.divide(np.add(a, np.multiply(h2, lap, out=b), out=a), ahead)
+    new_max = float(np.maximum.reduce(np.abs(new), axis=None))
     check_growth(state.max_abs, new_max, state.x0 + h, params, "psi1hat")
-    integral = np.add(state.int_psi1hat, np.multiply(0.5 * h, np.add(psi, new, out=a), out=a))
+    integral = np.add(state.int_psi1hat, np.multiply(half_h, np.add(psi, new, out=a), out=a))
     return ReducedState(new, psi, integral, state.x0 + h, state.grid, new_max, st)
 
 

@@ -2,7 +2,9 @@
 
 `ci` runs the property tests of the CSV encoder (tests/test_csv_encoder.py)
 and of the snapshot reader (tests/test_snapshot_reader.py) on 20 000
-derandomized examples each; the default profile stays as it is.
+derandomized examples each, and the bit-identity properties of the stencil
+kernel (tests/test_stencil_kernel.py, which sets its own count) on 2 000 each;
+the default profile stays as it is.
 """
 
 from hypothesis import settings

@@ -6,6 +6,8 @@ The kernel repeats their arithmetic ufunc for ufunc, so every comparison is
 on bit patterns (uint64 views), which also tells -0.0 from +0.0.
 Fields carry signed zeros, both at random points and as whole components that
 stay exactly zero, because those are where reordered arithmetic would show.
+The ci hypothesis profile (conftest.py) runs each property on 2 000
+derandomized examples; other profiles keep the counts given below.
 """
 
 import numpy as np
@@ -139,13 +141,19 @@ def _field(rng, shape, zero_component=True):
     return out
 
 
+def examples(n):
+    """Settings for a property: n examples, or 2 000 under the ci profile."""
+    ci = settings.get_current_profile_name() == "ci"
+    return settings(max_examples=2_000 if ci else n, deadline=None)
+
+
 cases = st.tuples(st.integers(1, 3),
                   st.lists(st.integers(8, 11), min_size=3, max_size=3),
                   st.sampled_from([2, 4]),
                   st.integers(0, 2 ** 32 - 1))
 
 
-@settings(max_examples=40, deadline=None)
+@examples(40)
 @given(cases)
 def test_stencils_match_roll_reference(case):
     dims, points, order, seed = case
@@ -160,7 +168,7 @@ def test_stencils_match_roll_reference(case):
             assert_bit_equal(laplacian(g, grid, order), ref_laplacian(g, grid, order))
 
 
-@settings(max_examples=40, deadline=None)
+@examples(40)
 @given(cases)
 def test_four_gradient_matches_per_axis_reference(case):
     # one all-axes stencil pass gives the bits of one roll derivative per axis;
@@ -179,7 +187,7 @@ def test_four_gradient_matches_per_axis_reference(case):
             assert_bit_equal(got[1 + dims:], np.zeros_like(got[1 + dims:]))
 
 
-@settings(max_examples=40, deadline=None)
+@examples(40)
 @given(cases)
 def test_sigma_dot_grad_and_rhs_match_einsum_reference(case):
     dims, points, order, seed = case
@@ -193,7 +201,7 @@ def test_sigma_dot_grad_and_rhs_match_einsum_reference(case):
         assert_bit_equal(got, want)
 
 
-@settings(max_examples=30, deadline=None)
+@examples(30)
 @given(cases, st.integers(1, 4))
 def test_rk4_steps_match_reference(case, n_steps):
     dims, points, order, seed = case
@@ -209,7 +217,7 @@ def test_rk4_steps_match_reference(case, n_steps):
         assert_bit_equal(state.psi2, p2)
 
 
-@settings(max_examples=30, deadline=None)
+@examples(30)
 @given(cases, st.integers(1, 5))
 def test_reduced_steps_match_reference(case, n_steps):
     dims, points, order, seed = case
@@ -230,7 +238,53 @@ def test_reduced_steps_match_reference(case, n_steps):
         assert_bit_equal(state.int_psi1hat, integral)
 
 
-@settings(max_examples=30, deadline=None)
+# (dt / grid.dt, params) per step: h alone changes, mu alone changes (c = 1 keeps h), both change
+_STEP_SIZES = ((1.0, PhysParams()), (0.5, PhysParams()), (0.5, PhysParams(m=1.7)),
+               (1.0, PhysParams(m=1.7)), (0.75, PhysParams(m=0.6, c=1.3)), (1.0, PhysParams()))
+
+
+@pytest.mark.parametrize("dims, order", [(1, 2), (2, 4), (3, 2)])
+def test_step_constants_follow_dt_and_params(dims, order):
+    # both steppers keep per-(h, mu) constants on the stencil a state carries: one
+    # stencil stepping through other dt and params must not keep stale constants
+    grid = _grid(dims, [9, 8, 10], order)
+    rng = np.random.default_rng(dims)
+    initial = DiracState(_field(rng, (2,) + grid.shape), _field(rng, (2,) + grid.shape),
+                         0.0, grid)
+    slope = initial_time_derivative(initial, PhysParams(), order)
+    state, red = initial, initialize_reduced(initial)
+    p1, p2 = initial.psi1, initial.psi2
+    psi, prev, integral = initial.psi1.copy(), None, np.zeros_like(initial.psi1)
+    for frac, params in _STEP_SIZES:
+        dt = frac * grid.dt
+        state = step(state, dt, params, order=order)
+        red = reduced_step(red, dt, params, order=order, initial_slope=slope)
+        p1, p2 = ref_step(p1, p2, grid, dt, params, order)
+        new, integral = ref_reduced_step(psi, prev, integral, grid, dt, params, order, slope)
+        psi, prev = new, psi
+        assert_bit_equal(state.psi1, p1)
+        assert_bit_equal(state.psi2, p2)
+        assert_bit_equal(red.psi1hat, psi)
+        assert_bit_equal(red.int_psi1hat, integral)
+    assert state.stencil is step(state, grid.dt, PhysParams(), order=order).stencil
+    assert red.stencil is reduced_step(red, grid.dt, PhysParams(), order=order).stencil
+
+
+def test_loading_a_complex_field_into_a_real_stencil_raises():
+    # a caller's field enters the pad through np.copyto's same-kind casting; a
+    # slice assignment would drop the imaginary part (with only a warning)
+    grid = _grid(2, [8, 9, 8], 4)
+    rng = np.random.default_rng(0)
+    real = Stencil(grid.shape, grid, 4, float)
+    f = _field(rng, (1,) + grid.shape, zero_component=False)[0]
+    with pytest.raises(TypeError):
+        real.load(f)
+    with pytest.raises(TypeError):
+        real.laplacian(f, np.empty(grid.shape))
+    assert_bit_equal(real.laplacian(f.real, np.empty(grid.shape)), ref_laplacian(f.real, grid, 4))
+
+
+@examples(30)
 @given(cases, st.integers(1, 3), st.integers(1, 4))
 def test_in_place_unhat_matches_reference(case, record_every, n_records):
     # evolve_reduced overwrites its recorded hatted levels with (psi1, psi2);
