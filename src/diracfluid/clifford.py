@@ -52,10 +52,3 @@ def anticommutation_deviation() -> float:
     target = 2.0 * np.diag(METRIC_SIGNATURE)[:, :, np.newaxis, np.newaxis] * I4
     return float(np.max(np.abs(anti - target)))
 
-
-def sigma_dot(k) -> np.ndarray:
-    """k_i sigma^i for a 3-component wave vector (2x2 complex matrix)."""
-    k = np.asarray(k, dtype=float)
-    if k.shape != (3,):
-        raise ValueError(f"sigma_dot needs 3 components, got shape {k.shape}")
-    return k[0] * _SIGMA[0] + k[1] * _SIGMA[1] + k[2] * _SIGMA[2]

@@ -26,6 +26,11 @@ class PhysParams:
         for name in ("hbar", "m", "c"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"physics.{name} must be positive")
+        if not self.instability_growth > 1:  # a limit of 1 or less is not a growth limit
+            raise ConfigError("physics.instability_growth must exceed 1")
+        for name in ("eps_density_rel", "eps_beta_rel"):  # 1 or more masks all but the max
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"physics.{name} must lie in [0, 1)")
 
     @property
     def mass_wavenumber(self) -> float:

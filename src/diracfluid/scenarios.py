@@ -17,11 +17,14 @@ A scenario file looks like
     }
 
 Unknown keys anywhere are rejected with the dotted path of the offender.
-Recipes: rest_state, plane_wave, gaussian_packet, custom.  Wave closures put
-the lower components in the exact eigenmode relation
-psi2 = c hbar (sigma.k)/(E + m c^2) psi1 (positive branch; the negative
-branch carries the amplitude in psi2 instead).  Gaussian packets apply that
-closure mode by mode in Fourier space so no free oscillation is excited.
+Recipes: rest_state, plane_wave, gaussian_packet, custom; `RECIPES` declares
+each one's dataclass, whose fields are its keys, and its summary.  A plane
+wave and a Gaussian packet are one wave recipe: the leading spinor is
+amplitude * spin pair * envelope * e^{ik.x} (no envelope for a plane wave),
+and `positive_energy_closure` forms the other one mode by mode in Fourier
+space, psi2(q) = c hbar (sigma.q)/(E(q) + m c^2) psi1(q), so no free
+oscillation is excited.  The negative energy branch of a plane wave carries
+the amplitude in psi2 and takes psi1 = -C psi2.
 """
 
 from __future__ import annotations
@@ -29,26 +32,17 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .clifford import pauli, sigma_dot
+from .clifford import pauli
 from .dynamics import DiracState, n_steps_for
 from .errors import ConfigError
 from .lattice import Grid, make_grid, read_snapshot
 from .params import PhysParams
 from .reduction import max_stable_step
-
-RECIPE_NAMES = ("rest_state", "plane_wave", "gaussian_packet", "custom")
-
-RECIPE_SUMMARIES = {
-    "rest_state": "uniform spinor at rest; exact phase rotation e^{-i mu x0}",
-    "plane_wave": "single Fourier mode with the exact energy-branch closure",
-    "gaussian_packet": "Gaussian envelope, modewise positive-energy closure",
-    "custom": "psi1/psi2 read from snapshot CSV files",
-}
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_-]+")
 
@@ -58,14 +52,6 @@ _TOP_KEYS = {"name", "grid", "physics", "initial_data", "duration",
 _GRID_KEYS = {"extents", "points", "dt", "cfl_factor"}
 _PHYS_KEYS = {"hbar", "m", "c", "eps_density_rel", "eps_beta_rel",
               "instability_growth"}
-_RECIPE_KEYS = {
-    "rest_state": {"recipe", "amplitude", "spin_angle", "relative_phase"},
-    "plane_wave": {"recipe", "k", "amplitude", "spin_angle", "relative_phase",
-                   "energy_branch"},
-    "gaussian_packet": {"recipe", "k", "center", "width", "amplitude",
-                        "spin_angle", "relative_phase"},
-    "custom": {"recipe", "psi1_file", "psi2_file"},
-}
 _DIAGNOSTIC_NAMES = ("equivalence", "conservation", "identities",
                      "approximation_chain")
 
@@ -139,8 +125,16 @@ class CustomFields:
     base: str = "."  # the config's directory, which relative paths are read from
 
 
-_RECIPE_TAGS = {RestState: "rest_state", PlaneWave: "plane_wave",
-                GaussianPacket: "gaussian_packet", CustomFields: "custom"}
+# recipe name -> (dataclass, summary); a recipe's keys are its fields, less base
+RECIPES = {
+    "rest_state": (RestState, "uniform spinor at rest; exact phase rotation e^{-i mu x0}"),
+    "plane_wave": (PlaneWave, "single Fourier mode; the packets' modewise closure "
+                              "applied to one mode"),
+    "gaussian_packet": (GaussianPacket, "Gaussian envelope, modewise positive-energy closure"),
+    "custom": (CustomFields, "psi1/psi2 read from snapshot CSV files"),
+}
+RECIPE_NAMES = tuple(RECIPES)
+RECIPE_SUMMARIES = {name: summary for name, (_, summary) in RECIPES.items()}
 
 
 def _json_object(items) -> dict:
@@ -169,7 +163,8 @@ class Scenario:
         echo["physics"] = echo.pop("params")
         initial = echo.pop("recipe")
         initial.pop("base", None)  # where a custom recipe's files are read from
-        echo["initial_data"] = {"recipe": _RECIPE_TAGS[type(self.recipe)], **initial}
+        tag = next(name for name, (cls, _) in RECIPES.items() if type(self.recipe) is cls)
+        echo["initial_data"] = {"recipe": tag, **initial}
         return echo
 
 
@@ -210,7 +205,8 @@ def _parse_recipe(section: dict, grid: Grid, base: Path):
     if recipe not in RECIPE_NAMES:
         raise ConfigError(f"initial_data.recipe: unknown recipe {recipe!r}; "
                           f"choose from {', '.join(RECIPE_NAMES)}")
-    _reject_unknown(section, _RECIPE_KEYS[recipe], "initial_data")
+    keys = {"recipe"} | {f.name for f in fields(RECIPES[recipe][0])} - {"base"}
+    _reject_unknown(section, keys, "initial_data")
     amp = _as_float(section.get("amplitude", 1.0), "initial_data.amplitude")
     if recipe != "custom" and amp <= 0:
         raise ConfigError("initial_data.amplitude: must be positive")
@@ -380,65 +376,47 @@ def _spin_pair(chi: float, phase: float) -> np.ndarray:
     return np.array([np.cos(chi), np.exp(1j * phase) * np.sin(chi)])
 
 
-def _closure_matrix(k: np.ndarray, params: PhysParams) -> np.ndarray:
-    """c hbar (sigma.k) / (E + m c^2) with E = sqrt((c hbar k)^2 + (m c^2)^2)."""
-    chk = params.c * params.hbar * np.asarray(k, dtype=float)
-    energy = np.sqrt(np.sum(chk ** 2) + (params.m * params.c ** 2) ** 2)
-    return sigma_dot(chk) / (energy + params.m * params.c ** 2)
-
-
 def build_initial(scenario: Scenario) -> DiracState:
     """Realize the recipe as psi1/psi2 arrays on the grid at x0 = 0."""
     grid = scenario.grid
-    params = scenario.params
     recipe = scenario.recipe
-    shape = grid.shape
+    if isinstance(recipe, CustomFields):
+        psi = []
+        for key, name in (("psi1_file", recipe.psi1_file), ("psi2_file", recipe.psi2_file)):
+            path = Path(recipe.base) / name
+            psi.append(read_snapshot(path, grid))
+            if not np.isfinite(psi[-1]).all():
+                raise ConfigError(f"initial_data.{key}: {path} holds a non-finite value")
+        if psi[0].shape[0] != 2 or psi[1].shape[0] != 2:
+            raise ConfigError("custom initial data must hold 2 components per file")
+        return DiracState(psi1=psi[0], psi2=psi[1], x0=0.0, grid=grid)
 
+    pair = recipe.amplitude * _spin_pair(recipe.spin_angle, recipe.relative_phase)
+    pair = pair.reshape((2,) + (1,) * grid.dims)
     if isinstance(recipe, RestState):
-        pair = recipe.amplitude * _spin_pair(recipe.spin_angle, recipe.relative_phase)
-        psi1 = np.broadcast_to(pair.reshape(2, *([1] * grid.dims)), (2,) + shape).copy()
-        psi2 = np.zeros((2,) + shape, dtype=complex)
-        return DiracState(psi1=psi1.astype(complex), psi2=psi2, x0=0.0, grid=grid)
+        psi1 = np.broadcast_to(pair, (2,) + grid.shape)
+        return DiracState(psi1=psi1, psi2=np.zeros(psi1.shape, complex), x0=0.0, grid=grid)
 
-    if isinstance(recipe, PlaneWave):
-        xs = grid.meshes()
-        k = np.asarray(recipe.k)
-        phase_field = sum(k[a] * xs[a] for a in range(grid.dims))
-        wave = np.exp(1j * phase_field)
-        pair = recipe.amplitude * _spin_pair(recipe.spin_angle, recipe.relative_phase)
-        closure = _closure_matrix(k, params)
-        if recipe.energy_branch == "positive":
-            psi1 = pair.reshape(2, *([1] * grid.dims)) * wave[np.newaxis]
-            psi2 = np.einsum("ab,b...->a...", closure, psi1)
-        else:
-            psi2 = pair.reshape(2, *([1] * grid.dims)) * wave[np.newaxis]
-            psi1 = -np.einsum("ab,b...->a...", closure, psi2)
-        return DiracState(psi1=psi1, psi2=psi2, x0=0.0, grid=grid)
-
+    xs = grid.meshes()
+    wave = np.exp(1j * sum(recipe.k[a] * xs[a] for a in range(grid.dims)))
     if isinstance(recipe, GaussianPacket):
-        xs = grid.meshes()
-        k = np.asarray(recipe.k)
-        envelope = np.ones(shape)
+        envelope = np.ones(grid.shape)
         for a in range(grid.dims):
             envelope = envelope * np.exp(-(xs[a] - recipe.center[a]) ** 2
                                          / (2.0 * recipe.width[a] ** 2))
-        phase_field = sum(k[a] * xs[a] for a in range(grid.dims))
-        pair = recipe.amplitude * _spin_pair(recipe.spin_angle, recipe.relative_phase)
-        psi1 = pair.reshape(2, *([1] * grid.dims)) * (envelope * np.exp(1j * phase_field))[np.newaxis]
-        psi2 = positive_energy_closure(psi1, grid, params)
-        return DiracState(psi1=psi1, psi2=psi2, x0=0.0, grid=grid)
-
-    psi1 = read_snapshot(Path(recipe.base) / recipe.psi1_file, grid)
-    psi2 = read_snapshot(Path(recipe.base) / recipe.psi2_file, grid)
-    if psi1.shape[0] != 2 or psi2.shape[0] != 2:
-        raise ConfigError("custom initial data must hold 2 components per file")
-    return DiracState(psi1=psi1, psi2=psi2, x0=0.0, grid=grid)
+        wave = envelope * wave
+    lead = pair * wave[np.newaxis]
+    other = positive_energy_closure(lead, grid, scenario.params)
+    if isinstance(recipe, PlaneWave) and recipe.energy_branch == "negative":
+        return DiracState(psi1=-other, psi2=lead, x0=0.0, grid=grid)
+    return DiracState(psi1=lead, psi2=other, x0=0.0, grid=grid)
 
 
-def positive_energy_closure(psi1: np.ndarray, grid: Grid, params: PhysParams) -> np.ndarray:
-    """Modewise positive-energy closure: psi2(q) = c hbar (sigma.q) psi1(q)/(E(q)+mc^2)."""
+def positive_energy_closure(psi: np.ndarray, grid: Grid, params: PhysParams) -> np.ndarray:
+    """C psi with C(q) = c hbar (sigma.q)/(E(q)+mc^2) mode by mode: psi2 of the positive
+    energy branch from psi = psi1, or -psi1 of the negative one from psi = psi2."""
     axes = tuple(range(1, 1 + grid.dims))
-    psi1_hat = np.fft.fftn(psi1, axes=axes)
+    psi_hat = np.fft.fftn(psi, axes=axes)
     qs = np.meshgrid(*[2.0 * np.pi * np.fft.fftfreq(grid.points[a], d=grid.dx[a])
                        for a in range(grid.dims)], indexing="ij")
     chq = [params.c * params.hbar * q for q in qs]
@@ -448,5 +426,5 @@ def positive_energy_closure(psi1: np.ndarray, grid: Grid, params: PhysParams) ->
     denom = energy + params.m * params.c ** 2
     sigma_q = sum(pauli(i + 1).reshape(2, 2, *([1] * grid.dims))
                   * chq[i][np.newaxis, np.newaxis] for i in range(3))
-    psi2_hat = np.einsum("ab...,b...->a...", sigma_q, psi1_hat) / denom[np.newaxis]
-    return np.fft.ifftn(psi2_hat, axes=axes)
+    closed = np.einsum("ab...,b...->a...", sigma_q, psi_hat) / denom[np.newaxis]
+    return np.fft.ifftn(closed, axes=axes)

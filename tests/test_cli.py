@@ -108,6 +108,38 @@ def test_non_finite_config_values_exit_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_out_of_range_physics_tolerance_exits_1(tmp_path, capsys):
+    # a growth limit below 1 used to pass validation and stop the first step with exit 2
+    config = _write_config(tmp_path, _mini_config())
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--outdir", str(out),
+                 "--override", "physics.instability_growth=0.5"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "config error: physics.instability_growth must exceed 1")
+    assert not out.exists()
+
+
+def test_non_finite_custom_data_exits_1(tmp_path, capsys):
+    # a NaN or infinity in either file used to run one step and exit 2 as an instability
+    from diracfluid.lattice import make_grid, write_snapshot
+    grid = make_grid([6.283185307179586], [16])
+    good = np.ones((2, 16), complex)
+    write_snapshot(tmp_path / "good.csv", good, grid)
+    for name, value in (("nan.csv", complex(np.nan, 0.0)), ("inf.csv", complex(0.0, np.inf))):
+        bad = good.copy()
+        bad[0, 3] = value
+        write_snapshot(tmp_path / name, bad, grid)
+    out = tmp_path / "out"
+    for psi1, psi2, key, named in (("nan.csv", "good.csv", "psi1_file", "nan.csv"),
+                                   ("good.csv", "inf.csv", "psi2_file", "inf.csv")):
+        config = _write_config(tmp_path, _mini_config(
+            initial_data={"recipe": "custom", "psi1_file": psi1, "psi2_file": psi2}))
+        assert main(["run", "--config", config, "--outdir", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: initial_data.{key}: ") and named in err
+        assert list(out.iterdir()) == []   # no run tree and no staging directory
+
+
 def test_override_syntax_errors_exit_1(tmp_path, capsys):
     config = _write_config(tmp_path, _mini_config())
     out = str(tmp_path / "out")

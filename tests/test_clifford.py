@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diracfluid.clifford import anticommutation_deviation, gamma, pauli, sigma_dot
+from diracfluid.clifford import anticommutation_deviation, gamma, pauli
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -47,17 +47,3 @@ def test_gamma_blocks_frozen():
 def test_anticommutation_deviation_exactly_zero():
     assert anticommutation_deviation() == 0.0
 
-
-def test_sigma_dot_linear_and_hermitian():
-    k = np.array([0.3, -1.2, 0.5])
-    m = sigma_dot(k)
-    expected = k[0] * SIGMA_X + k[1] * SIGMA_Y + k[2] * SIGMA_Z
-    assert np.array_equal(m, expected)
-    assert np.array_equal(m, m.conj().T)
-    # (sigma.k)^2 = |k|^2 I
-    np.testing.assert_allclose(m @ m, np.dot(k, k) * np.eye(2), atol=1e-15)
-
-
-def test_sigma_dot_needs_three_components():
-    with pytest.raises(ValueError):
-        sigma_dot([1.0, 2.0])

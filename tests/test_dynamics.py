@@ -10,6 +10,7 @@ from diracfluid.errors import GridError, NumericalInstabilityError
 from diracfluid.lattice import make_grid, spatial_derivative
 from diracfluid.clifford import pauli
 from diracfluid.params import PhysParams
+from lattice_modes import kappa_dx
 
 
 def _rest_state(grid, chi=0.3, phase=0.7):
@@ -22,7 +23,7 @@ def _discrete_eigenmode(grid, k, params):
     """Single Fourier mode paired through the *stencil* wavenumber, so the
     semi-discrete evolution is exactly exp(-i omega_d x0)."""
     dx = grid.dx[0]
-    k_tilde = np.sin(k * dx) / dx
+    k_tilde = kappa_dx(k * dx, 2) / dx
     omega_d = np.sqrt(k_tilde ** 2 + params.mass_wavenumber ** 2)
     x = grid.axis_coordinates(0)
     wave = np.exp(1j * k * x)

@@ -18,6 +18,7 @@ from diracfluid.reduction import (compare_trajectories,
                                   kg_residual_norm, reduced_step,
                                   residual_series)
 from diracfluid.scenarios import build_initial, scenario_from_dict
+from lattice_modes import kappa_dx
 
 
 def _uniform_state(grid, amp=1.0):
@@ -137,8 +138,7 @@ def _full_scan_max_stable_step(grid, params, order):
     K = 0.0
     for n, dx in zip(grid.points, grid.dx):
         theta = 2.0 * np.pi * np.arange(n) / n
-        kdx = np.sin(theta) if order == 2 else (8.0 * np.sin(theta) - np.sin(2.0 * theta)) / 6.0
-        K += float(np.max(kdx ** 2)) / dx ** 2
+        K += float(np.max(kappa_dx(theta, order) ** 2)) / dx ** 2
     return 2.0 * float(np.hypot(np.sqrt(K), params.mass_wavenumber)) / K
 
 

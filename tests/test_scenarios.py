@@ -203,6 +203,30 @@ def test_plane_wave_negative_branch_swaps_carrier():
     assert np.all(state.psi2[1] == 0.0)
 
 
+@pytest.mark.parametrize("branch", ["positive", "negative"])
+@pytest.mark.parametrize("grid, k", [
+    ({"extents": [8.0 * np.pi, 4.0 * np.pi], "points": [64, 32]}, [0.5, -0.5]),
+    ({"extents": [4.0 * np.pi] * 3, "points": [16] * 3}, [0.5, -0.5, 0.5]),
+])
+def test_plane_wave_closure_on_oblique_k(grid, k, branch):
+    # k off every axis and a spin mixture, so sigma^1, sigma^2 and (in 3-D) sigma^3
+    # all enter; hbar, m and c away from 1 pin where each constant goes
+    hbar, m, c = 0.7, 1.3, 2.0
+    scenario = scenario_from_dict(_base_config(
+        grid=grid, physics={"hbar": hbar, "m": m, "c": c},
+        initial_data={"recipe": "plane_wave", "k": k, "amplitude": 1.5, "spin_angle": 0.4,
+                      "relative_phase": 1.1, "energy_branch": branch}))
+    state = build_initial(scenario)
+    kx, ky, kz = (k + [0.0])[:3]
+    energy = np.sqrt((c * hbar) ** 2 * (kx ** 2 + ky ** 2 + kz ** 2) + (m * c ** 2) ** 2)
+    closure = c * hbar * np.array([[kz, kx - 1j * ky], [kx + 1j * ky, -kz]]) / (energy + m * c ** 2)
+    lead, other = (state.psi1, state.psi2) if branch == "positive" else (state.psi2, -state.psi1)
+    wave = np.exp(1j * sum(k_a * x for k_a, x in zip(k, scenario.grid.meshes())))
+    pair = 1.5 * np.array([np.cos(0.4), np.exp(1.1j) * np.sin(0.4)])
+    np.testing.assert_allclose(lead, np.multiply.outer(pair, wave), rtol=1e-15)
+    np.testing.assert_allclose(other, np.einsum("ab,b...->a...", closure, lead), rtol=1e-13)
+
+
 def test_modewise_closure_reduces_to_plane_wave():
     grid = make_grid([8.0 * np.pi], [64])
     params = PhysParams()
@@ -255,6 +279,27 @@ def test_custom_recipe_needs_two_components(tmp_path):
         initial_data={"recipe": "custom", "psi1_file": "four.csv",
                       "psi2_file": "two.csv"}), base=tmp_path)
     with pytest.raises(ConfigError, match="2 components"):
+        build_initial(scenario)
+
+
+@pytest.mark.parametrize("which", ["psi1_file", "psi2_file"])
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.5), complex(0.5, np.nan),
+                                 complex(np.inf, 0.5), complex(0.5, -np.inf)])
+def test_custom_recipe_rejects_non_finite_values(tmp_path, which, bad):
+    # such data used to pass and stop the run one step later as an instability
+    grid = make_grid([8.0 * np.pi], [64])
+    rng = np.random.default_rng(41)
+    files = {}
+    for key in ("psi1_file", "psi2_file"):
+        psi = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
+        if key == which:
+            psi[1, 17] = bad
+        write_snapshot(tmp_path / f"{key}.csv", psi, grid)
+        files[key] = f"{key}.csv"
+    scenario = scenario_from_dict(_base_config(initial_data={"recipe": "custom", **files}),
+                                  base=tmp_path)
+    with pytest.raises(ConfigError, match=rf"^initial_data\.{which}: .*{which}\.csv holds a "
+                                          "non-finite value"):
         build_initial(scenario)
 
 
@@ -316,6 +361,29 @@ def test_load_scenario_errors(tmp_path):
 ])
 def test_non_finite_and_mistyped_values_rejected(overrides, where):
     _expect_config_error(_base_config(**overrides), where)
+
+
+@pytest.mark.parametrize("physics, where", [
+    ({"instability_growth": 0.5}, "instability_growth must exceed 1"),
+    ({"instability_growth": 1.0}, "instability_growth must exceed 1"),
+    ({"eps_density_rel": 2.0}, r"eps_density_rel must lie in \[0, 1\)"),
+    ({"eps_density_rel": 1.0}, r"eps_density_rel must lie in \[0, 1\)"),
+    ({"eps_density_rel": -1e-3}, r"eps_density_rel must lie in \[0, 1\)"),
+    ({"eps_beta_rel": 1.0}, r"eps_beta_rel must lie in \[0, 1\)"),
+    ({"eps_beta_rel": -0.5}, r"eps_beta_rel must lie in \[0, 1\)"),
+])
+def test_physics_tolerances_validated(physics, where):
+    # growth <= 1 trips the detector on a step that does not grow; a floor of 1
+    # or more masks every point but the maximum
+    _expect_config_error(_base_config(physics=physics), rf"^physics\.{where}")
+    with pytest.raises(ConfigError):
+        PhysParams(**physics)
+
+
+def test_physics_tolerance_edges_accepted():
+    params = scenario_from_dict(_base_config(physics={
+        "instability_growth": 1.0001, "eps_density_rel": 0.0, "eps_beta_rel": 0.999})).params
+    assert (params.instability_growth, params.eps_density_rel) == (1.0001, 0.0)
 
 
 _BASE_CONFIGS = [
