@@ -56,16 +56,29 @@ def max_stable_step(grid: Grid, params: PhysParams, order: int = 2) -> float:
     solving the bound for h gives h = 2 sqrt(K + mu^2) / K.  kappa^2 peaks at
     k*dx = t and 2 pi - t (t = pi/2 at order 2, arccos(1 - sqrt(1.5)) at
     order 4), so only the modes within 2 of those two are evaluated: the same
-    maximum, to the bit, as a scan of all N modes, without N-long arrays.
+    maximum, to the bit, as a scan of all N modes, without N-long arrays.  Where
+    dx^2 or K leaves the float range, K = Q / D^2 with D the finest spacing.
     """
     peak = np.pi / 2 if order == 2 else np.arccos(1.0 - np.sqrt(1.5))
-    K = 0.0
+    peaks = []  # (max (kappa dx)^2, dx) per axis
     for n, dx in zip(grid.points, grid.dx):
         near = np.rint(np.array([[peak], [2.0 * np.pi - peak]]) * n / (2.0 * np.pi))
         theta = 2.0 * np.pi * np.clip(near + np.arange(-2, 3), 0, n - 1) / n
         kdx = np.sin(theta) if order == 2 else (8.0 * np.sin(theta) - np.sin(2.0 * theta)) / 6.0
-        K += float(np.max(kdx ** 2)) / dx ** 2
-    return 2.0 * float(np.hypot(np.sqrt(K), params.mass_wavenumber)) / K  # mu^2 may overflow
+        peaks.append((float(np.max(kdx ** 2)), dx))
+    mu = params.mass_wavenumber
+    K = 0.0
+    try:
+        for k2, dx in peaks:
+            K += k2 / dx ** 2
+        h = 2.0 * float(np.hypot(np.sqrt(K), mu)) / K  # mu^2 may overflow
+        if not np.isnan(h):  # inf / inf when K overflows
+            return h
+    except (OverflowError, ZeroDivisionError):  # dx^2 overflows or underflows to 0
+        pass
+    D = min(dx for _, dx in peaks)  # h = 2 D sqrt(Q + mu^2 D^2) / Q, inf if K underflows
+    Q = sum(k2 * (D / dx) * (D / dx) for k2, dx in peaks)
+    return 2.0 * D * float(np.hypot(np.sqrt(Q), mu * D)) / Q
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Run a scenario end to end and write the deterministic output tree.
 
     <outdir>/<name>/
-        manifest.json                 config echo, scheme tags, output hashes
+        manifest.json                 config echo, scheme tags, sha256 of every other file
         snapshots/psi1_XXXXXX.csv     spinor fields at the recorded steps
         snapshots/psi2_XXXXXX.csv
         snapshots/fluid_XXXXXX.csv    fluid variables (interior levels only)
@@ -15,8 +15,10 @@ written at 17 significant digits, so re-running the same config produces
 byte-identical files.  Every CSV is written by the one encoder,
 `lattice.write_csv`, which streams rows in fixed-size blocks.
 
-The tree is built in a hidden staging directory, `<outdir>/.<name>.*/`, and
-renamed into place over any earlier tree once its manifest is written.  The
+The tree is built in a hidden staging directory, `<outdir>/.<name>.*/`, the
+manifest hashes every file written there, and the tree is renamed into place
+over an earlier run tree (a directory holding `manifest.json`); anything else
+at `<outdir>/<name>` raises `FileExistsError` before a step is taken.  The
 staging directory is removed on success and on any error, an interrupt
 included, so `<outdir>/<name>` always holds exactly one whole run.
 
@@ -155,11 +157,13 @@ _IDENT_HEADER = "identity_name,grid_tag,branch,residual_l2,residual_sup,masked_f
 def run(scenario: Scenario, outdir) -> RunResult:
     """Execute the scenario and write all requested artifacts under outdir/name.
 
-    The tree is staged beside outdir/name and replaces it whole, or not at all.
+    The tree is staged beside outdir/name and replaces an earlier run tree whole, or not at all.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     run_dir = outdir / scenario.name
+    if run_dir.exists() and not (run_dir / "manifest.json").is_file():
+        raise FileExistsError(f"{run_dir} is not a run tree (no manifest.json); not replacing it")
     staging = Path(tempfile.mkdtemp(prefix=f".{scenario.name}.", dir=outdir))
     try:  # the tree is made inside the private staging directory, so it keeps the umask
         stage = staging / scenario.name
@@ -191,15 +195,11 @@ def _write_tree(scenario: Scenario, run_dir: Path):
                                record_every=scenario.record_every, order=order)
     primary = direct if direct is not None else recon
 
-    outputs = []
-
     nt = len(primary.x0)
     for n in range(nt):
         step = n * scenario.record_every
         for name, field in (("psi1", primary.psi1[n]), ("psi2", primary.psi2[n])):
-            rel = f"snapshots/{name}_{step:06d}.csv"
-            write_snapshot(run_dir / rel, field, grid)
-            outputs.append(rel)
+            write_snapshot(run_dir / f"snapshots/{name}_{step:06d}.csv", field, grid)
 
     chain_rows = []
     want_chain = "approximation_chain" in scenario.diagnostics
@@ -213,34 +213,26 @@ def _write_tree(scenario: Scenario, run_dir: Path):
         fs = fluid_state(primary.psi1[n], primary.psi2[n], float(primary.x0[n]), grid,
                          params, order=order, branch=scenario.alpha_branch)
         if scenario.fluid_map:
-            rel = f"snapshots/fluid_{n * scenario.record_every:06d}.csv"
-            _fluid_csv(run_dir / rel, fs)
-            outputs.append(rel)
+            _fluid_csv(run_dir / f"snapshots/fluid_{n * scenario.record_every:06d}.csv", fs)
         if want_chain:
             chain_rows.append(chain_row(fs, params))
         if want_ids and n == mid:
             rows = identity_rows_at(primary.psi1[n], fs, params, order, scenario.alpha_branch)
-            rel = "diagnostics/identities.csv"
-            write_csv(run_dir / rel, _IDENT_HEADER, [("%s\n", ([r.row() for r in rows],))])
-            outputs.append(rel)
+            write_csv(run_dir / "diagnostics/identities.csv", _IDENT_HEADER,
+                      [("%s\n", ([r.row() for r in rows],))])
 
     equivalence = None
     if "equivalence" in scenario.diagnostics and direct is not None and recon is not None:
         equivalence = route_equivalence(direct, recon, order)
-        rel = "diagnostics/equivalence.csv"
-        _write_rows(run_dir / rel, _EQUIV_HEADER, equivalence.rows())
-        outputs.append(rel)
+        _write_rows(run_dir / "diagnostics/equivalence.csv", _EQUIV_HEADER, equivalence.rows())
 
     if "conservation" in scenario.diagnostics:
         report = conservation_report(primary, order=order)
-        rel = "diagnostics/conservation.csv"
-        _write_rows(run_dir / rel, _CONSV_HEADER, report.rows())
-        outputs.append(rel)
+        _write_rows(run_dir / "diagnostics/conservation.csv", _CONSV_HEADER, report.rows())
 
     if chain_rows:
-        rel = "diagnostics/approximation_chain.csv"
-        _write_rows(run_dir / rel, _CHAIN_HEADER, np.vstack(chain_rows))
-        outputs.append(rel)
+        _write_rows(run_dir / "diagnostics/approximation_chain.csv", _CHAIN_HEADER,
+                    np.vstack(chain_rows))
 
     n_steps = n_steps_for(scenario.duration, grid.dt, scenario.record_every)
     manifest = {
@@ -253,7 +245,8 @@ def _write_tree(scenario: Scenario, run_dir: Path):
             "dirac": f"rk4/central-{order}" if direct is not None else None,
             "reduced": f"three-level/central-{order}" if recon is not None else None,
         },
-        "outputs": {rel: file_sha256(run_dir / rel) for rel in sorted(outputs)},
+        "outputs": {path.relative_to(run_dir).as_posix(): file_sha256(path)
+                    for path in sorted(run_dir.rglob("*")) if path.is_file()},
     }
     with open(run_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import diracfluid
+from diracfluid import runner
 from diracfluid.checks import CHECK_NAMES
 from diracfluid.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_UNSTABLE, main)
 from diracfluid.scenarios import RECIPE_NAMES
@@ -33,6 +34,14 @@ def _write_config(tmp_path, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     return str(path)
+
+
+def _run_cli_child(*args):
+    # the child must import the same package, whether or not it is installed
+    package_root = str(Path(diracfluid.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "diracfluid.cli", *args],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def test_scenario_list(capsys):
@@ -206,6 +215,52 @@ def test_rerun_replaces_the_whole_tree(tmp_path):
     assert manifest["n_steps"] == 5000
 
 
+@pytest.mark.parametrize("kind", ["file", "directory"])
+def test_run_never_replaces_what_is_not_a_run_tree(tmp_path, capsys, monkeypatch, kind):
+    # only a directory holding manifest.json is an earlier run; anything else
+    # at <outdir>/<name> is refused before a step is taken
+    out = tmp_path / "out"
+    target = out / "mini"
+    if kind == "file":
+        out.mkdir()
+        target.write_bytes(b"not a run\n")
+    else:
+        target.mkdir(parents=True)
+        (target / "notes.txt").write_bytes(b"keep me\n")
+    before = {p.relative_to(out).as_posix(): p.read_bytes()
+              for p in out.rglob("*") if p.is_file()}
+
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("the run started stepping")
+
+    monkeypatch.setattr(runner, "_write_tree", no_stepping)
+    config = _write_config(tmp_path, _mini_config())
+    assert main(["run", "--config", config, "--outdir", str(out)]) == EXIT_IO
+    assert "not a run tree" in capsys.readouterr().err
+    after = {p.relative_to(out).as_posix(): p.read_bytes()
+             for p in out.rglob("*") if p.is_file()}
+    assert after == before
+    assert [p.name for p in out.iterdir()] == ["mini"]  # no .mini.* staging left
+
+
+@pytest.mark.parametrize("extent, duration, code", [(1e-200, 1e-201, EXIT_OK),
+                                                    (1e200, 1e199, EXIT_UNSTABLE)])
+def test_extreme_spacings_exit_without_a_traceback(tmp_path, extent, duration, code):
+    # dx^2 underflows to 0 or overflows on these grids; the stability limit must
+    # still come out, so the CLI reports the run instead of a traceback
+    config = _write_config(tmp_path, {
+        "name": "extreme",
+        "grid": {"extents": [extent], "points": [8]},
+        "initial_data": {"recipe": "rest_state"},
+        "duration": duration,
+        "pipeline": "both",
+        "diagnostics": [],
+    })
+    proc = _run_cli_child("run", "--config", config, "--outdir", str(tmp_path / "out"))
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == code, proc.stderr
+
+
 def test_snapshot_io_errors_exit_3(tmp_path, capsys):
     garbled = tmp_path / "one.csv"
     garbled.write_text("garbage,header\n1,2\n")
@@ -223,11 +278,7 @@ def test_snapshot_io_errors_exit_3(tmp_path, capsys):
 
 
 def test_module_entry_point():
-    # the child must import the same package, whether or not it is installed
-    package_root = str(Path(diracfluid.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "diracfluid.cli", "scenario", "list"],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    proc = _run_cli_child("scenario", "list")
     assert proc.returncode == 0
     assert "plane_wave" in proc.stdout
 

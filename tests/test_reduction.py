@@ -157,6 +157,24 @@ def test_max_stable_step_equals_full_mode_scan(order):
         _full_scan_max_stable_step(grid, params, order)
 
 
+@pytest.mark.parametrize("order, peak_k2", [(2, 1.0), (4, 16.0 / 9.0)])
+def test_max_stable_step_at_extreme_spacings(order, peak_k2):
+    # at N = 8 the peak (kappa dx)^2 is sin^2(pi/2) = 1, or (4/3)^2 at order 4;
+    # dx^2 underflows to 0 on the fine grid and overflows on the coarse one
+    fine = scenario_from_dict({"name": "fine", "grid": {"extents": [1e-200], "points": [8]},
+                               "initial_data": {"recipe": "rest_state"},
+                               "duration": 1e-201, "pipeline": "both",
+                               "derivative_order": order})
+    dx = fine.grid.dx[0]
+    assert reduction.max_stable_step(fine.grid, fine.params, order) == \
+        pytest.approx(2.0 * dx / np.sqrt(peak_k2), rel=1e-12)
+    coarse = scenario_from_dict({"name": "coarse", "grid": {"extents": [1e200], "points": [8]},
+                                 "initial_data": {"recipe": "rest_state"},
+                                 "duration": 1e199, "pipeline": "both",
+                                 "derivative_order": order})
+    assert reduction.max_stable_step(coarse.grid, coarse.params, order) == np.inf
+
+
 def test_bootstrap_is_third_order_accurate():
     # Taylor start against the exact rest rotation exp(-2i mu h)
     grid = make_grid([2.0 * np.pi], [8], dt=0.01)
