@@ -6,19 +6,21 @@ With x0 = c*t and mu = m*c/hbar the coupled system reads
     d0 psi2 = +i*mu*psi2 - sigma^i d_i psi1
 
 Spatial derivatives are periodic central differences; time stepping is the
-classic four-stage Runge-Kutta scheme in x0.
+classic four-stage Runge-Kutta scheme in x0.  As L = -iH is linear and free of
+x0, that scheme is the degree-4 Taylor polynomial of exp(hL), evaluated by
+Horner's rule: y <- p + (h/j) L y for j = 4, 3, 2, and p + h L y is the new level.
 
 The stepper keeps (psi1, psi2) stacked as one (2, 2, *grid.shape) array, so
-each stage takes one stencil pass for both spinors.  One `lattice.Stencil`
-holds the stage buffers; each stage is written straight into its padded
-buffer, the stage slopes are summed in place, and only the new level is a
-fresh array.  The stencil rides along on the states a step returns, so a
-trajectory reuses one set of buffers and frees it when the loop ends.  Each
-step computes max|psi| once; the next step's growth check and the cumulative
-runaway check reuse it.  Levels are bit-identical to the einsum and np.roll
-form of the equations, which the tests keep as the reference.  Small-grid
-steps pay per numpy call, so `Stencil.constants` keeps, per (h, mu), the stage
-fractions and one (2, 1, ...) factor [-i*mu, +i*mu] for both mass terms.
+each L takes one stencil pass for both spinors.  One `lattice.Stencil` holds
+two scratch fields (sigma.D's and the slope's); each iterate y is written
+straight into its padded buffer, and only the new level is a fresh array.  The
+stencil rides along on the states a step returns, so a trajectory reuses one
+set of buffers and frees it when the loop ends.  Each step computes max|psi|
+once; the next step's growth check and the cumulative runaway check reuse it.
+Levels are bit-identical to the einsum and np.roll form of the Horner loop,
+which the tests keep as the reference.  Small-grid steps pay per numpy call,
+so `Stencil.constants` keeps, per (h, mu), the fractions h/4, h/3, h/2, h and
+one (2, 1, ...) factor [-i*mu, +i*mu] for both mass terms.
 """
 
 from __future__ import annotations
@@ -83,29 +85,24 @@ def check_growth(old_max: float, new_max: float, x0: float, params: PhysParams,
 
 
 def _rk4_constants(st: Stencil, h: float, mu: float):
-    """Stage (fraction, weight) pairs, h/6, the mass factor, and sigma.D's buffer swapped."""
-    half, whole, sixth, two = (np.array(v, complex) for v in (0.5 * h, h, h / 6.0, 2.0))
+    """h/4, h/3, h/2 and h as 0-d complex arrays, the mass factor, and sigma.D's buffer swapped."""
+    quarter, third, half, whole = (np.array(h / j, complex) for j in (4, 3, 2, 1))
     mass = np.reshape([-1j * mu, 1j * mu], (2,) + (1,) * (st.inner.ndim - 1))
-    return ((half, two), (half, two), (whole, None)), sixth, mass, st.scratch[0][::-1]
+    return (quarter, third, half), whole, mass, st.scratch[0][::-1]
 
 
 def _rhs(st: Stencil, mass: np.ndarray, swapped: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """d0 of the stacked stage held in st.inner, into out: mass * y - (sigma.D y) swapped."""
+    """d0 of the stacked iterate held in st.inner, into out: mass * y - (sigma.D y) swapped."""
     st.sigma_dot_grad(st.inner, st.scratch[0])
     np.multiply(mass, st.inner, out=out)
     return np.subtract(out, swapped, out=out)
-
-
-def sigma_dot_grad(psi: np.ndarray, grid: Grid, order: int = 2) -> np.ndarray:
-    """sigma^i d_i psi for a two-spinor field psi of shape (2, *grid.shape)."""
-    return Stencil(psi.shape, grid, order).sigma_dot_grad(psi, np.empty(psi.shape, complex))
 
 
 def dirac_rhs(psi1, psi2, grid: Grid, params: PhysParams, order: int = 2):
     """d0(psi1, psi2) of the coupled system at one level: every d0 of a recorded level.
 
     sigma.D goes one spinor at a time through one stencil, with the ufuncs of
-    a stepper stage, so the values are bit-identical to a stage's.
+    the stepper's slope, so the values are bit-identical to `_rhs`'s.
     """
     st = Stencil(np.shape(psi1), grid, order)
     d1, d2 = (st.sigma_dot_grad(f, np.empty(st.inner.shape, complex)) for f in (psi2, psi1))
@@ -115,23 +112,20 @@ def dirac_rhs(psi1, psi2, grid: Grid, params: PhysParams, order: int = 2):
 
 
 def step(state: DiracState, dt: float, params: PhysParams, order: int = 2) -> DiracState:
-    """One RK4 step of size dt (local error O(dt^5)).
+    """One RK4 step of size dt (local error O(dt^5)), in Horner form.
 
     Raises NumericalInstabilityError if max|psi| grows by more than
     params.instability_growth in the step or any value goes non-finite.
     """
     h = params.c * dt
     p = state.psi
-    st = Stencil.reuse(state.stencil, p.shape, state.grid, order, 4)
-    stages, h6, mass, swapped = st.constants(_rk4_constants, h, params.mass_wavenumber)
-    y, (_, k, acc, tmp) = st.inner, st.scratch
+    st = Stencil.reuse(state.stencil, p.shape, state.grid, order, 2)
+    fractions, whole, mass, swapped = st.constants(_rk4_constants, h, params.mass_wavenumber)
+    y, k = st.inner, st.scratch[1]
     np.copyto(y, p)
-    slope = _rhs(st, mass, swapped, acc)                    # acc = k1
-    for frac, weight in stages:
-        np.add(p, np.multiply(frac, slope, out=tmp), out=y)
-        slope = _rhs(st, mass, swapped, k)
-        np.add(acc, k if weight is None else np.multiply(weight, k, out=tmp), out=acc)
-    new = np.add(p, np.multiply(h6, acc, out=acc))          # k1 + 2 k2 + 2 k3 + k4
+    for frac in fractions:                                  # y = p + (h/j) L y, j = 4, 3, 2
+        np.add(p, np.multiply(frac, _rhs(st, mass, swapped, k), out=k), out=y)
+    new = np.add(p, np.multiply(whole, _rhs(st, mass, swapped, k), out=k))
     new_max = float(np.maximum.reduce(np.abs(new), axis=None))
     check_growth(state.max_abs, new_max, state.x0 + h, params, "psi")
     return DiracState.__new__(DiracState)._set(new, state.x0 + h, state.grid, new_max, st)

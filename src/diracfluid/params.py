@@ -1,5 +1,6 @@
 """Physical constants and numerical tolerances carried through a run."""
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -31,6 +32,23 @@ class PhysParams:
         for name in ("eps_density_rel", "eps_beta_rel"):  # 1 or more masks all but the max
             if not 0 <= getattr(self, name) < 1:
                 raise ConfigError(f"physics.{name} must lie in [0, 1)")
+
+    def check_scales(self) -> None:
+        """Raise ConfigError unless every scale made of hbar, m and c alone is finite and nonzero.
+
+        Products stand in for the package's powers, so an overflow reads inf
+        here where the package's own ** would raise OverflowError.
+        """
+        hbar, m, c = self.hbar, self.m, self.c
+        mu, mc2 = m * c / hbar, m * (c * c)
+        scales = {"hbar/m": hbar / m, "(hbar/m)^2": (hbar / m) * (hbar / m),
+                  "hbar^2/m": hbar * hbar / m, "hbar^2/(2m)": hbar * hbar / (2.0 * m),
+                  "m/hbar": m / hbar, "c*hbar": c * hbar, "mu = mc/hbar": mu, "mu^2": mu * mu,
+                  "mc^2": mc2, "(mc^2)^2": mc2 * mc2}
+        bad = [name for name, value in scales.items() if not 0 < value < math.inf]
+        if bad:
+            raise ConfigError(f"physics: hbar={hbar:g}, m={m:g}, c={c:g} make "
+                              f"{', '.join(bad)} overflow or vanish")
 
     @property
     def mass_wavenumber(self) -> float:

@@ -5,7 +5,7 @@ spinor can be eliminated through its running time integral:
 
     psi2_hat(x0) = psi2_hat(0) - sigma^i d_i [ int_0^x0 psi1_hat ]
     d0^2 psi1_hat + 2i*mu*d0 psi1_hat - lap psi1_hat = 0
-    d0 psi1_hat|_0 = -2i*mu*psi1(0) - sigma^i d_i psi2(0)
+    d0 psi1_hat|_0 = d0 psi1(0) - i*mu*psi1(0)   (d0 psi1 from dynamics.dirac_rhs)
 
 Undoing the phase shift turns the second-order equation into the Klein-Gordon
 equation (d0^2 - lap + mu^2) psi1 = 0 with initial slope
@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (DiracState, SpinorTrajectory, check_growth, evolve, n_steps_for,
-                       run_steps, sigma_dot_grad)
+from .dynamics import (DiracState, SpinorTrajectory, check_growth, dirac_rhs, evolve,
+                       n_steps_for, run_steps)
 from .errors import GridError
 from .lattice import Grid, Stencil, integrate_volume, laplacian
 from .params import PhysParams
@@ -102,9 +102,9 @@ class ReducedState:
 
 def initial_time_derivative(initial: DiracState, params: PhysParams,
                             order: int = 2) -> np.ndarray:
-    """Initial d0 slope of psi1hat: -2i*mu*psi1(0) + W, W = -sigma^i d_i psi2(0)."""
-    W = -sigma_dot_grad(initial.psi2, initial.grid, order)  # hatted = plain at x0 = 0
-    return -2j * params.mass_wavenumber * initial.psi1 + W
+    """Initial d0 slope of psi1hat: d0 psi1(0) - i*mu*psi1(0), as hatted = plain at x0 = 0."""
+    d0, _ = dirac_rhs(initial.psi1, initial.psi2, initial.grid, params, order)
+    return d0 - 1j * params.mass_wavenumber * initial.psi1
 
 
 def initialize_reduced(initial: DiracState) -> ReducedState:

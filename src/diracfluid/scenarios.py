@@ -322,6 +322,9 @@ def scenario_from_dict(config: dict, base: Path | None = None) -> Scenario:
     if levels < 3 and interior:
         raise ConfigError(f"duration: {levels} recorded levels leave no interior level "
                           f"for {', '.join(interior)}; at least 3 are needed")
+    steps = n_steps_for(duration, grid.dt, 1)
+    if record_every > steps:  # the step count is rounded up to a whole record
+        raise ConfigError(f"record_every: {record_every} exceeds the {steps} steps of the duration")
     if pipeline != "dirac":
         h, h_max = params.c * grid.dt, max_stable_step(grid, params, order)
         if h > h_max:
@@ -329,6 +332,7 @@ def scenario_from_dict(config: dict, base: Path | None = None) -> Scenario:
                 f"{'grid.cfl_factor' if dt is None else 'grid.dt'}: step c*dt = {h:.6g} is "
                 f"past the reduced route's stability limit {h_max:.6g} "
                 f"(derivative_order {order}); take a smaller step or pipeline 'dirac'")
+    params.check_scales()
 
     return Scenario(name=name, grid=grid, params=params, recipe=recipe,
                     duration=duration, record_every=record_every,

@@ -15,6 +15,8 @@ from diracfluid.checks import CHECK_NAMES
 from diracfluid.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_UNSTABLE, main)
 from diracfluid.scenarios import RECIPE_NAMES
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 
 def _mini_config(**overrides):
     config = {
@@ -259,6 +261,39 @@ def test_extreme_spacings_exit_without_a_traceback(tmp_path, extent, duration, c
     proc = _run_cli_child("run", "--config", config, "--outdir", str(tmp_path / "out"))
     assert "Traceback" not in proc.stderr
     assert proc.returncode == code, proc.stderr
+
+
+_DIRAC_CONSERVATION = ("pipeline=dirac", 'diagnostics=["conservation"]')
+
+
+@pytest.mark.parametrize("config, overrides, where", [
+    # (hbar/m)^2 overflowed in the Lagrangian, (mc^2)^2 in the closure, and
+    # hbar/m = inf gave vC0 = -inf and nan fluid columns in a run that exited 0
+    ("gaussian_equivalence", ("physics.hbar=1e200",), "physics"),
+    ("gaussian_equivalence", ("physics.m=1e160",) + _DIRAC_CONSERVATION, "physics"),
+    ("rest", ("physics.m=1e-320",), "physics"),
+    # 10 000 steps cover the duration; rounding up to one record took 100 000
+    ("rest", ("record_every=100000", "fluid_map=false") + _DIRAC_CONSERVATION, "record_every"),
+])
+def test_scales_and_cadence_past_the_run_exit_1(tmp_path, config, overrides, where):
+    args = [arg for o in overrides for arg in ("--override", o)]
+    out = tmp_path / "out"
+    proc = _run_cli_child("run", "--config", str(CONFIGS / f"{config}.json"),
+                          "--outdir", str(out), *args)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith(f"config error: {where}")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_record_every_of_the_whole_duration_runs(tmp_path):
+    out = tmp_path / "out"
+    args = ["--override", "record_every=10000", "--override", "fluid_map=false"]
+    args += [arg for o in _DIRAC_CONSERVATION for arg in ("--override", o)]
+    assert main(["run", "--config", str(CONFIGS / "rest.json"), "--outdir", str(out),
+                 *args]) == EXIT_OK
+    manifest = json.loads((out / "rest" / "manifest.json").read_text())
+    assert manifest["n_steps"] == 10000 and manifest["duration_actual"] == 0.5
 
 
 def test_snapshot_io_errors_exit_3(tmp_path, capsys):

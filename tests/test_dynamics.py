@@ -4,10 +4,9 @@ instability detectors."""
 import numpy as np
 import pytest
 
-from diracfluid.dynamics import (DiracState, evolve, n_steps_for,
-                                 sigma_dot_grad, step)
+from diracfluid.dynamics import DiracState, evolve, n_steps_for, step
 from diracfluid.errors import GridError, NumericalInstabilityError
-from diracfluid.lattice import make_grid, spatial_derivative
+from diracfluid.lattice import Stencil, make_grid, spatial_derivative
 from diracfluid.clifford import pauli
 from diracfluid.params import PhysParams
 from lattice_modes import kappa_dx
@@ -47,7 +46,8 @@ def test_sigma_dot_grad_matches_pauli_contraction():
     for axis in range(2):
         d = spatial_derivative(psi, grid, axis)
         expected += np.einsum("ab,b...->a...", pauli(axis + 1), d)
-    np.testing.assert_allclose(sigma_dot_grad(psi, grid), expected, atol=0)
+    got = Stencil(psi.shape, grid, 2).sigma_dot_grad(psi, np.empty_like(psi))
+    np.testing.assert_allclose(got, expected, atol=0)
 
 
 def test_rest_state_rotates_at_mass_frequency():

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from diracfluid.dynamics import DiracState, evolve
@@ -34,6 +34,7 @@ from diracfluid.params import PhysParams
 from diracfluid.reduction import evolve_reduced
 from diracfluid.scenarios import build_initial, load_scenario, scenario_from_dict
 from lattice_modes import grid_kappas
+from property_counts import examples
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 RK4_BOUND = 1e-13      # of max|psi|: round-off
@@ -143,12 +144,6 @@ def test_steppers_match_mode_oracles(name):
                                       scenario.derivative_order)
     assert rk4_gap < RK4_BOUND
     assert reduced_gap < REDUCED_BOUND
-
-
-def examples(n):
-    """Settings for a property: n examples, or 2 000 under the ci profile."""
-    ci = settings.get_current_profile_name() == "ci"
-    return settings(max_examples=2_000 if ci else n, deadline=None)
 
 
 @examples(30)

@@ -8,9 +8,9 @@ import pytest
 
 from diracfluid import reduction
 from diracfluid.clifford import pauli
-from diracfluid.dynamics import DiracState, evolve, n_steps_for, run_steps, sigma_dot_grad
+from diracfluid.dynamics import DiracState, evolve, n_steps_for, run_steps
 from diracfluid.errors import GridError, NumericalInstabilityError
-from diracfluid.lattice import laplacian, make_grid, spatial_derivative
+from diracfluid.lattice import Stencil, laplacian, make_grid, spatial_derivative
 from diracfluid.params import PhysParams
 from diracfluid.reduction import (compare_trajectories,
                                   equivalence_report, evolve_reduced,
@@ -117,7 +117,8 @@ def test_laplacian_is_square_of_sigma_dot_grad(dims, order):
     shape = (2,) + grid.shape
     psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     lap = laplacian(psi, grid, order)
-    squared = sigma_dot_grad(sigma_dot_grad(psi, grid, order), grid, order)
+    st = Stencil(shape, grid, order)
+    squared = st.sigma_dot_grad(st.sigma_dot_grad(psi, np.empty_like(psi)), np.empty_like(psi))
     assert np.max(np.abs(lap - squared)) < 1e-13 * np.max(np.abs(lap))
 
 
@@ -250,7 +251,8 @@ def test_integral_accumulates_psi1hat():
     d0_int = (int_psi1hat[mid + 1] - int_psi1hat[mid - 1]) / (2.0 * h)
     assert float(np.max(np.abs(d0_int - psi1hat[mid]))) < 2e-3
     # the integral solves (d0^2 + 2i mu d0 - lap) int_psi1hat = W, W = -sigma.D psi2(0)
-    W = -sigma_dot_grad(initial.psi2, grid)
+    W = -Stencil(initial.psi2.shape, grid, 2).sigma_dot_grad(initial.psi2,
+                                                             np.empty_like(initial.psi2))
     prev, curr, nxt = int_psi1hat[mid - 1:mid + 2]
     mu = params.mass_wavenumber
     res = ((nxt - 2.0 * curr + prev) / (h * h) + 2j * mu * (nxt - prev) / (2.0 * h)

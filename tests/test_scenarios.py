@@ -7,14 +7,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from diracfluid.dynamics import n_steps_for
 from diracfluid.errors import ConfigError
 from diracfluid.scenarios import (RECIPE_NAMES, build_initial, load_scenario,
                                   positive_energy_closure, scenario_from_dict)
 from diracfluid.lattice import make_grid, write_snapshot
 from diracfluid.params import PhysParams
+from property_counts import examples
 
 CLOSURE_RATIO = 0.2360679774997897  # 0.5 / (sqrt(1.25) + 1) at k = 0.5, m = c = hbar = 1
 
@@ -432,10 +434,22 @@ def _floats(obj):
     return [obj] if isinstance(obj, float) else []
 
 
-@settings(max_examples=400, deadline=None)
+def _scales(params):
+    """Every scale the package forms from hbar, m and c alone, as products (no OverflowError)."""
+    hbar, m, c = params.hbar, params.m, params.c
+    mu, mc2 = m * c / hbar, m * c * c
+    return [hbar / m, (hbar / m) * (hbar / m), hbar * hbar / m, hbar * hbar / (2.0 * m),
+            m / hbar, c * hbar, mu, mu * mu, mc2, mc2 * mc2]
+
+
+@examples(400)
 @given(case=st.sampled_from(_CASES), value=_JSON_VALUES)
 @example(case=(0, ("physics", "hbar")), value=1.1043709611054946e-180)  # mu^2 overflowed
 @example(case=(1, ("grid", "points")), value=[32, 1107310680])  # an 8 GiB mode scan
+@example(case=(0, ("physics", "hbar")), value=1e200)  # (hbar/m)^2 overflowed
+@example(case=(0, ("physics", "m")), value=1e160)  # (mc^2)^2 overflowed
+@example(case=(0, ("physics", "m")), value=1e-320)  # hbar/m overflowed
+@example(case=(1, ("record_every",)), value=2 ** 62)  # stepped for ever
 def test_any_json_value_yields_finite_scenario_or_config_error(case, value):
     index, path = case
     config = copy.deepcopy(_BASE_CONFIGS[index])
@@ -449,3 +463,7 @@ def test_any_json_value_yields_finite_scenario_or_config_error(case, value):
         return
     numbers = _floats([scenario.grid, scenario.params, scenario.recipe, scenario.duration])
     assert numbers and all(math.isfinite(x) for x in numbers)
+    assert all(0 < x < math.inf for x in _scales(scenario.params))
+    dt = scenario.grid.dt
+    assert (n_steps_for(scenario.duration, dt, scenario.record_every)
+            < 2 * n_steps_for(scenario.duration, dt, 1))

@@ -6,24 +6,28 @@ The kernel repeats their arithmetic ufunc for ufunc, so every comparison is
 on bit patterns (uint64 views), which also tells -0.0 from +0.0.
 Fields carry signed zeros, both at random points and as whole components that
 stay exactly zero, because those are where reordered arithmetic would show.
+The RK4 reference is the Horner loop the stepper runs; the stage form of
+classical RK4 is kept beside it as a second reference, matched to rounding.
 The ci hypothesis profile (conftest.py) runs each property on 2 000
 derandomized examples; other profiles keep the counts given below.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from diracfluid.clifford import pauli
-from diracfluid.dynamics import (DiracState, dirac_rhs, evolve, n_steps_for, run_steps,
-                                 sigma_dot_grad, step)
+from diracfluid.dynamics import DiracState, dirac_rhs, evolve, n_steps_for, run_steps, step
 from diracfluid.errors import NumericalInstabilityError
 from diracfluid.lattice import (Grid, Stencil, four_gradient, laplacian, make_grid,
                                 spatial_derivative)
 from diracfluid.params import PhysParams
 from diracfluid.reduction import (evolve_reduced, initial_time_derivative,
                                   initialize_reduced, reduced_step)
+from property_counts import examples
 
 # ---------------------------------------------------------------------------
 # Reference implementation (np.roll stencils, dense einsum Pauli contraction)
@@ -68,6 +72,17 @@ def ref_dirac_rhs(psi1, psi2, grid, params, order=2):
 
 
 def ref_step(p1, p2, grid, dt, params, order=2):
+    """RK4 in Horner form: y = p + (h/j) L y for j = 4, 3, 2, 1, starting from y = p."""
+    h = params.c * dt
+    y1, y2 = p1, p2
+    for j in (4, 3, 2, 1):
+        d1, d2 = ref_dirac_rhs(y1, y2, grid, params, order)
+        y1, y2 = p1 + (h / j) * d1, p2 + (h / j) * d2
+    return y1, y2
+
+
+def ref_stage_step(p1, p2, grid, dt, params, order=2):
+    """Classical RK4 in its stage form, k1 + 2 k2 + 2 k3 + k4."""
     rhs = ref_dirac_rhs
     h = params.c * dt
     a1, b1 = rhs(p1, p2, grid, params, order)
@@ -141,12 +156,6 @@ def _field(rng, shape, zero_component=True):
     return out
 
 
-def examples(n):
-    """Settings for a property: n examples, or 2 000 under the ci profile."""
-    ci = settings.get_current_profile_name() == "ci"
-    return settings(max_examples=2_000 if ci else n, deadline=None)
-
-
 cases = st.tuples(st.integers(1, 3),
                   st.lists(st.integers(8, 11), min_size=3, max_size=3),
                   st.sampled_from([2, 4]),
@@ -195,7 +204,8 @@ def test_sigma_dot_grad_and_rhs_match_einsum_reference(case):
     rng = np.random.default_rng(seed)
     params = PhysParams(m=float(rng.uniform(0.5, 2.0)), hbar=float(rng.uniform(0.5, 2.0)))
     psi1, psi2 = _field(rng, (2,) + grid.shape), _field(rng, (2,) + grid.shape)
-    assert_bit_equal(sigma_dot_grad(psi1, grid, order), ref_sigma_dot_grad(psi1, grid, order))
+    assert_bit_equal(Stencil(psi1.shape, grid, order).sigma_dot_grad(psi1, np.empty_like(psi1)),
+                     ref_sigma_dot_grad(psi1, grid, order))
     for got, want in zip(dirac_rhs(psi1, psi2, grid, params, order),
                          ref_dirac_rhs(psi1, psi2, grid, params, order)):
         assert_bit_equal(got, want)
@@ -215,6 +225,42 @@ def test_rk4_steps_match_reference(case, n_steps):
         p1, p2 = ref_step(p1, p2, grid, grid.dt, params, order)
         assert_bit_equal(state.psi1, p1)
         assert_bit_equal(state.psi2, p2)
+
+
+@examples(30)
+@given(cases)
+def test_rk4_step_is_the_stage_form_to_rounding(case):
+    # the Horner loop and the stage form are one polynomial in hL, so they
+    # differ by rounding alone; this does not lean on the mode oracles
+    dims, points, order, seed = case
+    grid = _grid(dims, points, order)
+    rng = np.random.default_rng(seed)
+    params = PhysParams(m=float(rng.uniform(0.5, 2.0)))
+    p1, p2 = _field(rng, (2,) + grid.shape), _field(rng, (2,) + grid.shape)
+    state = step(DiracState(p1, p2, 0.0, grid), grid.dt, params, order=order)
+    want = np.stack(ref_stage_step(p1, p2, grid, grid.dt, params, order))
+    assert np.max(np.abs(state.psi - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_cold_rk4_step_holds_two_scratch_fields():
+    # a cold step makes its stencil: the padded buffer, sigma.D's and the
+    # slope's fields, the multi-axis sum field, and the new level with its
+    # |psi| temporary; one more scratch field would pass 6.5 fields
+    grid = _grid(2, [64, 64], 2)
+    rng = np.random.default_rng(4)
+    state = DiracState(_field(rng, (2,) + grid.shape), _field(rng, (2,) + grid.shape),
+                       0.0, grid)
+    peaks = []
+    for warm in (state, step(state, grid.dt, PhysParams())):
+        tracemalloc.start()
+        try:
+            step(warm, grid.dt, PhysParams())
+            peaks.append(tracemalloc.get_traced_memory()[1] / state.psi.nbytes)
+        finally:
+            tracemalloc.stop()
+    cold, warm = peaks
+    assert cold < 6.5
+    assert warm < 1.6
 
 
 @examples(30)
