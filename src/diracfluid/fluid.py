@@ -16,12 +16,14 @@ with b = dnu.dbeta, d = dbeta.dbeta, e = dbeta.(2 dnu + dbeta), i.e.
 Phase gradients are evaluated as (hbar/m) Im(psi* d psi)/|psi|^2 with d psi
 from one `lattice.four_gradient` of psi1, never by unwrapping arg(psi), and
 d0 psi1 from the equation of motion (`dynamics.dirac_rhs` of the level's
-pair).  `fluid_state` builds the map once per level from that level alone;
-the FluidState keeps its amplitudes, gradients (d psi included) and alpha
-roots, and the identity rows of that level read them from it.
+pair).  `fluid_state` builds the map once per level from that level alone,
+from one polar decomposition (`polar`: amplitudes, angle and phase gradients,
+d psi included) and one v_C.v_C; the FluidState keeps them with the alpha
+root's flags, and the identity rows of that level read them from it.
 
 Points where the map degenerates are masked rather than patched:
-LOW_DENSITY (|psi_s|^2 under a relative floor), DEGENERATE_BETA
+LOW_DENSITY (either spin's |psi_s|^2 under eps_density_rel max |psi1|^2,
+where |psi1|^2 = |psi_up|^2 + |psi_down|^2), DEGENERATE_BETA
 (|dbeta.dbeta| under a relative floor; the velocity falls back to d^mu nu),
 COMPLEX_ALPHA (negative discriminant or negative v_C.v_C, both of which can
 only arise at round-off level since the discriminant equals
@@ -52,50 +54,37 @@ MASK_NAMES = {m: m.name.lower() for m in PointMask}
 
 
 @dataclass
-class Amplitudes:
-    """Per-point amplitudes and mixing angle of a two-spinor field."""
+class Polar:
+    """The polar form psi_s = R_s exp(i(m/hbar) nu_s) of one psi1 level, with its gradients.
+
+    Gradients are lower-index (4, *grid.shape) arrays in velocity units.
+    """
 
     R_up: np.ndarray
     R_down: np.ndarray
     R: np.ndarray          # sqrt(R_up^2 + R_down^2)
     rho_bar: np.ndarray    # m * R^2
     theta: np.ndarray      # atan2(R_down, R_up) in [0, pi/2]
-    low_density: np.ndarray  # bool; rho_bar under the relative floor
-
-
-def amplitudes(psi1: np.ndarray, params: PhysParams) -> Amplitudes:
-    mag2_up = np.abs(psi1[0]) ** 2
-    mag2_down = np.abs(psi1[1]) ** 2
-    r2 = mag2_up + mag2_down
-    rho_bar = params.m * r2
-    floor = params.eps_density_rel * float(np.max(rho_bar)) if rho_bar.size else 0.0
-    low = rho_bar < floor if floor > 0 else rho_bar <= 0
-    r_up, r_down = np.sqrt(mag2_up), np.sqrt(mag2_down)
-    return Amplitudes(R_up=r_up, R_down=r_down, R=np.sqrt(r2), rho_bar=rho_bar,
-                      theta=np.arctan2(r_down, r_up), low_density=low)
-
-
-@dataclass
-class PhaseGradients:
-    """Lower-index four-gradients (4, *grid.shape) of the phase fields, velocity units."""
-
     d_nu_up: np.ndarray
     d_nu_down: np.ndarray
-    d_nu: np.ndarray     # alias of d_nu_up
-    d_beta: np.ndarray   # d_nu_down - d_nu_up
-    low_density: np.ndarray
-    dpsi: np.ndarray     # d_mu psi1, (4, 2, *grid.shape), the stencil gradient they come from
+    d_beta: np.ndarray     # d_nu_down - d_nu_up
+    low_density: np.ndarray  # bool; either spin under the density floor
+    dpsi: np.ndarray       # d_mu psi1, (4, 2, *grid.shape), the stencil gradient they come from
 
 
-def phase_gradients(psi1, d0psi1, grid: Grid, params: PhysParams,
-                    order: int = 2) -> PhaseGradients:
-    """(hbar/m) Im(psi_s* d_mu psi_s)/|psi_s|^2 for both spins on one psi1 level.
+def polar(psi1, d0psi1, grid: Grid, params: PhysParams, order: int = 2) -> Polar:
+    """Amplitudes, mixing angle and (hbar/m) Im(psi_s* d_mu psi_s)/|psi_s|^2 of one psi1 level.
 
     Both spin components take d_mu from one `four_gradient` of psi1 with the
     given d0 psi1; points under the density floor get zero gradients.
     """
     mag2 = np.abs(psi1) ** 2
-    floor = params.eps_density_rel * float(np.max(mag2[0] + mag2[1]))
+    r2 = mag2[0] + mag2[1]
+    # One floor, per spin: |psi_s|^2 < F = eps max r^2.  It contains the total
+    # floor m r^2 < eps max(m r^2): a point with both |psi_s|^2 >= F has
+    # r^2 >= 2F, and the factor 2 outweighs the rounding while m r^2 does not
+    # underflow; with eps = 0, r^2 <= 0 means both spins are 0.
+    floor = params.eps_density_rel * float(np.max(r2))
     low = mag2 < floor if floor > 0 else mag2 <= 0
     dpsi = four_gradient(psi1, d0psi1, grid, order)
     # only the grid's axes: Im(psi* 0) can be -0.0, the components past them stay +0.0
@@ -104,24 +93,22 @@ def phase_gradients(psi1, d0psi1, grid: Grid, params: PhysParams,
     d = np.zeros((4, 2) + grid.shape)
     d[used] = scale * np.imag(np.conj(psi1) * dpsi[used]) / np.where(low, 1.0, mag2)
     d[:, low] = 0.0
-    d_up, d_down = d[:, 0], d[:, 1]
-    return PhaseGradients(d_nu_up=d_up, d_nu_down=d_down, d_nu=d_up, d_beta=d_down - d_up,
-                          low_density=low[0] | low[1], dpsi=dpsi)
+    r_up, r_down = np.sqrt(mag2[0]), np.sqrt(mag2[1])
+    return Polar(R_up=r_up, R_down=r_down, R=np.sqrt(r2), rho_bar=params.m * r2,
+                 theta=np.arctan2(r_down, r_up), d_nu_up=d[:, 0], d_nu_down=d[:, 1],
+                 d_beta=d[:, 1] - d[:, 0], low_density=low[0] | low[1], dpsi=dpsi)
 
 
 @dataclass
 class ClebschAlpha:
-    """Both quadratic roots, the selected branch, and the dot products used."""
+    """The selected root, its flags, and the dot products of the quadratic."""
 
     alpha: np.ndarray
-    alpha_plus: np.ndarray
-    alpha_minus: np.ndarray
     degenerate: np.ndarray      # bool: |d| under the relative floor
     complex_disc: np.ndarray    # bool: literal discriminant negative
     b: np.ndarray
     d: np.ndarray
     e: np.ndarray
-    disc: np.ndarray
 
 
 def clebsch_alpha(d_nu: np.ndarray, d_beta: np.ndarray, theta: np.ndarray,
@@ -166,9 +153,8 @@ def clebsch_alpha(d_nu: np.ndarray, d_beta: np.ndarray, theta: np.ndarray,
         alpha = minus
     else:
         alpha = np.where(np.abs(plus) <= np.abs(minus), plus, minus)
-    return ClebschAlpha(alpha=alpha, alpha_plus=plus, alpha_minus=minus,
-                        degenerate=degenerate, complex_disc=complex_disc,
-                        b=b, d=d, e=e, disc=disc)
+    return ClebschAlpha(alpha=alpha, degenerate=degenerate, complex_disc=complex_disc,
+                        b=b, d=d, e=e)
 
 
 def clebsch_velocity(alpha: np.ndarray, d_nu: np.ndarray, d_beta: np.ndarray,
@@ -185,15 +171,14 @@ def clebsch_velocity(alpha: np.ndarray, d_nu: np.ndarray, d_beta: np.ndarray,
 def rest_density(rho_bar: np.ndarray, v_c: np.ndarray, params: PhysParams):
     """rho_0 = (rho_bar/c)(sqrt(v_C.v_C) + c) and a_0 = sqrt(rho_0/m).
 
-    Returns (rho_0, a_0, v_dot_v, negative_norm_mask); points with
-    v_C.v_C < 0 are clamped to 0 and flagged.
+    Returns (rho_0, a_0, v_dot_v, speed), where speed = sqrt(v_C.v_C) is
+    clamped to 0 at points with v_C.v_C < 0.
     """
     vv = minkowski_square(v_c)
-    negative = vv < 0
-    speed = np.sqrt(np.where(negative, 0.0, vv))
+    speed = np.sqrt(np.where(vv < 0, 0.0, vv))
     rho_0 = rho_bar / params.c * (speed + params.c)
     a_0 = np.sqrt(rho_0 / params.m)
-    return rho_0, a_0, vv, negative
+    return rho_0, a_0, vv, speed
 
 
 @dataclass
@@ -209,9 +194,10 @@ class FluidState:
     rho_0: np.ndarray
     a_0: np.ndarray
     mask: np.ndarray           # uint8, PointMask values
-    gradients: PhaseGradients
-    amplitudes: Amplitudes
-    roots: ClebschAlpha        # the alpha quadratic's roots and flags for the chosen branch
+    vv: np.ndarray             # v_C.v_C
+    speed: np.ndarray          # sqrt(v_C.v_C), 0 where v_C.v_C < 0
+    polar: Polar
+    roots: ClebschAlpha        # the alpha quadratic's root and flags for the chosen branch
 
     def mask_fraction(self, flag: PointMask) -> float:
         return float(np.mean(self.mask == int(flag)))
@@ -225,22 +211,19 @@ class FluidState:
 def fluid_state(psi1, psi2, x0: float, grid: Grid, params: PhysParams,
                 order: int = 2, branch: str = "auto") -> FluidState:
     """Assemble the full spinor -> fluid map on one level, d0 psi1 from `dirac_rhs`."""
-    amp = amplitudes(psi1, params)
-    grads = phase_gradients(psi1, dirac_rhs(psi1, psi2, grid, params, order)[0],
-                            grid, params, order)
-    alpha = clebsch_alpha(grads.d_nu, grads.d_beta, amp.theta, params, branch)
-    low = amp.low_density | grads.low_density
-    fallback = low | alpha.degenerate | alpha.complex_disc
-    v_c = clebsch_velocity(alpha.alpha, grads.d_nu, grads.d_beta, fallback)
-    rho_0, a_0, vv, negative = rest_density(amp.rho_bar, v_c, params)
+    p = polar(psi1, dirac_rhs(psi1, psi2, grid, params, order)[0], grid, params, order)
+    alpha = clebsch_alpha(p.d_nu_up, p.d_beta, p.theta, params, branch)
+    fallback = p.low_density | alpha.degenerate | alpha.complex_disc
+    v_c = clebsch_velocity(alpha.alpha, p.d_nu_up, p.d_beta, fallback)
+    rho_0, a_0, vv, speed = rest_density(p.rho_bar, v_c, params)
 
     mask = np.zeros(grid.shape, dtype=np.uint8)
-    mask[alpha.complex_disc | negative] = int(PointMask.COMPLEX_ALPHA)
+    mask[alpha.complex_disc | (vv < 0)] = int(PointMask.COMPLEX_ALPHA)
     mask[alpha.degenerate] = int(PointMask.DEGENERATE_BETA)
-    mask[low] = int(PointMask.LOW_DENSITY)
+    mask[p.low_density] = int(PointMask.LOW_DENSITY)
 
     alpha_vals = np.where(fallback, np.nan, alpha.alpha)
-    return FluidState(grid=grid, x0=x0, rho_bar=amp.rho_bar, theta=amp.theta,
+    return FluidState(grid=grid, x0=x0, rho_bar=p.rho_bar, theta=p.theta,
                       alpha=alpha_vals, v_c=v_c, rho_0=rho_0, a_0=a_0, mask=mask,
-                      gradients=grads, amplitudes=amp, roots=alpha)
+                      vv=vv, speed=speed, polar=p, roots=alpha)
 

@@ -65,15 +65,13 @@ def fisher_terms(a_0, theta, da_0, dtheta, params: PhysParams):
     return amp, angle
 
 
-def lagrangian_classical_clebsch(rho_bar, v_upper, params: PhysParams) -> np.ndarray:
-    """rho_bar (v_C.v_C - c^2) for an upper-index velocity array (4, *shape)."""
-    return rho_bar * (minkowski_square(v_upper) - params.c ** 2)
+def lagrangian_classical_clebsch(rho_bar, vv, params: PhysParams) -> np.ndarray:
+    """rho_bar (v_C.v_C - c^2) given vv = v_C.v_C."""
+    return rho_bar * (vv - params.c ** 2)
 
 
-def lagrangian_classical_fluid(rho_0, v_upper, params: PhysParams) -> np.ndarray:
-    """c rho_0 (sqrt(v_C.v_C) - c); negative norms clamp to zero speed."""
-    vv = minkowski_square(v_upper)
-    speed = np.sqrt(np.where(vv >= 0, vv, 0.0))
+def lagrangian_classical_fluid(rho_0, speed, params: PhysParams) -> np.ndarray:
+    """c rho_0 (speed - c) given speed = sqrt(v_C.v_C), clamped as `fluid.rest_density` does."""
     return params.c * rho_0 * (speed - params.c)
 
 

@@ -260,25 +260,6 @@ def integrate_volume(f: np.ndarray, grid: Grid):
     return np.sum(f, axis=spatial_axes) * grid.cell_volume
 
 
-def mode_amplitude(f: np.ndarray, grid: Grid, mode: tuple[int, ...]) -> np.ndarray:
-    """Amplitude of the plane wave exp(i*sum_j 2pi*mode_j*x_j/L_j) in f.
-
-    Returns the complex projection (mean of f * conj(wave)) with any leading
-    component axes preserved, as one matrix product: f * conj(wave) would be
-    a temporary the size of f (3.3 MB for the dispersion check's levels).
-    """
-    if len(mode) != grid.dims:
-        raise GridError(f"mode needs {grid.dims} integers, got {len(mode)}")
-    phase = np.zeros(grid.shape)
-    for j, m in enumerate(mode):
-        k_j = 2.0 * np.pi * m / grid.extents[j]
-        shape = [1] * grid.dims
-        shape[j] = grid.points[j]
-        phase = phase + (k_j * grid.axis_coordinates(j)).reshape(shape)
-    wave = np.exp(-1j * phase).reshape(-1)
-    return np.reshape(f, f.shape[:f.ndim - grid.dims] + (-1,)) @ wave / wave.size
-
-
 # ---------------------------------------------------------------------------
 # Minkowski four-vectors
 

@@ -32,6 +32,7 @@ class PhysParams:
         for name in ("eps_density_rel", "eps_beta_rel"):  # 1 or more masks all but the max
             if not 0 <= getattr(self, name) < 1:
                 raise ConfigError(f"physics.{name} must lie in [0, 1)")
+        self.check_scales()
 
     def check_scales(self) -> None:
         """Raise ConfigError unless every scale made of hbar, m and c alone is finite and nonzero.

@@ -24,8 +24,8 @@ included, so `<outdir>/<name>` always holds exactly one whole run.
 
 `run` builds one `FluidState` per interior level (only the middle one when
 neither the fluid map nor the approximation chain is asked for), and the
-identity chain of the middle level, `identity_rows_at`, reads its amplitudes,
-gradients and alpha roots from that state instead of rebuilding them.  Each
+identity chain of the middle level, `identity_rows_at`, reads its polar form,
+alpha flags, v_C.v_C and speed from that state instead of rebuilding them.  Each
 level's d0 is `dynamics.dirac_rhs` of its (psi1, psi2), the rebuilt pair on the
 reduced route, so no output of a level depends on `record_every`.
 """
@@ -46,8 +46,7 @@ from .lagrangian import (conservation_report, fisher_terms, identity_residual,
                          lagrangian_classical_clebsch, lagrangian_classical_fluid,
                          lagrangian_quantum_polar, lagrangian_spinor_from_gradients,
                          lagrangian_split, median)
-from .lattice import (file_sha256, four_gradient, index_prefixes, minkowski_square,
-                      write_csv, write_snapshot)
+from .lattice import file_sha256, four_gradient, index_prefixes, write_csv, write_snapshot
 from .reduction import EquivalenceReport, evolve_reduced, route_equivalence
 from .scenarios import Scenario, build_initial
 from .version import __version__
@@ -81,38 +80,38 @@ def identity_rows_at(psi1, fs: FluidState, params, order: int, branch: str):
     """Evaluate the Lagrangian identity chain on one recorded level.
 
     fs is that level's fluid map of psi1 (same order and branch), whose
-    amplitudes, gradients, alpha roots and v_C are reused.  The amplitude
+    polar form, alpha flags, v_C.v_C and speed are reused.  The amplitude
     fields take d0 by the chain rule from the map's d0 psi1 and their spatial
     parts from the stencil, so the time parts of every row hold to rounding
     and the split row keeps the stencil's spatial error.
     """
     tag = "x".join(str(p) for p in fs.grid.points)
-    amp, grads, roots = fs.amplitudes, fs.gradients, fs.roots
+    p, roots = fs.polar, fs.roots
     ok = fs.mask != int(PointMask.LOW_DENSITY)
 
-    l_spinor = lagrangian_spinor_from_gradients(psi1, grads.dpsi, params)
+    l_spinor = lagrangian_spinor_from_gradients(psi1, p.dpsi, params)
 
     # d0|psi_s| = Re(psi_s* d0 psi_s)/|psi_s|, then R and theta by the chain rule
     # with (R_up, R_down) = R (cos theta, sin theta); zero where the divisor is
-    fields = np.stack([amp.R_up, amp.R_down, amp.R, amp.theta])
-    d0r = np.real(np.conj(psi1) * grads.dpsi[0]) / np.where(fields[:2] > 0, fields[:2], 1.0)
-    cos, sin = np.cos(amp.theta), np.sin(amp.theta)
+    fields = np.stack([p.R_up, p.R_down, p.R, p.theta])
+    d0r = np.real(np.conj(psi1) * p.dpsi[0]) / np.where(fields[:2] > 0, fields[:2], 1.0)
+    cos, sin = np.cos(p.theta), np.sin(p.theta)
     d0 = np.stack([*d0r, cos * d0r[0] + sin * d0r[1],
-                   (cos * d0r[1] - sin * d0r[0]) / np.where(amp.R > 0, amp.R, 1.0)])
+                   (cos * d0r[1] - sin * d0r[0]) / np.where(p.R > 0, p.R, 1.0)])
     grad = four_gradient(fields, d0, fs.grid, order)
     dR_up, dR_down, dR, dtheta = (grad[:, i] for i in range(4))
-    l_q, l_c = lagrangian_split(amp.R_up, amp.R_down, dR_up, dR_down,
-                                grads.d_nu_up, grads.d_nu_down, params)
-    l_polar = lagrangian_quantum_polar(amp.R, amp.theta, dR, dtheta, params)
-    fisher_amp, fisher_angle = fisher_terms(np.sqrt(2.0) * amp.R, amp.theta,
+    l_q, l_c = lagrangian_split(p.R_up, p.R_down, dR_up, dR_down,
+                                p.d_nu_up, p.d_nu_down, params)
+    l_polar = lagrangian_quantum_polar(p.R, p.theta, dR, dtheta, params)
+    fisher_amp, fisher_angle = fisher_terms(np.sqrt(2.0) * p.R, p.theta,
                                             np.sqrt(2.0) * dR, dtheta, params)
 
     # the mask folds negative-discriminant points into COMPLEX_ALPHA, so the
     # roots' own flags decide; among these points COMPLEX_ALPHA means v_C.v_C < 0
     clebsch_ok = ok & ~roots.degenerate & ~roots.complex_disc
     timelike = fs.mask != int(PointMask.COMPLEX_ALPHA)
-    l_clebsch = lagrangian_classical_clebsch(amp.rho_bar, fs.v_c, params)
-    l_fluid = lagrangian_classical_fluid(fs.rho_0, fs.v_c, params)
+    l_clebsch = lagrangian_classical_clebsch(fs.rho_bar, fs.vv, params)
+    l_fluid = lagrangian_classical_fluid(fs.rho_0, fs.speed, params)
 
     return [
         identity_residual("split_identity", tag, "-", l_spinor, l_q + l_c, ok,
@@ -129,9 +128,7 @@ def identity_rows_at(psi1, fs: FluidState, params, order: int, branch: str):
 def chain_row(fs: FluidState, params) -> np.ndarray:
     """Near-classical limit metrics over the usable (OK or fallback) points."""
     usable = fs.usable
-    vv = minkowski_square(fs.v_c)
-    speed = np.sqrt(np.where(vv >= 0, vv, 0.0))
-    speed_dev = np.abs(speed / params.c - 1.0)
+    speed_dev = np.abs(fs.speed / params.c - 1.0)
     dens_dev = np.abs(fs.rho_0 / np.where(usable, 2.0 * fs.rho_bar, 1.0) - 1.0)
     space_speed = np.sqrt(sum(fs.v_c[i] ** 2 for i in (1, 2, 3)))
     if np.any(usable):

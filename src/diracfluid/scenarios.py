@@ -332,7 +332,6 @@ def scenario_from_dict(config: dict, base: Path | None = None) -> Scenario:
                 f"{'grid.cfl_factor' if dt is None else 'grid.dt'}: step c*dt = {h:.6g} is "
                 f"past the reduced route's stability limit {h_max:.6g} "
                 f"(derivative_order {order}); take a smaller step or pipeline 'dirac'")
-    params.check_scales()
 
     return Scenario(name=name, grid=grid, params=params, recipe=recipe,
                     duration=duration, record_every=record_every,

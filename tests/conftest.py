@@ -4,8 +4,9 @@
 and of the snapshot reader (tests/test_snapshot_reader.py) on 20 000
 derandomized examples each, and the bit-identity properties of the stencil
 kernel (tests/test_stencil_kernel.py), the random-field property of the
-per-mode stepper oracles (tests/test_mode_oracles.py) and the config fuzz
-property (tests/test_scenarios.py), which set their own count through
+per-mode stepper oracles (tests/test_mode_oracles.py), the config fuzz
+property (tests/test_scenarios.py) and the density-floor property of the
+fluid map (tests/test_fluid.py), which set their own count through
 property_counts.examples, on 2 000 each; the default profile stays as it is.
 """
 

@@ -1,18 +1,20 @@
-"""Spinor -> fluid map: amplitudes, phase gradients, the alpha quadratic,
-the Clebsch velocity, and the point masks."""
+"""Spinor -> fluid map: the polar form (amplitudes, phase gradients, density
+floor), the alpha quadratic, the Clebsch velocity, and the point masks."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diracfluid.dynamics import dirac_rhs
 from diracfluid.errors import GridError
-from diracfluid.fluid import (MASK_NAMES, PointMask, amplitudes, clebsch_alpha,
-                              clebsch_velocity, fluid_state, phase_gradients,
-                              rest_density)
+from diracfluid.fluid import (MASK_NAMES, PointMask, clebsch_alpha, clebsch_velocity,
+                              fluid_state, polar, rest_density)
 from diracfluid.lattice import make_grid, minkowski_square
 from diracfluid.params import PhysParams
 from diracfluid.scenarios import positive_energy_closure
 from diracfluid.synthetic import synthetic_clebsch_inputs
+from property_counts import examples
 
 PARAMS = PhysParams()
 
@@ -31,9 +33,14 @@ def _const_four(grid, comps):
     return out
 
 
+def _polar(psi1, grid, params=PARAMS):
+    """The polar form of psi1 with d0 psi1 = 0; the amplitudes do not read it."""
+    return polar(psi1, np.zeros_like(psi1), grid, params)
+
+
 def test_amplitudes_constant_pair():
     grid = make_grid([2.0 * np.pi], [8])
-    amp = amplitudes(_constant_pair(grid), PARAMS)
+    amp = _polar(_constant_pair(grid), grid)
     np.testing.assert_allclose(amp.R_up, 0.6, rtol=1e-15)
     np.testing.assert_allclose(amp.R_down, 0.8, rtol=1e-15)
     np.testing.assert_allclose(amp.R, 1.0, rtol=1e-15)
@@ -44,8 +51,39 @@ def test_amplitudes_constant_pair():
 
 def test_amplitudes_zero_field_flagged():
     grid = make_grid([2.0 * np.pi], [8])
-    amp = amplitudes(np.zeros((2,) + grid.shape, dtype=complex), PARAMS)
+    amp = _polar(np.zeros((2,) + grid.shape, dtype=complex), grid)
     assert amp.low_density.all()
+
+
+@examples(300)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       eps=st.one_of(st.just(0.0), st.floats(1e-15, 0.1)),
+       m=st.floats(1e-3, 1e3), scale=st.integers(-60, 60),
+       nudges=st.lists(st.sampled_from([-2, -1, 0, 1, 2]), min_size=8, max_size=8))
+def test_total_density_floor_lies_inside_the_per_spin_floor(seed, eps, m, scale, nudges):
+    # the polar form keeps only the per-spin floor |psi_s|^2 < eps max r^2; every
+    # point under the total floor m r^2 < eps max(m r^2) must still be flagged
+    grid = make_grid([2.0 * np.pi], [16])
+    rng = np.random.default_rng(seed)
+    psi1 = rng.uniform(0.0, 1.0, (2, 16)) * np.exp(2j * np.pi * rng.uniform(size=(2, 16)))
+    psi1[:, rng.integers(0, 16, 3)] *= rng.integers(0, 2, (2, 3))  # zero spins, ties at 0
+    psi1 *= 10.0 ** scale
+    # points 0, 1 carry |psi_s|^2 a few ulps either side of the per-spin floor
+    # F = eps max r^2, points 2, 3 either side of F/2, so r^2 straddles the total
+    # floor; they stay under the maximum, which the points past them hold
+    floor_spin = eps * np.max(np.abs(psi1[0, 4:]) ** 2 + np.abs(psi1[1, 4:]) ** 2)
+    for i, n in enumerate(nudges):
+        a = np.sqrt(floor_spin if i < 4 else floor_spin / 2)
+        for _ in range(abs(n)):
+            a = np.nextafter(a, np.inf if n > 0 else -np.inf)
+        psi1[i % 2, i // 2] = a * np.exp(1j * i)
+    params = PhysParams(m=m, eps_density_rel=eps)
+
+    rho_bar = m * (np.abs(psi1[0]) ** 2 + np.abs(psi1[1]) ** 2)
+    floor = eps * float(np.max(rho_bar))
+    total_low = rho_bar < floor if floor > 0 else rho_bar <= 0
+    low = _polar(psi1, grid, params).low_density
+    assert not np.any(total_low & ~low)
 
 
 def test_phase_gradients_measure_stencil_symbols():
@@ -57,11 +95,10 @@ def test_phase_gradients_measure_stencil_symbols():
     wave = np.exp(1j * 3.0 * x)
     psi = np.stack([0.6 * wave, 0.8 * np.exp(0.25j) * wave])
 
-    grads = phase_gradients(psi, 0.7j * psi, grid, PARAMS)
-    np.testing.assert_allclose(grads.d_nu[0], 0.7, rtol=1e-13)
-    np.testing.assert_allclose(grads.d_nu[1], np.sin(3.0 * grid.dx[0]) / grid.dx[0],
+    grads = polar(psi, 0.7j * psi, grid, PARAMS)
+    np.testing.assert_allclose(grads.d_nu_up[0], 0.7, rtol=1e-13)
+    np.testing.assert_allclose(grads.d_nu_up[1], np.sin(3.0 * grid.dx[0]) / grid.dx[0],
                                rtol=1e-13)
-    assert grads.d_nu is grads.d_nu_up
     np.testing.assert_array_equal(grads.dpsi[0], 0.7j * psi)
     # both components share the phase up to a constant, so beta is flat
     assert float(np.max(np.abs(grads.d_beta))) < 1e-13
@@ -75,12 +112,12 @@ def test_phase_gradients_zero_out_low_density_sites():
     psi = np.stack([0.6 * wave, 0.8 * wave])
     psi[:, 10] = 0.0
 
-    grads = phase_gradients(psi, 0.7j * psi, grid, PARAMS)
+    grads = polar(psi, 0.7j * psi, grid, PARAMS)
     assert grads.low_density[10]
-    assert np.all(grads.d_nu[:, 10] == 0.0)
+    assert np.all(grads.d_nu_up[:, 10] == 0.0)
     # sites outside the stencil footprint of the hole are untouched
-    np.testing.assert_allclose(grads.d_nu[0, 20], 0.7, rtol=1e-13)
-    np.testing.assert_allclose(grads.d_nu[1, 20], np.sin(3.0 * grid.dx[0]) / grid.dx[0],
+    np.testing.assert_allclose(grads.d_nu_up[0, 20], 0.7, rtol=1e-13)
+    np.testing.assert_allclose(grads.d_nu_up[1, 20], np.sin(3.0 * grid.dx[0]) / grid.dx[0],
                                rtol=1e-13)
 
 
@@ -92,20 +129,21 @@ def test_clebsch_alpha_frozen_roots():
     d_beta = _const_four(grid, (0.3, 0.5, 0.0, 0.0))
     theta = np.full(grid.shape, np.pi / 6.0)
     sol = clebsch_alpha(d_nu, d_beta, theta, PARAMS)
+    plus = clebsch_alpha(d_nu, d_beta, theta, PARAMS, branch="plus").alpha
+    minus = clebsch_alpha(d_nu, d_beta, theta, PARAMS, branch="minus").alpha
     np.testing.assert_allclose(sol.b, 0.4, rtol=1e-14)
     np.testing.assert_allclose(sol.d, -0.16, rtol=1e-14)
     np.testing.assert_allclose(sol.e, 0.64, rtol=1e-14)
-    np.testing.assert_allclose(sol.disc, 0.1344, rtol=1e-14)
-    np.testing.assert_allclose(sol.alpha_plus, 0.20871215252207992, rtol=1e-13)
-    np.testing.assert_allclose(sol.alpha_minus, 4.7912878474779195, rtol=1e-13)
+    disc = sol.b * sol.b + np.sin(theta) ** 2 * sol.d * sol.e
+    np.testing.assert_allclose(disc, 0.1344, rtol=1e-14)
+    np.testing.assert_allclose(plus, 0.20871215252207992, rtol=1e-13)
+    np.testing.assert_allclose(minus, 4.7912878474779195, rtol=1e-13)
     oracle = np.roots([-0.16, 0.8, -0.16])
-    np.testing.assert_allclose(sorted([sol.alpha_plus.flat[0], sol.alpha_minus.flat[0]]),
+    np.testing.assert_allclose(sorted([plus.flat[0], minus.flat[0]]),
                                sorted(oracle.real), rtol=1e-13)
-    np.testing.assert_array_equal(sol.alpha, sol.alpha_plus)  # auto takes the small root
+    np.testing.assert_array_equal(sol.alpha, plus)  # auto takes the small root
     assert not sol.degenerate.any() and not sol.complex_disc.any()
 
-    minus = clebsch_alpha(d_nu, d_beta, theta, PARAMS, branch="minus")
-    np.testing.assert_array_equal(minus.alpha, sol.alpha_minus)
     with pytest.raises(GridError):
         clebsch_alpha(d_nu, d_beta, theta, PARAMS, branch="bad")
 
@@ -113,10 +151,11 @@ def test_clebsch_alpha_frozen_roots():
 def test_clebsch_roots_satisfy_quadratic():
     grid = make_grid([2.0 * np.pi, 2.0 * np.pi], [16, 16])
     inputs = synthetic_clebsch_inputs(grid, np.random.default_rng(42))
-    sol = clebsch_alpha(inputs.d_nu, inputs.d_beta, inputs.theta, PARAMS)
-    assert not sol.degenerate.any() and not sol.complex_disc.any()
     s2 = np.sin(inputs.theta) ** 2
-    for root in (sol.alpha_plus, sol.alpha_minus):
+    for branch in ("plus", "minus"):
+        sol = clebsch_alpha(inputs.d_nu, inputs.d_beta, inputs.theta, PARAMS, branch)
+        assert not sol.degenerate.any() and not sol.complex_disc.any()
+        root = sol.alpha
         res = sol.d * root ** 2 + 2.0 * sol.b * root - s2 * sol.e
         scale = np.abs(sol.d * root ** 2) + np.abs(2.0 * sol.b * root) + np.abs(s2 * sol.e)
         assert float(np.max(np.abs(res) / scale)) < 1e-10
@@ -147,8 +186,9 @@ def test_clebsch_velocity_and_norm_identity():
 
     # v.v = (1-s^2)(dnu.dnu) + s^2 (dnu+dbeta).(dnu+dbeta) on either branch:
     # 0.75*8 + 0.25*8.64 = 8.16
-    for branch in (sol.alpha_plus, sol.alpha_minus):
-        vv = minkowski_square(clebsch_velocity(branch, d_nu, d_beta, no_fallback))
+    for branch in ("plus", "minus"):
+        root = clebsch_alpha(d_nu, d_beta, theta, PARAMS, branch).alpha
+        vv = minkowski_square(clebsch_velocity(root, d_nu, d_beta, no_fallback))
         np.testing.assert_allclose(vv, 8.16, rtol=1e-12)
 
     fallback = np.zeros(grid.shape, dtype=bool)
@@ -161,15 +201,16 @@ def test_rest_density_values_and_clamp():
     grid = make_grid([2.0 * np.pi], [8])
     rho_bar = np.full(grid.shape, 2.0)
     v = _const_four(grid, (2.0, 0.0, 0.0, 0.0))
-    rho_0, a_0, vv, negative = rest_density(rho_bar, v, PARAMS)
+    rho_0, a_0, vv, speed = rest_density(rho_bar, v, PARAMS)
     np.testing.assert_allclose(rho_0, 6.0, rtol=1e-15)
     np.testing.assert_allclose(a_0, np.sqrt(6.0), rtol=1e-15)
     np.testing.assert_allclose(vv, 4.0, rtol=1e-15)
-    assert not negative.any()
+    np.testing.assert_allclose(speed, 2.0, rtol=1e-15)
 
     spacelike = _const_four(grid, (0.1, 1.0, 0.0, 0.0))
-    rho_0, a_0, vv, negative = rest_density(rho_bar, spacelike, PARAMS)
-    assert negative.all()
+    rho_0, a_0, vv, speed = rest_density(rho_bar, spacelike, PARAMS)
+    assert (vv < 0).all()
+    assert np.all(speed == 0.0)
     np.testing.assert_allclose(vv, -0.99, rtol=1e-12)
     np.testing.assert_allclose(rho_0, 2.0, rtol=1e-15)  # clamped speed 0
 
@@ -192,13 +233,15 @@ def test_fluid_state_all_ok_and_norm_identity():
     assert fs.usable.all()
     assert np.all(np.isfinite(fs.alpha))
 
-    g = fs.gradients
+    g = fs.polar
     # d0 psi1 is the equation of motion's, bit for bit
     np.testing.assert_array_equal(g.dpsi[0], dirac_rhs(psi1, psi2, grid, PARAMS)[0])
     s2 = np.sin(fs.theta) ** 2
     vv = minkowski_square(fs.v_c)
-    expect = ((1.0 - s2) * minkowski_square(g.d_nu)
-              + s2 * minkowski_square(g.d_nu + g.d_beta))
+    np.testing.assert_array_equal(fs.vv, vv)
+    np.testing.assert_array_equal(fs.speed, np.sqrt(vv))
+    expect = ((1.0 - s2) * minkowski_square(g.d_nu_up)
+              + s2 * minkowski_square(g.d_nu_up + g.d_beta))
     np.testing.assert_allclose(vv, expect, rtol=1e-10)
     np.testing.assert_allclose(fs.rho_0, fs.rho_bar * (np.sqrt(vv) + 1.0), rtol=1e-12)
     np.testing.assert_allclose(fs.a_0 ** 2, fs.rho_0, rtol=1e-12)

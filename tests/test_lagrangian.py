@@ -4,6 +4,7 @@ import numpy as np
 
 from diracfluid.clifford import gamma
 from diracfluid.dynamics import evolve
+from diracfluid.fluid import rest_density
 from diracfluid.lagrangian import (ConservationReport, conservation_report, median,
                                    fisher_terms, identity_residual,
                                    lagrangian_classical_clebsch,
@@ -104,19 +105,22 @@ def test_fisher_terms_sum_to_polar_quantum_part():
 
 
 def test_classical_fluid_form_clamps_spacelike_points():
+    # the speed both forms read is rest_density's, clamped there
     n = 8
     rho_0 = np.full(n, 3.0)
     v = np.zeros((4, n))
     v[0], v[1] = 0.1, 1.0
-    out = lagrangian_classical_fluid(rho_0, v, PARAMS)
+    _, _, _, speed = rest_density(rho_0, v, PARAMS)
+    out = lagrangian_classical_fluid(rho_0, speed, PARAMS)
     np.testing.assert_allclose(out, -3.0, rtol=1e-15)  # speed clamped to 0
 
     rho_bar = np.full(n, 2.0)
     v_time = np.zeros((4, n))
     v_time[0] = 2.0
-    np.testing.assert_allclose(lagrangian_classical_clebsch(rho_bar, v_time, PARAMS),
+    _, _, vv, speed = rest_density(rho_bar, v_time, PARAMS)
+    np.testing.assert_allclose(lagrangian_classical_clebsch(rho_bar, vv, PARAMS),
                                2.0 * 3.0, rtol=1e-15)
-    np.testing.assert_allclose(lagrangian_classical_fluid(rho_bar * 3.0, v_time, PARAMS),
+    np.testing.assert_allclose(lagrangian_classical_fluid(rho_bar * 3.0, speed, PARAMS),
                                6.0 * 1.0, rtol=1e-15)
 
 

@@ -10,7 +10,7 @@ import pytest
 from diracfluid.errors import GridError, SnapshotIOError
 from diracfluid.lattice import (file_sha256, four_gradient, integrate_volume, laplacian,
                                 make_grid, minkowski_dot_components,
-                                minkowski_square, mode_amplitude, read_snapshot,
+                                minkowski_square, read_snapshot,
                                 spatial_derivative, write_snapshot)
 
 
@@ -151,17 +151,6 @@ def test_integrate_volume():
     np.testing.assert_allclose(integrate_volume(stack, grid), [6.0, 6.0])
     with pytest.raises(GridError):
         integrate_volume(np.ones((8, 15)), grid)
-
-
-def test_mode_amplitude_projects_exactly():
-    grid = make_grid([2.0 * np.pi], [64])
-    x = grid.axis_coordinates(0)
-    f = 3.0 * np.exp(1j * 2.0 * x) + 0.5j * np.exp(-1j * 5.0 * x)
-    assert mode_amplitude(f, grid, (2,)) == pytest.approx(3.0, abs=1e-14)
-    assert mode_amplitude(f, grid, (-5,)) == pytest.approx(0.5j, abs=1e-14)
-    assert abs(mode_amplitude(f, grid, (1,))) < 1e-14
-    with pytest.raises(GridError):
-        mode_amplitude(f, grid, (2, 0))
 
 
 def test_minkowski_dot_components_contracts_with_metric():

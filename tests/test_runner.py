@@ -144,7 +144,7 @@ def test_fluid_csv_bytes_match_row_loop(tmp_path, points):
     v_c = rng.normal(size=(4,) + shape)
     fs = FluidState(grid=grid, x0=0.5, rho_bar=scalars[0], theta=scalars[1], alpha=alpha,
                     v_c=v_c, rho_0=scalars[3], a_0=scalars[4], mask=mask,
-                    gradients=None, amplitudes=None, roots=None)
+                    vv=None, speed=None, polar=None, roots=None)
     _fluid_csv(tmp_path / "fluid.csv", fs)
     written = (tmp_path / "fluid.csv").read_bytes()
     assert written == _row_loop_fluid_csv(fs)
@@ -200,14 +200,14 @@ def test_identity_rows_and_chain_shape():
 def test_run_evaluates_phase_gradients_once_per_level(tmp_path, monkeypatch, overrides):
     # the identity rows reuse the fluid map of their level instead of rebuilding it
     seen = []
-    original = fluid.phase_gradients
+    original = fluid.polar
 
     def counted(psi1, *args, **kwargs):
         seen.append(psi1.copy())
         return original(psi1, *args, **kwargs)
 
     for module in (fluid, runner):  # wherever a caller looks the name up
-        monkeypatch.setattr(module, "phase_gradients", counted, raising=False)
+        monkeypatch.setattr(module, "polar", counted, raising=False)
     scenario = scenario_from_dict(_packet_config(**overrides))
     run(scenario, tmp_path)
     traj = evolve(build_initial(scenario), scenario.duration, scenario.params)

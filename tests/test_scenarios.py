@@ -358,7 +358,7 @@ def test_load_scenario_errors(tmp_path):
     ({"initial_data": {"recipe": "rest_state", "amplitude": float("nan")}},
      r"initial_data\.amplitude: expected a finite number"),
     ({"physics": {"m": float("inf")}}, r"physics\.m: expected a finite number"),
-    ({"physics": {"c": 1e-320}}, "dt must be positive and finite"),
+    ({"physics": {"c": 1e-320}}, r"physics: .* make mu\^2, mc\^2, \(mc\^2\)\^2 overflow or vanish"),
     ({"name": "probe\n"}, "must match"),
 ])
 def test_non_finite_and_mistyped_values_rejected(overrides, where):
@@ -386,6 +386,13 @@ def test_physics_tolerance_edges_accepted():
     params = scenario_from_dict(_base_config(physics={
         "instability_growth": 1.0001, "eps_density_rel": 0.0, "eps_beta_rel": 0.999})).params
     assert (params.instability_growth, params.eps_density_rel) == (1.0001, 0.0)
+
+
+@pytest.mark.parametrize("physics", [{"hbar": 1e200}, {"m": 1e-320}, {"c": 1e-320}])
+def test_physics_scales_checked_when_params_are_built(physics):
+    # the scale rule holds for every PhysParams, not only for one read from a config
+    with pytest.raises(ConfigError, match=r"^physics: .* overflow or vanish"):
+        PhysParams(**physics)
 
 
 _BASE_CONFIGS = [
