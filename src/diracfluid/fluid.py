@@ -16,10 +16,12 @@ with b = dnu.dbeta, d = dbeta.dbeta, e = dbeta.(2 dnu + dbeta), i.e.
 Phase gradients are evaluated as (hbar/m) Im(psi* d psi)/|psi|^2 with d psi
 from one `lattice.four_gradient` of psi1, never by unwrapping arg(psi), and
 d0 psi1 from the equation of motion (`dynamics.dirac_rhs` of the level's
-pair).  `fluid_state` builds the map once per level from that level alone,
-from one polar decomposition (`polar`: amplitudes, angle and phase gradients,
-d psi included) and one v_C.v_C; the FluidState keeps them with the alpha
-root's flags, and the identity rows of that level read them from it.
+pair), one component at a time.  `fluid_state` builds the map once per level
+from that level alone, from one polar decomposition (`polar`: amplitudes, angle
+and phase gradients, d psi included) and one v_C.v_C.  The FluidState keeps
+what its readers read: the fluid columns, v_C.v_C and speed, the polar form
+and the alpha root's two flags; d beta and the quadratic's dot products die
+inside `fluid_state`, and the identity rows of that level read the rest.
 
 Points where the map degenerates are masked rather than patched:
 LOW_DENSITY (either spin's |psi_s|^2 under eps_density_rel max |psi1|^2,
@@ -67,7 +69,6 @@ class Polar:
     theta: np.ndarray      # atan2(R_down, R_up) in [0, pi/2]
     d_nu_up: np.ndarray
     d_nu_down: np.ndarray
-    d_beta: np.ndarray     # d_nu_down - d_nu_up
     low_density: np.ndarray  # bool; either spin under the density floor
     dpsi: np.ndarray       # d_mu psi1, (4, 2, *grid.shape), the stencil gradient they come from
 
@@ -87,16 +88,16 @@ def polar(psi1, d0psi1, grid: Grid, params: PhysParams, order: int = 2) -> Polar
     floor = params.eps_density_rel * float(np.max(r2))
     low = mag2 < floor if floor > 0 else mag2 <= 0
     dpsi = four_gradient(psi1, d0psi1, grid, order)
-    # only the grid's axes: Im(psi* 0) can be -0.0, the components past them stay +0.0
-    used = slice(0, 1 + grid.dims)
-    scale = params.hbar / params.m
+    scale, conj, divisor = params.hbar / params.m, np.conj(psi1), np.where(low, 1.0, mag2)
     d = np.zeros((4, 2) + grid.shape)
-    d[used] = scale * np.imag(np.conj(psi1) * dpsi[used]) / np.where(low, 1.0, mag2)
+    # one component at a time: Im(psi* 0) can be -0.0, those past the grid's axes stay +0.0
+    for mu in range(1 + grid.dims):
+        d[mu] = scale * np.imag(conj * dpsi[mu]) / divisor
     d[:, low] = 0.0
     r_up, r_down = np.sqrt(mag2[0]), np.sqrt(mag2[1])
     return Polar(R_up=r_up, R_down=r_down, R=np.sqrt(r2), rho_bar=params.m * r2,
                  theta=np.arctan2(r_down, r_up), d_nu_up=d[:, 0], d_nu_down=d[:, 1],
-                 d_beta=d[:, 1] - d[:, 0], low_density=low[0] | low[1], dpsi=dpsi)
+                 low_density=low[0] | low[1], dpsi=dpsi)
 
 
 @dataclass
@@ -197,7 +198,8 @@ class FluidState:
     vv: np.ndarray             # v_C.v_C
     speed: np.ndarray          # sqrt(v_C.v_C), 0 where v_C.v_C < 0
     polar: Polar
-    roots: ClebschAlpha        # the alpha quadratic's root and flags for the chosen branch
+    degenerate: np.ndarray     # bool: the alpha quadratic's |d| under its floor
+    complex_disc: np.ndarray   # bool: its literal discriminant negative
 
     def mask_fraction(self, flag: PointMask) -> float:
         return float(np.mean(self.mask == int(flag)))
@@ -212,18 +214,18 @@ def fluid_state(psi1, psi2, x0: float, grid: Grid, params: PhysParams,
                 order: int = 2, branch: str = "auto") -> FluidState:
     """Assemble the full spinor -> fluid map on one level, d0 psi1 from `dirac_rhs`."""
     p = polar(psi1, dirac_rhs(psi1, psi2, grid, params, order)[0], grid, params, order)
-    alpha = clebsch_alpha(p.d_nu_up, p.d_beta, p.theta, params, branch)
-    fallback = p.low_density | alpha.degenerate | alpha.complex_disc
-    v_c = clebsch_velocity(alpha.alpha, p.d_nu_up, p.d_beta, fallback)
+    d_beta = p.d_nu_down - p.d_nu_up
+    roots = clebsch_alpha(p.d_nu_up, d_beta, p.theta, params, branch)
+    fallback = p.low_density | roots.degenerate | roots.complex_disc
+    v_c = clebsch_velocity(roots.alpha, p.d_nu_up, d_beta, fallback)
+    alpha = np.where(fallback, np.nan, roots.alpha)
     rho_0, a_0, vv, speed = rest_density(p.rho_bar, v_c, params)
 
     mask = np.zeros(grid.shape, dtype=np.uint8)
-    mask[alpha.complex_disc | (vv < 0)] = int(PointMask.COMPLEX_ALPHA)
-    mask[alpha.degenerate] = int(PointMask.DEGENERATE_BETA)
+    mask[roots.complex_disc | (vv < 0)] = int(PointMask.COMPLEX_ALPHA)
+    mask[roots.degenerate] = int(PointMask.DEGENERATE_BETA)
     mask[p.low_density] = int(PointMask.LOW_DENSITY)
-
-    alpha_vals = np.where(fallback, np.nan, alpha.alpha)
     return FluidState(grid=grid, x0=x0, rho_bar=p.rho_bar, theta=p.theta,
-                      alpha=alpha_vals, v_c=v_c, rho_0=rho_0, a_0=a_0, mask=mask,
-                      vv=vv, speed=speed, polar=p, roots=alpha)
-
+                      alpha=alpha, v_c=v_c, rho_0=rho_0, a_0=a_0, mask=mask, vv=vv,
+                      speed=speed, polar=p, degenerate=roots.degenerate,
+                      complex_disc=roots.complex_disc)

@@ -28,6 +28,8 @@ identity chain of the middle level, `identity_rows_at`, reads its polar form,
 alpha flags, v_C.v_C and speed from that state instead of rebuilding them.  Each
 level's d0 is `dynamics.dirac_rhs` of its (psi1, psi2), the rebuilt pair on the
 reduced route, so no output of a level depends on `record_every`.
+Nothing outlives its last reader: each level's `FluidState` dies in
+`_write_level`, and the identity rows take d_mu of one field at a time.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ class RunResult:
 
 _FLUID_HEADER = "axis0,axis1,axis2,rho_bar,theta,alpha,vC0,vC1,vC2,vC3,rho_0,a_0,mask"
 _FLUID_ROW = "%s" + "%.17g," * 9 + "%s\n"
-_MASK_LABELS = np.array([MASK_NAMES[m] for m in PointMask])
+_MASK_LABELS = np.array([MASK_NAMES[m] for m in PointMask], dtype="S")  # a quarter of "<U"
 
 
 def _write_rows(path: Path, header: str, rows: np.ndarray) -> None:
@@ -83,46 +85,47 @@ def identity_rows_at(psi1, fs: FluidState, params, order: int, branch: str):
     polar form, alpha flags, v_C.v_C and speed are reused.  The amplitude
     fields take d0 by the chain rule from the map's d0 psi1 and their spatial
     parts from the stencil, so the time parts of every row hold to rounding
-    and the split row keeps the stencil's spatial error.
+    and the split row keeps the stencil's spatial error.  Each field's d_mu is
+    taken on its own and each row is formed as soon as both of its sides exist.
     """
     tag = "x".join(str(p) for p in fs.grid.points)
-    p, roots = fs.polar, fs.roots
+    p, grid = fs.polar, fs.grid
     ok = fs.mask != int(PointMask.LOW_DENSITY)
-
-    l_spinor = lagrangian_spinor_from_gradients(psi1, p.dpsi, params)
 
     # d0|psi_s| = Re(psi_s* d0 psi_s)/|psi_s|, then R and theta by the chain rule
     # with (R_up, R_down) = R (cos theta, sin theta); zero where the divisor is
-    fields = np.stack([p.R_up, p.R_down, p.R, p.theta])
-    d0r = np.real(np.conj(psi1) * p.dpsi[0]) / np.where(fields[:2] > 0, fields[:2], 1.0)
-    cos, sin = np.cos(p.theta), np.sin(p.theta)
-    d0 = np.stack([*d0r, cos * d0r[0] + sin * d0r[1],
-                   (cos * d0r[1] - sin * d0r[0]) / np.where(p.R > 0, p.R, 1.0)])
-    grad = four_gradient(fields, d0, fs.grid, order)
-    dR_up, dR_down, dR, dtheta = (grad[:, i] for i in range(4))
-    l_q, l_c = lagrangian_split(p.R_up, p.R_down, dR_up, dR_down,
+    d0_up, d0_down = (np.real(np.conj(psi1[s]) * p.dpsi[0, s]) / np.where(r > 0, r, 1.0)
+                      for s, r in ((0, p.R_up), (1, p.R_down)))
+    l_q, l_c = lagrangian_split(p.R_up, p.R_down, four_gradient(p.R_up, d0_up, grid, order),
+                                four_gradient(p.R_down, d0_down, grid, order),
                                 p.d_nu_up, p.d_nu_down, params)
+    rows = [identity_residual("split_identity", tag, "-",
+                              lagrangian_spinor_from_gradients(psi1, p.dpsi, params),
+                              l_q + l_c, ok, scale=np.maximum(np.abs(l_q), np.abs(l_c)))]
+
+    cos, sin = np.cos(p.theta), np.sin(p.theta)
+    dR = four_gradient(p.R, cos * d0_up + sin * d0_down, grid, order)
+    dtheta = four_gradient(p.theta, (cos * d0_down - sin * d0_up) / np.where(p.R > 0, p.R, 1.0),
+                           grid, order)
+    del d0_up, d0_down, cos, sin  # each term goes after its last reader
     l_polar = lagrangian_quantum_polar(p.R, p.theta, dR, dtheta, params)
+    rows.append(identity_residual("polar_quantum", tag, "-", l_q, l_polar, ok))
     fisher_amp, fisher_angle = fisher_terms(np.sqrt(2.0) * p.R, p.theta,
                                             np.sqrt(2.0) * dR, dtheta, params)
+    del dR, dtheta
+    rows.append(identity_residual("fisher_substitution", tag, "-", l_polar,
+                                  fisher_amp + fisher_angle, ok))
 
     # the mask folds negative-discriminant points into COMPLEX_ALPHA, so the
     # roots' own flags decide; among these points COMPLEX_ALPHA means v_C.v_C < 0
-    clebsch_ok = ok & ~roots.degenerate & ~roots.complex_disc
+    clebsch_ok = ok & ~fs.degenerate & ~fs.complex_disc
     timelike = fs.mask != int(PointMask.COMPLEX_ALPHA)
     l_clebsch = lagrangian_classical_clebsch(fs.rho_bar, fs.vv, params)
+    rows.append(identity_residual("clebsch_classical", tag, branch, l_c, l_clebsch, clebsch_ok))
     l_fluid = lagrangian_classical_fluid(fs.rho_0, fs.speed, params)
-
-    return [
-        identity_residual("split_identity", tag, "-", l_spinor, l_q + l_c, ok,
-                          scale=np.maximum(np.abs(l_q), np.abs(l_c))),
-        identity_residual("polar_quantum", tag, "-", l_q, l_polar, ok),
-        identity_residual("fisher_substitution", tag, "-", l_polar,
-                          fisher_amp + fisher_angle, ok),
-        identity_residual("clebsch_classical", tag, branch, l_c, l_clebsch, clebsch_ok),
-        identity_residual("fluid_classical", tag, branch, l_clebsch, l_fluid,
-                          clebsch_ok & timelike),
-    ]
+    rows.append(identity_residual("fluid_classical", tag, branch, l_clebsch, l_fluid,
+                                  clebsch_ok & timelike))
+    return rows
 
 
 def chain_row(fs: FluidState, params) -> np.ndarray:
@@ -173,23 +176,37 @@ def run(scenario: Scenario, outdir) -> RunResult:
     return RunResult(run_dir=run_dir, manifest=manifest, equivalence=equivalence)
 
 
+def _write_level(scenario: Scenario, run_dir: Path, traj, n: int, identities: bool):
+    """Write level n's fluid snapshot and identity rows; return its chain row if asked for."""
+    fs = fluid_state(traj.psi1[n], traj.psi2[n], float(traj.x0[n]), scenario.grid,
+                     scenario.params, order=scenario.derivative_order,
+                     branch=scenario.alpha_branch)
+    if scenario.fluid_map:
+        _fluid_csv(run_dir / f"snapshots/fluid_{n * scenario.record_every:06d}.csv", fs)
+    if identities:
+        rows = identity_rows_at(traj.psi1[n], fs, scenario.params, scenario.derivative_order,
+                                scenario.alpha_branch)
+        write_csv(run_dir / "diagnostics/identities.csv", _IDENT_HEADER,
+                  [("%s\n", ([r.row() for r in rows],))])
+    return chain_row(fs, scenario.params) if "approximation_chain" in scenario.diagnostics else None
+
+
 def _write_tree(scenario: Scenario, run_dir: Path):
     """Evolve the scenario, write its tree into run_dir and return (manifest, equivalence)."""
     for sub in ("snapshots", "diagnostics"):
         (run_dir / sub).mkdir(parents=True)
 
     grid = scenario.grid
-    params = scenario.params
     order = scenario.derivative_order
     initial = build_initial(scenario)
-
     direct = recon = None
     if scenario.pipeline in ("dirac", "both"):
-        direct = evolve(initial, scenario.duration, params,
+        direct = evolve(initial, scenario.duration, scenario.params,
                         record_every=scenario.record_every, order=order)
     if scenario.pipeline in ("reduced", "both"):
-        recon = evolve_reduced(initial, scenario.duration, params,
+        recon = evolve_reduced(initial, scenario.duration, scenario.params,
                                record_every=scenario.record_every, order=order)
+    del initial  # read by the two routes only
     primary = direct if direct is not None else recon
 
     nt = len(primary.x0)
@@ -198,7 +215,6 @@ def _write_tree(scenario: Scenario, run_dir: Path):
         for name, field in (("psi1", primary.psi1[n]), ("psi2", primary.psi2[n])):
             write_snapshot(run_dir / f"snapshots/{name}_{step:06d}.csv", field, grid)
 
-    chain_rows = []
     want_chain = "approximation_chain" in scenario.diagnostics
     want_ids = "identities" in scenario.diagnostics
     mid = nt // 2  # interior: validation asks for 3 levels when identities are wanted
@@ -206,17 +222,8 @@ def _write_tree(scenario: Scenario, run_dir: Path):
         levels = range(1, nt - 1)
     else:
         levels = [mid] if want_ids else []
-    for n in levels:
-        fs = fluid_state(primary.psi1[n], primary.psi2[n], float(primary.x0[n]), grid,
-                         params, order=order, branch=scenario.alpha_branch)
-        if scenario.fluid_map:
-            _fluid_csv(run_dir / f"snapshots/fluid_{n * scenario.record_every:06d}.csv", fs)
-        if want_chain:
-            chain_rows.append(chain_row(fs, params))
-        if want_ids and n == mid:
-            rows = identity_rows_at(primary.psi1[n], fs, params, order, scenario.alpha_branch)
-            write_csv(run_dir / "diagnostics/identities.csv", _IDENT_HEADER,
-                      [("%s\n", ([r.row() for r in rows],))])
+    chain_rows = [_write_level(scenario, run_dir, primary, n, want_ids and n == mid)
+                  for n in levels]
 
     equivalence = None
     if "equivalence" in scenario.diagnostics and direct is not None and recon is not None:
@@ -227,7 +234,7 @@ def _write_tree(scenario: Scenario, run_dir: Path):
         report = conservation_report(primary, order=order)
         _write_rows(run_dir / "diagnostics/conservation.csv", _CONSV_HEADER, report.rows())
 
-    if chain_rows:
+    if want_chain:
         _write_rows(run_dir / "diagnostics/approximation_chain.csv", _CHAIN_HEADER,
                     np.vstack(chain_rows))
 

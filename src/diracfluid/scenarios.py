@@ -298,9 +298,12 @@ def scenario_from_dict(config: dict, base: Path | None = None) -> Scenario:
     fluid_map = config.get("fluid_map", False)
     if not isinstance(fluid_map, bool):
         raise ConfigError("fluid_map: expected true or false")
+    h = params.c * grid.dt
+    kg_step = h * h >= sys.float_info.min  # equivalence's Klein-Gordon residual divides by it
     diags_raw = config.get("diagnostics")
     if diags_raw is None:
-        diags = ("equivalence", "conservation") if pipeline == "both" else ("conservation",)
+        both = pipeline == "both" and kg_step
+        diags = ("equivalence", "conservation") if both else ("conservation",)
     else:
         if not isinstance(diags_raw, list):
             raise ConfigError("diagnostics: expected a list")
@@ -309,6 +312,9 @@ def scenario_from_dict(config: dict, base: Path | None = None) -> Scenario:
                 raise ConfigError(f"diagnostics: unknown diagnostic {d!r}")
         if "equivalence" in diags_raw and pipeline != "both":
             raise ConfigError("diagnostics: 'equivalence' needs pipeline 'both'")
+        if "equivalence" in diags_raw and not kg_step:
+            raise ConfigError(f"diagnostics: 'equivalence' divides by (c*dt)^2, and grid.dt gives "
+                              f"c*dt = {h:.6g}, whose square underflows; take a larger step")
         diags = tuple(diags_raw)
     branch = config.get("alpha_branch", "auto")
     if branch not in ("auto", "plus", "minus"):
@@ -326,7 +332,7 @@ def scenario_from_dict(config: dict, base: Path | None = None) -> Scenario:
     if record_every > steps:  # the step count is rounded up to a whole record
         raise ConfigError(f"record_every: {record_every} exceeds the {steps} steps of the duration")
     if pipeline != "dirac":
-        h, h_max = params.c * grid.dt, max_stable_step(grid, params, order)
+        h_max = max_stable_step(grid, params, order)
         if h > h_max:
             raise ConfigError(
                 f"{'grid.cfl_factor' if dt is None else 'grid.dt'}: step c*dt = {h:.6g} is "

@@ -274,6 +274,9 @@ _DIRAC_CONSERVATION = ("pipeline=dirac", 'diagnostics=["conservation"]')
     ("rest", ("physics.m=1e-320",), "physics"),
     # 10 000 steps cover the duration; rounding up to one record took 100 000
     ("rest", ("record_every=100000", "fluid_map=false") + _DIRAC_CONSERVATION, "record_every"),
+    # (c dt)^2 underflowed to 0 and every kg_residual of equivalence.csv read nan
+    ("rest", ("grid.extents=[1e-200]", "grid.dt=null", "duration=1e-201", "record_every=1"),
+     "diagnostics"),
 ])
 def test_scales_and_cadence_past_the_run_exit_1(tmp_path, config, overrides, where):
     args = [arg for o in overrides for arg in ("--override", o)]

@@ -177,7 +177,8 @@ def test_fluid_csv_blocks_match_per_row(monkeypatch, tmp_path, rows):
     mask = (np.arange(rows) % len(PointMask)).astype(np.uint8)
     fs = FluidState(grid=grid, x0=0.5, rho_bar=scalars[0], theta=scalars[1],
                     alpha=scalars[2], v_c=_values(rng, (4, rows)), rho_0=scalars[3],
-                    a_0=scalars[4], mask=mask, vv=None, speed=None, polar=None, roots=None)
+                    a_0=scalars[4], mask=mask, vv=None, speed=None, polar=None,
+                    degenerate=None, complex_disc=None)
     vector, per_row, calls = _both_paths(monkeypatch, tmp_path / "f.csv",
                                          lambda p: _fluid_csv(p, fs))
     assert vector == per_row
@@ -272,7 +273,8 @@ def test_fluid_csv_with_mask_column_matches_per_row(monkeypatch, tmp_path):
     fs = FluidState(grid=grid, x0=0.5, rho_bar=scalars[0], theta=scalars[1],
                     alpha=scalars[2], v_c=rng.normal(size=(4,) + grid.shape),
                     rho_0=scalars[3], a_0=scalars[4], mask=mask,
-                    vv=None, speed=None, polar=None, roots=None)
+                    vv=None, speed=None, polar=None,
+                    degenerate=None, complex_disc=None)
     vector, per_row, calls = _both_paths(monkeypatch, tmp_path / "f.csv",
                                          lambda p: _fluid_csv(p, fs))
     assert vector == per_row

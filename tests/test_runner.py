@@ -144,7 +144,8 @@ def test_fluid_csv_bytes_match_row_loop(tmp_path, points):
     v_c = rng.normal(size=(4,) + shape)
     fs = FluidState(grid=grid, x0=0.5, rho_bar=scalars[0], theta=scalars[1], alpha=alpha,
                     v_c=v_c, rho_0=scalars[3], a_0=scalars[4], mask=mask,
-                    vv=None, speed=None, polar=None, roots=None)
+                    vv=None, speed=None, polar=None,
+                    degenerate=None, complex_disc=None)
     _fluid_csv(tmp_path / "fluid.csv", fs)
     written = (tmp_path / "fluid.csv").read_bytes()
     assert written == _row_loop_fluid_csv(fs)

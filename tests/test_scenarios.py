@@ -162,6 +162,15 @@ def test_diagnostics_defaults_follow_pipeline():
     assert scenario_from_dict(_base_config(diagnostics=[])).diagnostics == ()
 
 
+def test_equivalence_needs_a_squared_step_above_underflow():
+    # c*dt = 1e-200/32; equivalence's Klein-Gordon residual divides by its square
+    fine = _base_config(grid={"extents": [1e-200], "points": [8]}, duration=1e-201)
+    assert scenario_from_dict(fine).diagnostics == ("conservation",)
+    _expect_config_error({**fine, "diagnostics": ["equivalence"]},
+                         r"^diagnostics: 'equivalence' .* grid\.dt gives c\*dt = 3\.125e-202")
+    assert scenario_from_dict({**fine, "diagnostics": ["conservation"]})
+
+
 def test_config_echo_is_fully_defaulted():
     echo = scenario_from_dict(_base_config()).config_echo
     assert echo["record_every"] == 1
