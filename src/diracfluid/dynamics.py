@@ -12,11 +12,13 @@ Horner's rule: y <- p + (h/j) L y for j = 4, 3, 2, and p + h L y is the new leve
 
 The stepper keeps (psi1, psi2) stacked as one (2, 2, *grid.shape) array, so
 each L takes one stencil pass for both spinors.  One `lattice.Stencil` holds
-two scratch fields (sigma.D's and the slope's); each iterate y is written
-straight into its padded buffer, and only the new level is a fresh array.  The
-stencil rides along on the states a step returns, so a trajectory reuses one
-set of buffers and frees it when the loop ends.  Each step computes max|psi|
-once; the next step's growth check and the cumulative runaway check reuse it.
+the padded buffer, into which each iterate y is written, and sigma.D's field.
+The slope k is the step's one fresh array: sigma.D sums its later axes in k
+while k is free, and the last stage writes the new level into k.  The stencil
+rides along on the states a step returns, so a trajectory reuses one set of
+buffers and frees it when the loop ends, and no step writes an array that an
+earlier step returned.  Each step computes max|psi| once, into sigma.D's
+field; the next step's growth check and the cumulative runaway check reuse it.
 Levels are bit-identical to the einsum and np.roll form of the Horner loop,
 which the tests keep as the reference.  Small-grid steps pay per numpy call,
 so `Stencil.constants` keeps, per (h, mu), the fractions h/4, h/3, h/2, h and
@@ -93,7 +95,7 @@ def _rk4_constants(st: Stencil, h: float, mu: float):
 
 def _rhs(st: Stencil, mass: np.ndarray, swapped: np.ndarray, out: np.ndarray) -> np.ndarray:
     """d0 of the stacked iterate held in st.inner, into out: mass * y - (sigma.D y) swapped."""
-    st.sigma_dot_grad(st.inner, st.scratch[0])
+    st.sigma_dot_grad(st.inner, st.scratch[0], out)  # out is free until then: sigma.D's work
     np.multiply(mass, st.inner, out=out)
     return np.subtract(out, swapped, out=out)
 
@@ -119,14 +121,14 @@ def step(state: DiracState, dt: float, params: PhysParams, order: int = 2) -> Di
     """
     h = params.c * dt
     p = state.psi
-    st = Stencil.reuse(state.stencil, p.shape, state.grid, order, 2)
+    st = Stencil.reuse(state.stencil, p.shape, state.grid, order, 1)
     fractions, whole, mass, swapped = st.constants(_rk4_constants, h, params.mass_wavenumber)
-    y, k = st.inner, st.scratch[1]
+    y, k = st.inner, np.empty(p.shape, complex)  # k becomes the new level, so it is never reused
     np.copyto(y, p)
     for frac in fractions:                                  # y = p + (h/j) L y, j = 4, 3, 2
         np.add(p, np.multiply(frac, _rhs(st, mass, swapped, k), out=k), out=y)
-    new = np.add(p, np.multiply(whole, _rhs(st, mass, swapped, k), out=k))
-    new_max = float(np.maximum.reduce(np.abs(new), axis=None))
+    new = np.add(p, np.multiply(whole, _rhs(st, mass, swapped, k), out=k), out=k)
+    new_max = float(np.maximum.reduce(np.abs(new, out=st.scratch[0].real), axis=None))
     check_growth(state.max_abs, new_max, state.x0 + h, params, "psi")
     return DiracState.__new__(DiracState)._set(new, state.x0 + h, state.grid, new_max, st)
 
@@ -146,8 +148,8 @@ def run_steps(state, advance, n: int, record_every: int, fields: tuple[str, ...]
     """Advance n times, recording x0 and copies of the named fields every record_every steps.
 
     The one cumulative runaway detector: it raises if max_abs grows past
-    _RUNAWAY_FACTOR times its start value.  Returns x0s, one level array
-    per field, and the last state.
+    _RUNAWAY_FACTOR times its start value.  Returns x0s and one level array
+    per field; the last state, with its stencil, goes when the loop ends.
     """
     xs = np.empty(n // record_every + 1)
     levels = [np.empty(xs.shape + getattr(state, f).shape, complex) for f in fields]
@@ -162,7 +164,7 @@ def run_steps(state, advance, n: int, record_every: int, fields: tuple[str, ...]
             xs[i // record_every] = state.x0
             for out, f in zip(levels, fields):
                 out[i // record_every] = getattr(state, f)
-    return xs, levels, state
+    return xs, levels
 
 
 def evolve(initial: DiracState, duration: float, params: PhysParams,
@@ -175,6 +177,6 @@ def evolve(initial: DiracState, duration: float, params: PhysParams,
     """
     grid = initial.grid
     n = n_steps_for(duration, grid.dt, record_every)
-    xs, (psi1, psi2), _ = run_steps(initial, lambda s: step(s, grid.dt, params, order=order),
-                                    n, record_every, ("psi1", "psi2"))
+    xs, (psi1, psi2) = run_steps(initial, lambda s: step(s, grid.dt, params, order=order),
+                                 n, record_every, ("psi1", "psi2"))
     return SpinorTrajectory(xs, psi1, psi2, grid, params)

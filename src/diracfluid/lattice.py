@@ -160,7 +160,8 @@ class Stencil:
             ghost[...] = source  # pad to pad, one dtype: no need for copyto's dispatch
 
     # scratch fields made on first use: e holds the axes past the first of a
-    # multi-axis sum, t the second product of an order-4 difference
+    # multi-axis sum unless the caller lends a free field as `work` (the
+    # steppers do), t the second product of an order-4 difference
     e = functools.cached_property(lambda self: np.empty_like(self.inner))
     t = functools.cached_property(lambda self: np.empty_like(self.inner))
     sigma = None  # sigma_dot_grad's factors, made on its first call
@@ -192,10 +193,11 @@ class Stencil:
             self.first(axis, out[axis])
         return out
 
-    def laplacian(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def laplacian(self, f: np.ndarray, out: np.ndarray,
+                  work: np.ndarray | None = None) -> np.ndarray:
         """sum_i D_i D_i f, axes summed left to right: the square of sigma.D."""
         for axis in range(self.dims):
-            d = out if axis == 0 else self.e
+            d = out if axis == 0 else (self.e if work is None else work)
             for source in (f, d):
                 self.load(source)
                 self.first(axis, d)
@@ -203,7 +205,8 @@ class Stencil:
                 np.add(out, d, out=out)
         return out
 
-    def sigma_dot_grad(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def sigma_dot_grad(self, f: np.ndarray, out: np.ndarray,
+                       work: np.ndarray | None = None) -> np.ndarray:
         """sigma^i d_i f, with the two spinor components on axis -(dims + 1).
 
         sigma^1 swaps the components (written through reversed views),
@@ -212,18 +215,18 @@ class Stencil:
         the final +0.0 turns -0.0 into +0.0, as that einsum did.
         """
         self.load(f)
-        if self.sigma is None:  # 1/div1 of axis 0 and +0.0, then (e's view, factor) per axis
+        if self.sigma is None:  # 1/div1 of axis 0 and +0.0, then (work's index, factor) per axis
             dtype, shape = self.pad.dtype, (2,) + (1,) * self.dims
-            views = (self.e[self.flip], self.e) if self.dims > 1 else ()
             self.sigma = [np.array(1.0 / self.div1[0], dtype), np.zeros((), dtype)] + [
-                (e, np.reshape(pauli, shape) * (1.0 / d))
-                for e, pauli, d in zip(views, ([-1j, 1j], [1.0, -1.0]), self.div1[1:])]
+                (index, np.reshape(pauli, shape) * (1.0 / d)) for index, pauli, d in
+                zip((self.flip, Ellipsis), ([-1j, 1j], [1.0, -1.0]), self.div1[1:])]
         inv_div, zero, *later = self.sigma
         self.first_numerator(0, out[self.flip])
         np.multiply(out, inv_div, out=out)
-        for axis, (e, factor) in enumerate(later, 1):
-            self.first_numerator(axis, e)
-            np.add(out, np.multiply(self.e, factor, out=self.e), out=out)
+        for axis, (index, factor) in enumerate(later, 1):
+            work = self.e if work is None else work
+            self.first_numerator(axis, work[index])
+            np.add(out, np.multiply(work, factor, out=work), out=out)
         return np.add(out, zero, out=out)
 
 

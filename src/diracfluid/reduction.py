@@ -23,13 +23,16 @@ at order 4.  The running integral is accumulated with the trapezoidal rule and
 the first level is bootstrapped by a Taylor step that uses the equation itself
 for d0^2.
 
-Each step evaluates the Laplacian through a `lattice.Stencil` and forms the
-three-level update and the trapezoidal sum in its scratch buffers; only the
-new level and the new integral are fresh arrays.  The stencil rides along on
-the states a step returns, and max|psi1hat| is computed once per step
-and reused by the next step's growth check and by the cumulative runaway
-check.  The arithmetic repeats the plain numpy expressions of the scheme ufunc
-for ufunc, so levels are bit-identical to them.
+Each step evaluates the Laplacian through a `lattice.Stencil` that holds two
+scratch fields, `lap` and a work field, which also takes the Laplacian's later
+axes.  The update (the Taylor start included) is formed in the work field and
+in the new level, the one fresh array besides the new integral, and h^2*lap in
+`lap`.  The stencil rides along on the states a step returns, and max|psi1hat|
+is computed once per step, into `lap`, and reused by the next step's growth
+check and by the cumulative runaway check.  The arithmetic repeats the plain
+numpy expressions of the scheme ufunc for ufunc, so levels are bit-identical
+to them.  `evolve_reduced` lets the start slope go after the first step, and
+the last state before the un-hat.
 
 Both routes return one trajectory type: `evolve_reduced` records psi1hat and
 its integral, and `unhat_trajectory` then overwrites them in place with the
@@ -138,20 +141,23 @@ def reduced_step(state: ReducedState, dt: float, params: PhysParams,
     h = params.c * dt
     mu = params.mass_wavenumber
     psi = state.psi1hat
-    st = Stencil.reuse(state.stencil, psi.shape, state.grid, order, 3)
-    lap, a, b = st.scratch
+    st = Stencil.reuse(state.stencil, psi.shape, state.grid, order, 2)
+    lap, a = st.scratch
     two, behind, h2, ahead, half_h = st.constants(_reduced_constants, h, mu)
-    st.laplacian(psi, lap)
+    st.laplacian(psi, lap, a)
     if state.psi1hat_prev is None:
         if initial_slope is None:
             raise GridError("first reduced step needs the initial d0 slope")
         # second-order Taylor start: psi + h*D + h^2/2 * (lap psi - 2i*mu*D)
-        new = psi + h * initial_slope + 0.5 * h * h * (lap - 2j * mu * initial_slope)
+        new = np.multiply(h, initial_slope)
+        np.add(psi, new, out=new)
+        np.subtract(lap, np.multiply(2j * mu, initial_slope, out=a), out=a)
+        np.add(new, np.multiply(0.5 * h * h, a, out=a), out=new)
     else:
-        np.subtract(np.multiply(two, psi, out=a),
-                    np.multiply(behind, state.psi1hat_prev, out=b), out=a)
-        new = np.divide(np.add(a, np.multiply(h2, lap, out=b), out=a), ahead)
-    new_max = float(np.maximum.reduce(np.abs(new), axis=None))
+        new = np.multiply(behind, state.psi1hat_prev)
+        np.subtract(np.multiply(two, psi, out=a), new, out=new)
+        np.divide(np.add(new, np.multiply(h2, lap, out=lap), out=new), ahead, out=new)
+    new_max = float(np.maximum.reduce(np.abs(new, out=lap.real), axis=None))
     check_growth(state.max_abs, new_max, state.x0 + h, params, "psi1hat")
     integral = np.add(state.int_psi1hat, np.multiply(half_h, np.add(psi, new, out=a), out=a))
     return ReducedState(new, psi, integral, state.x0 + h, state.grid, new_max, st)
@@ -162,10 +168,10 @@ def evolve_reduced(initial: DiracState, duration: float, params: PhysParams,
     """Integrate the reduced system; record psi1 and psi2 every record_every steps."""
     grid = initial.grid
     n = n_steps_for(duration, grid.dt, record_every)
-    slope = initial_time_derivative(initial, params, order)
-    xs, (psi1, psi2), _ = run_steps(
+    slope = [initial_time_derivative(initial, params, order)]  # popped by the first step
+    xs, (psi1, psi2) = run_steps(
         initialize_reduced(initial),
-        lambda s: reduced_step(s, grid.dt, params, order=order, initial_slope=slope),
+        lambda s: reduced_step(s, grid.dt, params, order, slope.pop() if slope else None),
         n, record_every, ("psi1hat", "int_psi1hat"))
     unhat_trajectory(xs, psi1, psi2, initial, params, order)
     return SpinorTrajectory(xs, psi1, psi2, grid, params)

@@ -28,8 +28,10 @@ identity chain of the middle level, `identity_rows_at`, reads its polar form,
 alpha flags, v_C.v_C and speed from that state instead of rebuilding them.  Each
 level's d0 is `dynamics.dirac_rhs` of its (psi1, psi2), the rebuilt pair on the
 reduced route, so no output of a level depends on `record_every`.
-Nothing outlives its last reader: each level's `FluidState` dies in
-`_write_level`, and the identity rows take d_mu of one field at a time.
+Nothing outlives its last reader: the routes are compared first, so a `both`
+run drops the reduced trajectory before its snapshots, fluid map, identity and
+chain rows and conservation; each level's `FluidState` dies in `_write_level`,
+and the identity rows take d_mu of one field at a time.
 """
 
 from __future__ import annotations
@@ -207,7 +209,12 @@ def _write_tree(scenario: Scenario, run_dir: Path):
         recon = evolve_reduced(initial, scenario.duration, scenario.params,
                                record_every=scenario.record_every, order=order)
     del initial  # read by the two routes only
+    equivalence = None
+    if "equivalence" in scenario.diagnostics and direct is not None and recon is not None:
+        equivalence = route_equivalence(direct, recon, order)
+        _write_rows(run_dir / "diagnostics/equivalence.csv", _EQUIV_HEADER, equivalence.rows())
     primary = direct if direct is not None else recon
+    del direct, recon  # compared: a both run keeps only the direct route from here on
 
     nt = len(primary.x0)
     for n in range(nt):
@@ -225,11 +232,6 @@ def _write_tree(scenario: Scenario, run_dir: Path):
     chain_rows = [_write_level(scenario, run_dir, primary, n, want_ids and n == mid)
                   for n in levels]
 
-    equivalence = None
-    if "equivalence" in scenario.diagnostics and direct is not None and recon is not None:
-        equivalence = route_equivalence(direct, recon, order)
-        _write_rows(run_dir / "diagnostics/equivalence.csv", _EQUIV_HEADER, equivalence.rows())
-
     if "conservation" in scenario.diagnostics:
         report = conservation_report(primary, order=order)
         _write_rows(run_dir / "diagnostics/conservation.csv", _CONSV_HEADER, report.rows())
@@ -246,8 +248,9 @@ def _write_tree(scenario: Scenario, run_dir: Path):
         "n_steps": n_steps,
         "duration_actual": n_steps * grid.dt,
         "scheme": {
-            "dirac": f"rk4/central-{order}" if direct is not None else None,
-            "reduced": f"three-level/central-{order}" if recon is not None else None,
+            "dirac": f"rk4/central-{order}" if scenario.pipeline in ("dirac", "both") else None,
+            "reduced": (f"three-level/central-{order}"
+                        if scenario.pipeline in ("reduced", "both") else None),
         },
         "outputs": {path.relative_to(run_dir).as_posix(): file_sha256(path)
                     for path in sorted(run_dir.rglob("*")) if path.is_file()},

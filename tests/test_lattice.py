@@ -2,7 +2,6 @@
 Minkowski contractions, and the CSV snapshot round trip."""
 
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,7 +100,7 @@ def test_laplacian_discrete_symbol(dims, order):
     np.testing.assert_allclose(laplacian(f, grid, order), -kappa2 * f, rtol=1e-12, atol=1e-12)
 
 
-def test_order2_four_gradient_allocates_no_scratch():
+def test_order2_four_gradient_allocates_no_scratch(traced):
     # an order-2 gradient uses neither the order-4 product field nor the
     # multi-axis sum field: its peak is the output, the padded copy and the
     # ufunc iterator's buffers (np.getbufsize() items per strided operand);
@@ -111,12 +110,7 @@ def test_order2_four_gradient_allocates_no_scratch():
     field, d0 = (rng.normal(size=(4, 64, 64)) + 1j * rng.normal(size=(4, 64, 64))
                  for _ in range(2))
     four_gradient(field, d0, grid)  # warm-up
-    tracemalloc.start()
-    try:
-        out = four_gradient(field, d0, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak, _ = traced(four_gradient, field, d0, grid)
     pad = 4 * 66 * 66 * field.itemsize
     buffers = 2 * np.getbufsize() * field.itemsize
     assert peak < out.nbytes + pad + buffers + field.nbytes // 2
@@ -269,18 +263,13 @@ def test_snapshot_round_trip_edge_values_bit_exact(tmp_path, complex_field):
         assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
 
 
-def test_snapshot_write_streams_in_blocks(tmp_path):
+def test_snapshot_write_streams_in_blocks(tmp_path, traced):
     grid = make_grid([1.0] * 3, [32] * 3)
     rng = np.random.default_rng(5)
     f = rng.normal(size=(2, 32, 32, 32)) + 1j * rng.normal(size=(2, 32, 32, 32))
     path = tmp_path / "big.csv"
     write_snapshot(path, f, grid)   # warm-up: fills the index-prefix cache
-    tracemalloc.start()
-    try:
-        write_snapshot(path, f, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak, _ = traced(write_snapshot, path, f, grid)
     assert peak < path.stat().st_size / 3
 
 

@@ -7,8 +7,6 @@ must hold less memory than those did.  Sizes are in spinor units: the bytes of
 one (2, *grid) complex field.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -118,27 +116,17 @@ def _spinor_state():
     return psi1, psi2, grid, psi1.nbytes
 
 
-def test_identity_rows_peak_at_most_eight_spinors():
+def test_identity_rows_peak_at_most_eight_spinors(traced):
     psi1, psi2, grid, spinor = _spinor_state()
     fs = fluid_state(psi1, psi2, 0.0, grid, PARAMS)
     identity_rows_at(psi1, fs, PARAMS, 2, "auto")  # warm-up
-    tracemalloc.start()
-    try:
-        identity_rows_at(psi1, fs, PARAMS, 2, "auto")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak, _ = traced(identity_rows_at, psi1, fs, PARAMS, 2, "auto")
     assert peak <= 8 * spinor, peak / spinor
 
 
-def test_fluid_state_holds_at_most_ten_and_a_half_spinors():
+def test_fluid_state_holds_at_most_ten_and_a_half_spinors(traced):
     psi1, psi2, grid, spinor = _spinor_state()
     fluid_state(psi1, psi2, 0.0, grid, PARAMS)  # warm-up
-    tracemalloc.start()
-    try:
-        fs = fluid_state(psi1, psi2, 0.0, grid, PARAMS)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    fs, _, held = traced(fluid_state, psi1, psi2, 0.0, grid, PARAMS)
     assert fs.mask.shape == grid.shape
     assert held <= 10.5 * spinor, held / spinor

@@ -1,8 +1,6 @@
 """Second-order reduction: exact discrete roots, the bootstrap step, the
 psi2 reconstruction, and the residual diagnostics."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -202,19 +200,14 @@ def test_reconstruct_psi2_exact_at_start():
     np.testing.assert_array_equal(recon.psi2[0], psi2)
 
 
-def test_reduced_route_peak_is_two_recorded_arrays():
+def test_reduced_route_peak_is_two_recorded_arrays(traced):
     # the un-hat overwrites the recorded psi1hat and integral levels in place,
     # so beyond those two arrays the route holds only per-step buffers
     scenario = _gaussian_scenario()
     initial = build_initial(scenario)
     n = 400
     one_array = (n + 1) * initial.psi1.nbytes
-    tracemalloc.start()
-    try:
-        traj = evolve_reduced(initial, n * scenario.grid.dt, scenario.params)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    traj, peak, _ = traced(evolve_reduced, initial, n * scenario.grid.dt, scenario.params)
     assert traj.psi1.nbytes == traj.psi2.nbytes == one_array
     assert peak <= 2.25 * one_array
 
@@ -240,7 +233,7 @@ def test_integral_accumulates_psi1hat():
     grid = scenario.grid
     initial = build_initial(scenario)
     slope = initial_time_derivative(initial, params)
-    xs, (psi1hat, int_psi1hat), _ = run_steps(
+    xs, (psi1hat, int_psi1hat) = run_steps(
         initialize_reduced(initial),
         lambda s: reduced_step(s, grid.dt, params, initial_slope=slope),
         n_steps_for(scenario.duration, grid.dt, 1), 1, ("psi1hat", "int_psi1hat"))

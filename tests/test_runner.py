@@ -1,6 +1,7 @@
 """End-to-end runs: output tree, manifest hashing, and determinism."""
 
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -234,3 +235,39 @@ def test_outputs_of_a_shared_step_do_not_depend_on_record_every(tmp_path):
         rows.add(consv[1 + 32 // every])
     assert len(fluid) == 1
     assert len(rows) == 1 and float(rows.pop().split(",")[0]) == 0.3125
+
+
+def test_both_run_drops_the_reduced_route_before_the_fluid_map(tmp_path, monkeypatch):
+    # the routes are compared right after they run, so from the snapshots on a
+    # both run holds only the direct trajectory
+    refs, seen = [], []
+    evolve_reduced, fluid_state_ = runner.evolve_reduced, runner.fluid_state
+
+    def kept(*args, **kwargs):
+        traj = evolve_reduced(*args, **kwargs)
+        refs.append(weakref.ref(traj.psi1))
+        return traj
+
+    def checked(*args, **kwargs):
+        seen.append(refs[0]())
+        return fluid_state_(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "evolve_reduced", kept)
+    monkeypatch.setattr(runner, "fluid_state", checked)
+    config = _packet_config(grid={"extents": [6.0, 6.0], "points": [16, 16]}, duration=0.5,
+                            initial_data={"recipe": "gaussian_packet", "k": [0.5, 0.25],
+                                          "width": 1.5},
+                            fluid_map=False, diagnostics=["equivalence", "identities"])
+    run(scenario_from_dict(config), tmp_path)
+    assert len(refs) == 1 and seen == [None]
+
+
+@pytest.mark.parametrize("pipeline, reduced", [("both", "three-level/central-4"),
+                                                ("reduced", "three-level/central-4"),
+                                                ("dirac", None)])
+def test_scheme_tags_follow_the_pipeline(tmp_path, pipeline, reduced):
+    scenario = scenario_from_dict(_packet_config(pipeline=pipeline, derivative_order=4,
+                                                 fluid_map=False, diagnostics=["conservation"]))
+    scheme = run(scenario, tmp_path).manifest["scheme"]
+    assert scheme == {"dirac": None if pipeline == "reduced" else "rk4/central-4",
+                      "reduced": reduced}

@@ -8,11 +8,11 @@ Fields carry signed zeros, both at random points and as whole components that
 stay exactly zero, because those are where reordered arithmetic would show.
 The RK4 reference is the Horner loop the stepper runs; the stage form of
 classical RK4 is kept beside it as a second reference, matched to rounding.
+The steppers' working sets are bounded with tracemalloc, and a property
+asserts that no state a step returned is written by a later step.
 The ci hypothesis profile (conftest.py) runs each property on 2 000
 derandomized examples; other profiles keep the counts given below.
 """
-
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,25 +242,67 @@ def test_rk4_step_is_the_stage_form_to_rounding(case):
     assert np.max(np.abs(state.psi - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-def test_cold_rk4_step_holds_two_scratch_fields():
-    # a cold step makes its stencil: the padded buffer, sigma.D's and the
-    # slope's fields, the multi-axis sum field, and the new level with its
-    # |psi| temporary; one more scratch field would pass 6.5 fields
-    grid = _grid(2, [64, 64], 2)
+def _working_set_state():
+    # 128^2, where one of numpy's fixed iterator buffers is 1/8 of a stacked field
+    grid = _grid(2, [128, 128], 2)
     rng = np.random.default_rng(4)
-    state = DiracState(_field(rng, (2,) + grid.shape), _field(rng, (2,) + grid.shape),
-                       0.0, grid)
-    peaks = []
-    for warm in (state, step(state, grid.dt, PhysParams())):
-        tracemalloc.start()
-        try:
-            step(warm, grid.dt, PhysParams())
-            peaks.append(tracemalloc.get_traced_memory()[1] / state.psi.nbytes)
-        finally:
-            tracemalloc.stop()
-    cold, warm = peaks
-    assert cold < 6.5
-    assert warm < 1.6
+    return DiracState(_field(rng, (2,) + grid.shape), _field(rng, (2,) + grid.shape),
+                      0.0, grid)
+
+
+def test_rk4_step_working_set(traced):
+    # a cold step makes its stencil: the padded buffer and sigma.D's field; the
+    # slope field k is fresh each step and becomes the new level, and |psi| goes
+    # into sigma.D's field, so no e and no |psi| temporary (5.54 fields before);
+    # the ufunc iterator adds np.getbufsize() items per strided operand, two here.
+    # A warm step makes only k, 1.25 fields with those buffers (1.50 before)
+    state = _working_set_state()
+    field = state.psi.nbytes
+    warm, cold, _ = traced(step, state, state.grid.dt, PhysParams())
+    _, warm_peak, _ = traced(step, warm, state.grid.dt, PhysParams())
+    buffers = 2 * np.getbufsize() * state.psi.itemsize
+    assert cold <= 3.5 * field + buffers, cold / field
+    assert warm_peak <= 1.3 * field, warm_peak / field
+
+
+def test_reduced_step_working_set(traced):
+    # the cold Taylor start makes the stencil (the padded buffer, the Laplacian
+    # and one work field) and the new level and integral, 5.04 spinor fields;
+    # it formed five whole temporaries and held a third scratch field before (8.04)
+    initial = _working_set_state()
+    spinor = initial.psi1.nbytes
+    slope = initial_time_derivative(initial, PhysParams())
+    state = initialize_reduced(initial)
+    _, cold, _ = traced(reduced_step, state, initial.grid.dt, PhysParams(), 2, slope)
+    assert cold <= 5.5 * spinor, cold / spinor
+
+
+@examples(30)
+@given(cases)
+def test_a_state_a_step_returned_is_never_written_again(case):
+    # steppers share one stencil along a trajectory, but every array a returned
+    # state holds is its own: stepping an older state again, with dt/2 or with
+    # other params (so the values differ), must leave every later state's bits
+    dims, points, order, seed = case
+    grid = _grid(dims, points, order)
+    rng = np.random.default_rng(seed)
+    params, other = PhysParams(), PhysParams(m=float(rng.uniform(0.5, 2.0)))
+    initial = DiracState(_field(rng, (2,) + grid.shape), _field(rng, (2,) + grid.shape),
+                         0.0, grid)
+    slope = initial_time_derivative(initial, params, order)
+    dirac, reduced = [initial], [initialize_reduced(initial)]
+    for _ in range(2):
+        dirac.append(step(dirac[-1], grid.dt, params, order=order))
+        reduced.append(reduced_step(reduced[-1], grid.dt, params, order, slope))
+    held = [s.psi for s in dirac[1:]] + [a for r in reduced[1:] for a in
+                                          (r.psi1hat, r.psi1hat_prev, r.int_psi1hat)]
+    kept = [a.copy() for a in held]
+    for dt, again in ((grid.dt / 2, params), (grid.dt, other)):
+        for older in (1, 0):
+            step(dirac[older], dt, again, order=order)
+            reduced_step(reduced[older], dt, again, order, slope)
+    for a, want in zip(held, kept):
+        assert_bit_equal(a, want)
 
 
 @examples(30)
@@ -343,7 +385,7 @@ def test_in_place_unhat_matches_reference(case, record_every, n_records):
                          0.0, grid)
     duration = n_records * record_every * grid.dt
     slope = initial_time_derivative(initial, params, order)
-    xs, (psi1hat, int_psi1hat), _ = run_steps(
+    xs, (psi1hat, int_psi1hat) = run_steps(
         initialize_reduced(initial),
         lambda s: reduced_step(s, grid.dt, params, order=order, initial_slope=slope),
         n_steps_for(duration, grid.dt, record_every), record_every,
