@@ -4,7 +4,8 @@ Each check is self-contained (builds its own scenario or synthetic fields),
 returns a CheckResult, and is also asserted one-to-one by the test suite.
 Tolerances live here, next to the computations they bound.  A check of what a
 run reports calls that code: the approximation chain reads `runner.chain_row`
-of `fluid_state`, d0 from `dirac_rhs` included, for the packet and the rest limit.
+of `fluid_state`, d0 from `dirac_rhs` included, for the packet and the rest limit,
+and the polar and Fisher forms come from the runner's `quantum_polar_forms`.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ import numpy as np
 from .clifford import anticommutation_deviation
 from .dynamics import DiracState, evolve
 from .fluid import clebsch_alpha, clebsch_velocity, fluid_state, rest_density
-from .lagrangian import (conservation_report, fisher_terms,
-                         lagrangian_classical_clebsch,
-                         lagrangian_classical_fluid, lagrangian_quantum_polar,
-                         lagrangian_spinor_from_gradients, lagrangian_split,
-                         probability_current, relative_residual)
+from .lagrangian import (conservation_report, lagrangian_classical_clebsch,
+                         lagrangian_classical_fluid, lagrangian_spinor_from_gradients,
+                         lagrangian_split, probability_current, quantum_polar_forms,
+                         relative_residual)
 from .lattice import make_grid, minkowski_square
 from .params import PhysParams
 from .reduction import equivalence_report, evolve_reduced
@@ -168,13 +168,9 @@ def check_lagrangian_split_polar() -> tuple[bool, str]:
 
     R = np.sqrt(si.R_up ** 2 + si.R_down ** 2)
     theta = np.arctan2(si.R_down, si.R_up)
-    dR = (si.R_up * si.dR_up + si.R_down * si.dR_down) / R
-    dtheta = (si.R_up * si.dR_down - si.R_down * si.dR_up) / R ** 2
-    l_polar = lagrangian_quantum_polar(R, theta, dR, dtheta, params)
+    l_polar, fisher = quantum_polar_forms(R, theta, si.dR_up.copy(), si.dR_down.copy(), params)
     polar_sup = float(np.max(relative_residual(l_q, l_polar)))
-
-    amp, angle = fisher_terms(np.sqrt(2.0) * R, theta, np.sqrt(2.0) * dR, dtheta, params)
-    fisher_sup = float(np.max(relative_residual(l_polar, amp + angle)))
+    fisher_sup = float(np.max(relative_residual(l_polar, fisher)))
 
     # convergence needs smooth periodic data: a truncated Gaussian's wrap
     # seam is a kink whose stencil error never shrinks

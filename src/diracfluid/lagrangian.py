@@ -12,7 +12,8 @@ The chain of equalities being verified, all pointwise:
     rho_bar (v_C.v_C - c^2) = c rho_0 (sqrt(v_C.v_C) - c)          (difference of squares)
 
 plus current conservation d_mu J^mu = 0 for J^0 = psi1.psi1 + psi2.psi2,
-J^i = 2 Re(psi1^dag sigma^i psi2).
+J^i = 2 Re(psi1^dag sigma^i psi2).  Both rewritings of L_q are the chain rule of
+(R_up, R_down) = R (cos theta, sin theta), written once, in `quantum_polar_forms`.
 """
 
 from __future__ import annotations
@@ -48,21 +49,32 @@ def lagrangian_split(R_up, R_down, dR_up, dR_down, d_nu_up, d_nu_down,
     return l_q, l_c
 
 
-def lagrangian_quantum_polar(R, theta, dR, dtheta, params: PhysParams) -> np.ndarray:
-    hq = params.hbar ** 2 / params.m
-    return hq * (minkowski_square(dR) + R ** 2 * minkowski_square(dtheta))
+def quantum_polar_forms(R, theta, dR_up, dR_down, params: PhysParams):
+    """(L_q in polar form, L_q in Fisher form) from d_mu R_up and d_mu R_down.
 
-
-def fisher_terms(a_0, theta, da_0, dtheta, params: PhysParams):
-    """((hbar^2/2m)(da_0)^2, (hbar^2/2m) a_0^2 (dtheta)^2).
-
-    The first term alone is the near-rest quantum Lagrangian; the second is
-    the gap it drops.
+    The chain rule of (R_up, R_down) = R (cos theta, sin theta): rotating the
+    amplitude gradients by theta gives dR = cos dR_up + sin dR_down and
+    R dtheta = cos dR_down - sin dR_up (dtheta is 0 where R is), and
+    da_0 = sqrt(2) dR.  The arguments are overwritten, one component at a time:
+    dR_up ends as da_0 and dR_down as dtheta.
     """
-    half = params.hbar ** 2 / (2.0 * params.m)
-    amp = half * minkowski_square(da_0)
-    angle = half * a_0 ** 2 * minkowski_square(dtheta)
-    return amp, angle
+    cos, sin = np.cos(theta), np.sin(theta)
+    divisor = np.where(R > 0, R, 1.0)
+    for up, down in zip(dR_up, dR_down):
+        rotated = cos * up
+        rotated += sin * down
+        down *= cos
+        down -= sin * up
+        down /= divisor
+        up[...] = rotated
+    del rotated, cos, sin, divisor  # before the forms' own temporaries
+    hq = params.hbar ** 2 / params.m
+    l_polar = hq * (minkowski_square(dR_up) + R ** 2 * minkowski_square(dR_down))
+    dR_up *= np.sqrt(2.0)
+    half = hq / 2.0  # a_0 = sqrt(2) R
+    fisher = (half * minkowski_square(dR_up)
+              + half * (np.sqrt(2.0) * R) ** 2 * minkowski_square(dR_down))
+    return l_polar, fisher
 
 
 def lagrangian_classical_clebsch(rho_bar, vv, params: PhysParams) -> np.ndarray:

@@ -31,7 +31,8 @@ reduced route, so no output of a level depends on `record_every`.
 Nothing outlives its last reader: the routes are compared first, so a `both`
 run drops the reduced trajectory before its snapshots, fluid map, identity and
 chain rows and conservation; each level's `FluidState` dies in `_write_level`,
-and the identity rows take d_mu of one field at a time.
+and the identity rows take the stencil d_mu of the two amplitude fields only, one
+at a time, and rotate those into the polar and Fisher forms by the chain rule.
 """
 
 from __future__ import annotations
@@ -46,10 +47,10 @@ import numpy as np
 
 from .dynamics import evolve, n_steps_for
 from .fluid import MASK_NAMES, FluidState, PointMask, fluid_state
-from .lagrangian import (conservation_report, fisher_terms, identity_residual,
+from .lagrangian import (conservation_report, identity_residual,
                          lagrangian_classical_clebsch, lagrangian_classical_fluid,
-                         lagrangian_quantum_polar, lagrangian_spinor_from_gradients,
-                         lagrangian_split, median)
+                         lagrangian_spinor_from_gradients, lagrangian_split, median,
+                         quantum_polar_forms)
 from .lattice import file_sha256, four_gradient, index_prefixes, write_csv, write_snapshot
 from .reduction import EquivalenceReport, evolve_reduced, route_equivalence
 from .scenarios import Scenario, build_initial
@@ -84,39 +85,30 @@ def identity_rows_at(psi1, fs: FluidState, params, order: int, branch: str):
     """Evaluate the Lagrangian identity chain on one recorded level.
 
     fs is that level's fluid map of psi1 (same order and branch), whose
-    polar form, alpha flags, v_C.v_C and speed are reused.  The amplitude
+    polar form, alpha flags, v_C.v_C and speed are reused.  The two amplitude
     fields take d0 by the chain rule from the map's d0 psi1 and their spatial
     parts from the stencil, so the time parts of every row hold to rounding
-    and the split row keeps the stencil's spatial error.  Each field's d_mu is
-    taken on its own and each row is formed as soon as both of its sides exist.
+    and the split row keeps the stencil's spatial error.  The polar and Fisher
+    forms come from those two gradients by the chain rule
+    (`lagrangian.quantum_polar_forms`), so their rows hold to rounding too.
     """
     tag = "x".join(str(p) for p in fs.grid.points)
     p, grid = fs.polar, fs.grid
     ok = fs.mask != int(PointMask.LOW_DENSITY)
 
-    # d0|psi_s| = Re(psi_s* d0 psi_s)/|psi_s|, then R and theta by the chain rule
-    # with (R_up, R_down) = R (cos theta, sin theta); zero where the divisor is
-    d0_up, d0_down = (np.real(np.conj(psi1[s]) * p.dpsi[0, s]) / np.where(r > 0, r, 1.0)
+    # d0|psi_s| = Re(psi_s* d0 psi_s)/|psi_s|, zero where the divisor is
+    dR_up, dR_down = (four_gradient(r, np.real(np.conj(psi1[s]) * p.dpsi[0, s])
+                                    / np.where(r > 0, r, 1.0), grid, order)
                       for s, r in ((0, p.R_up), (1, p.R_down)))
-    l_q, l_c = lagrangian_split(p.R_up, p.R_down, four_gradient(p.R_up, d0_up, grid, order),
-                                four_gradient(p.R_down, d0_down, grid, order),
+    l_q, l_c = lagrangian_split(p.R_up, p.R_down, dR_up, dR_down,
                                 p.d_nu_up, p.d_nu_down, params)
+    l_polar, fisher = quantum_polar_forms(p.R, p.theta, dR_up, dR_down, params)
+    del dR_up, dR_down  # overwritten by the former, read by nothing else
     rows = [identity_residual("split_identity", tag, "-",
                               lagrangian_spinor_from_gradients(psi1, p.dpsi, params),
-                              l_q + l_c, ok, scale=np.maximum(np.abs(l_q), np.abs(l_c)))]
-
-    cos, sin = np.cos(p.theta), np.sin(p.theta)
-    dR = four_gradient(p.R, cos * d0_up + sin * d0_down, grid, order)
-    dtheta = four_gradient(p.theta, (cos * d0_down - sin * d0_up) / np.where(p.R > 0, p.R, 1.0),
-                           grid, order)
-    del d0_up, d0_down, cos, sin  # each term goes after its last reader
-    l_polar = lagrangian_quantum_polar(p.R, p.theta, dR, dtheta, params)
-    rows.append(identity_residual("polar_quantum", tag, "-", l_q, l_polar, ok))
-    fisher_amp, fisher_angle = fisher_terms(np.sqrt(2.0) * p.R, p.theta,
-                                            np.sqrt(2.0) * dR, dtheta, params)
-    del dR, dtheta
-    rows.append(identity_residual("fisher_substitution", tag, "-", l_polar,
-                                  fisher_amp + fisher_angle, ok))
+                              l_q + l_c, ok, scale=np.maximum(np.abs(l_q), np.abs(l_c))),
+            identity_residual("polar_quantum", tag, "-", l_q, l_polar, ok),
+            identity_residual("fisher_substitution", tag, "-", l_polar, fisher, ok)]
 
     # the mask folds negative-discriminant points into COMPLEX_ALPHA, so the
     # roots' own flags decide; among these points COMPLEX_ALPHA means v_C.v_C < 0

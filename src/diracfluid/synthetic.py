@@ -1,13 +1,14 @@
-"""Seeded synthetic fields with analytic four-gradients.
+"""Seeded synthetic fields, banded for well-conditioned residuals.
 
-The identity checks need smooth periodic fields whose gradients are known in
-closed form, banded so that no quantity being compared crosses zero: phase
-gradients timelike-dominant, amplitudes bounded away from zero, mixing angle
-inside (0, pi/2).  Everything is built from short random trigonometric series
+The identity checks need smooth periodic fields, banded so that no quantity
+being compared crosses zero: phase gradients timelike-dominant, amplitudes
+bounded away from zero, mixing angle inside (0, pi/2).  Everything is built
+from short random trigonometric series
 
-    f(x) = sum_j w_j cos(k_j . x - omega_j x0 + phi_j),   sum_j |w_j| = 1,
+    f(x) = sum_j w_j cos(k_j . x + phi_j),   sum_j |w_j| = 1,
 
-so |f| <= 1 and the gradient components are bounded by max|k_j|, max|omega_j|.
+so |f| <= 1.  The identities are pointwise, so the checks draw their gradient
+data as fields of their own.
 """
 
 from __future__ import annotations
@@ -18,48 +19,33 @@ import numpy as np
 
 from .lattice import Grid
 
-
-@dataclass
-class SyntheticField:
-    """A scalar sample together with its analytic lower-index four-gradient."""
-
-    value: np.ndarray
-    gradient: np.ndarray  # (4, *grid.shape)
+_N_MODES, _MAX_MODE = 4, 5
 
 
-def unit_trig(grid: Grid, rng: np.random.Generator, n_modes: int = 4,
-              max_mode: int = 5, omega_scale: float = 1.0) -> SyntheticField:
-    """Random trig series with |value| <= 1 and its exact gradient at x0 = 0."""
+def unit_trig(grid: Grid, rng: np.random.Generator) -> np.ndarray:
+    """Random trig series with |value| <= 1."""
     xs = grid.meshes()
-    weights = rng.uniform(0.5, 1.0, size=n_modes)
+    weights = rng.uniform(0.5, 1.0, size=_N_MODES)
     weights /= np.sum(weights)
-    signs = rng.choice([-1.0, 1.0], size=n_modes)
+    signs = rng.choice([-1.0, 1.0], size=_N_MODES)
     weights *= signs
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=n_modes)
-    omegas = rng.uniform(-omega_scale, omega_scale, size=n_modes)
-    modes = rng.integers(1, max_mode + 1, size=(n_modes, grid.dims))
-    mode_signs = rng.choice([-1, 1], size=(n_modes, grid.dims))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=_N_MODES)
+    rng.uniform(-1.0, 1.0, size=_N_MODES)  # unread frequencies: seeded fields keep their bits
+    modes = rng.integers(1, _MAX_MODE + 1, size=(_N_MODES, grid.dims))
+    mode_signs = rng.choice([-1, 1], size=(_N_MODES, grid.dims))
     modes = modes * mode_signs
 
     value = np.zeros(grid.shape)
-    gradient = np.zeros((4,) + grid.shape)
-    for j in range(n_modes):
+    for j in range(_N_MODES):
         k = 2.0 * np.pi * modes[j] / np.asarray(grid.extents)
-        arg = phases[j] + sum(k[a] * xs[a] for a in range(grid.dims))
-        value += weights[j] * np.cos(arg)
-        # d/dx0 of cos(k.x - omega x0 + phi) at x0=0 is +omega sin(arg)
-        gradient[0] += weights[j] * omegas[j] * np.sin(arg)
-        for a in range(grid.dims):
-            gradient[1 + a] += -weights[j] * k[a] * np.sin(arg)
-    return SyntheticField(value=value, gradient=gradient)
+        value += weights[j] * np.cos(phases[j] + sum(k[a] * xs[a] for a in range(grid.dims)))
+    return value
 
 
 def banded_scalar(grid: Grid, rng: np.random.Generator, center: float,
-                  half_range: float, **kw) -> SyntheticField:
+                  half_range: float) -> np.ndarray:
     """Field confined to [center - half_range, center + half_range]."""
-    base = unit_trig(grid, rng, **kw)
-    return SyntheticField(value=center + half_range * base.value,
-                          gradient=half_range * base.gradient)
+    return center + half_range * unit_trig(grid, rng)
 
 
 def timelike_four_vector(grid: Grid, rng: np.random.Generator, t_center: float,
@@ -68,9 +54,9 @@ def timelike_four_vector(grid: Grid, rng: np.random.Generator, t_center: float,
     and each spatial component bounded by c*s_amp/sqrt(3)."""
     out = np.zeros((4,) + grid.shape)
     sign = float(rng.choice([-1.0, 1.0]))
-    out[0] = sign * c * banded_scalar(grid, rng, t_center, t_half).value
+    out[0] = sign * c * banded_scalar(grid, rng, t_center, t_half)
     for i in range(3):
-        out[1 + i] = c * (s_amp / np.sqrt(3.0)) * unit_trig(grid, rng).value
+        out[1 + i] = c * (s_amp / np.sqrt(3.0)) * unit_trig(grid, rng)
     return out
 
 
@@ -89,7 +75,7 @@ def synthetic_clebsch_inputs(grid: Grid, rng: np.random.Generator,
     away from the axes, so the discriminant and v_C.v_C stay positive with a
     wide margin.
     """
-    theta = banded_scalar(grid, rng, 0.775, 0.575).value  # [0.2, 1.35]
+    theta = banded_scalar(grid, rng, 0.775, 0.575)  # [0.2, 1.35]
     d_nu = timelike_four_vector(grid, rng, 1.2, 0.1, 0.4, c)
     d_beta = timelike_four_vector(grid, rng, 0.65, 0.15, 0.2, c)
     return ClebschInputs(theta=theta, d_nu=d_nu, d_beta=d_beta)
@@ -127,15 +113,13 @@ def synthetic_split_inputs(grid: Grid, rng: np.random.Generator, params,
     nu_down = banded_scalar(grid, rng, 0.0, 1.0)
     d_nu_up = timelike_four_vector(grid, rng, 1.2, 0.1, 0.4, c)
     d_nu_down = timelike_four_vector(grid, rng, 1.2, 0.1, 0.4, c)
-    return SplitInputs(R_up=r_up.value, R_down=r_down.value,
-                       dR_up=dR_up, dR_down=dR_down,
-                       nu_up=nu_up.value, nu_down=nu_down.value,
-                       d_nu_up=d_nu_up, d_nu_down=d_nu_down)
+    return SplitInputs(R_up=r_up, R_down=r_down, dR_up=dR_up, dR_down=dR_down,
+                       nu_up=nu_up, nu_down=nu_down, d_nu_up=d_nu_up, d_nu_down=d_nu_down)
 
 
 def synthetic_density_velocity(grid: Grid, rng: np.random.Generator, params):
     """(rho_bar, v_upper) with v timelike, for the fluid-form identity."""
-    rho_bar = params.m * banded_scalar(grid, rng, 1.0, 0.5).value
+    rho_bar = params.m * banded_scalar(grid, rng, 1.0, 0.5)
     v_lower = timelike_four_vector(grid, rng, 1.25, 0.1, 0.3, params.c)
     v_upper = v_lower.copy()
     v_upper[1:] *= -1.0

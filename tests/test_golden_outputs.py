@@ -4,21 +4,31 @@ golden_outputs.json holds the sha256 of every output file of the four shipped
 configs and of the two small multi-axis configs below, which pin the 2-D and
 3-D gradient, fluid-map and identity paths the shipped 1-D configs never
 reach. A change that deliberately alters the numbers or the file format
-regenerates it and says why.
+regenerates it and says why:
+
+    python tests/test_golden_outputs.py            # list the entries the code changes
+    python tests/test_golden_outputs.py --write    # and rewrite golden_outputs.json
 """
 
+import argparse
 import hashlib
 import json
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diracfluid.runner import run
-from diracfluid.scenarios import load_scenario, scenario_from_dict
-
 REPO = Path(__file__).resolve().parent.parent
-GOLDEN = json.loads((Path(__file__).with_name("golden_outputs.json")).read_text())
+if __name__ == "__main__":  # run as a script: use this checkout's package
+    sys.path.insert(0, str(REPO / "src"))
+
+from diracfluid.runner import run  # noqa: E402
+from diracfluid.scenarios import load_scenario, scenario_from_dict  # noqa: E402
+
+GOLDEN_PATH = Path(__file__).with_name("golden_outputs.json")
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 MULTI_AXIS_CONFIGS = {
     "golden_2d_both": {
@@ -90,3 +100,32 @@ def test_rest_config_fluid_map_is_exact(shipped):
 def test_multi_axis_outputs_match_golden_hashes(tmp_path, name):
     run(scenario_from_dict(MULTI_AXIS_CONFIGS[name]), tmp_path)
     assert _output_hashes(tmp_path / name) == GOLDEN[name]
+
+
+def _fresh_hashes() -> dict:
+    """The output hashes of every pinned config, from the current code."""
+    fresh = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        scenarios = [load_scenario(path) for path in sorted((REPO / "configs").glob("*.json"))]
+        scenarios += [scenario_from_dict(config) for config in MULTI_AXIS_CONFIGS.values()]
+        for scenario in scenarios:
+            fresh[scenario.name] = _output_hashes(run(scenario, tmp).run_dir)
+    return fresh
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description="Compare the pinned output hashes with "
+                                     "the current code's, and print each entry that differs.")
+    parser.add_argument("--write", action="store_true", help="rewrite golden_outputs.json")
+    args = parser.parse_args(argv)
+    fresh = _fresh_hashes()
+    changed = [f"{name}/{path}" for name in sorted(set(fresh) | set(GOLDEN))
+               for path in sorted(set(fresh.get(name, {})) | set(GOLDEN.get(name, {})))
+               if fresh.get(name, {}).get(path) != GOLDEN.get(name, {}).get(path)]
+    print("\n".join(changed) if changed else "no entry changed")
+    if args.write:
+        GOLDEN_PATH.write_text(json.dumps(fresh, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -6,12 +6,11 @@ from diracfluid.clifford import gamma
 from diracfluid.dynamics import evolve
 from diracfluid.fluid import rest_density
 from diracfluid.lagrangian import (ConservationReport, conservation_report, median,
-                                   fisher_terms, identity_residual,
+                                   identity_residual,
                                    lagrangian_classical_clebsch,
-                                   lagrangian_classical_fluid,
-                                   lagrangian_quantum_polar, lagrangian_split,
+                                   lagrangian_classical_fluid, lagrangian_split,
                                    lagrangian_spinor_from_gradients,
-                                   probability_current,
+                                   probability_current, quantum_polar_forms,
                                    relative_residual)
 from diracfluid.lattice import four_gradient, make_grid, minkowski_square
 from diracfluid.params import PhysParams
@@ -92,16 +91,26 @@ def test_polar_split_reproduces_spinor_lagrangian():
 
 
 def test_fisher_terms_sum_to_polar_quantum_part():
+    # the polar and Fisher forms, from the amplitude gradients by the chain
+    # rule, both equal the split's L_q; the scale is the sum of the terms' sizes
     rng = np.random.default_rng(5)
     n = 128
-    R = rng.uniform(0.5, 1.5, size=n)
-    theta = rng.uniform(0.2, 1.3, size=n)
-    dR = rng.normal(size=(4, n))
-    dtheta = rng.normal(size=(4, n))
-    polar = lagrangian_quantum_polar(R, theta, dR, dtheta, PARAMS)
-    amp, angle = fisher_terms(np.sqrt(2.0) * R, theta, np.sqrt(2.0) * dR,
-                              dtheta, PARAMS)
-    np.testing.assert_allclose(amp + angle, polar, rtol=1e-13)
+    R_up, R_down = rng.uniform(0.1, 1.5, size=(2, n))
+    dR_up, dR_down = rng.normal(size=(2, 4, n))
+    l_q, _ = lagrangian_split(R_up, R_down, dR_up, dR_down, np.zeros((4, n)),
+                              np.zeros((4, n)), PARAMS)
+    size = np.sum(dR_up ** 2 + dR_down ** 2, axis=0)
+    up, down = dR_up.copy(), dR_down.copy()
+    polar, fisher = quantum_polar_forms(np.hypot(R_up, R_down), np.arctan2(R_down, R_up),
+                                        up, down, PARAMS)
+    assert np.max(np.abs(polar - l_q) / size) < 1e-14
+    assert np.max(np.abs(fisher - polar) / size) < 1e-14
+    # the arguments end as d a_0 = sqrt(2) dR and d theta
+    R = np.hypot(R_up, R_down)
+    np.testing.assert_allclose(up, np.sqrt(2.0) * (R_up * dR_up + R_down * dR_down) / R,
+                               rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(down, (R_up * dR_down - R_down * dR_up) / R ** 2,
+                               rtol=1e-13, atol=1e-15)
 
 
 def test_classical_fluid_form_clamps_spacelike_points():
