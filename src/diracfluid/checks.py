@@ -178,7 +178,7 @@ def check_lagrangian_split_polar() -> tuple[bool, str]:
     for points in (64, 128, 256):
         state, grid_n, params_n = _smooth_periodic_state(points)
         fs = fluid_state(state.psi1, state.psi2, 0.0, grid_n, params_n)
-        rows = identity_rows_at(state.psi1, fs, params_n, 2, "auto")
+        rows = identity_rows_at(fs)
         residuals.append(next(r.residual_l2 for r in rows if r.name == "split_identity"))
     slopes = [np.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
     ok = (split_sup < 1e-10 and polar_sup < 1e-10 and fisher_sup < 1e-12
@@ -246,12 +246,12 @@ def _slow_packet_state():
 def check_approximation_chain() -> tuple[bool, str]:
     """Slow packet: near-classical medians; rest limit: exact to round-off; both via chain_row."""
     state, grid, params = _slow_packet_state()
-    row = chain_row(fluid_state(state.psi1, state.psi2, 0.0, grid, params), params)
+    row = chain_row(fluid_state(state.psi1, state.psi2, 0.0, grid, params))
     med_speed, med_dens, max_space = row[1], row[3], row[5]
 
     # a uniform spinor with psi2 = 0 is at rest: dirac_rhs gives d0 nu = -c
     psi1 = 1.3 * np.array([[np.cos(0.3)], [np.exp(0.7j) * np.sin(0.3)]]).repeat(8, axis=1)
-    rests = [chain_row(fluid_state(psi1, np.zeros_like(psi1), 0.0, make_grid([1.0], [8]), p), p)
+    rests = [chain_row(fluid_state(psi1, np.zeros_like(psi1), 0.0, make_grid([1.0], [8]), p))
              for p in (PhysParams(c=1.0), PhysParams(c=2.5))]
     # worst max speed and density deviation; a NaN (no usable point) fails the gate
     rest_worst = float(np.max([r[[2, 4]] for r in rests]))

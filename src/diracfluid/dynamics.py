@@ -65,13 +65,14 @@ class DiracState:
 
 @dataclass
 class SpinorTrajectory:
-    """Recorded (psi1, psi2) levels at uniformly spaced x0 values."""
+    """Recorded (psi1, psi2) levels at uniform x0 steps, and the grid, params and order they had."""
 
     x0: np.ndarray      # (nt,)
     psi1: np.ndarray    # (nt, 2, *grid.shape)
     psi2: np.ndarray
     grid: Grid
     params: PhysParams
+    order: int
 
 
 def check_growth(old_max: float, new_max: float, x0: float, params: PhysParams,
@@ -179,4 +180,4 @@ def evolve(initial: DiracState, duration: float, params: PhysParams,
     n = n_steps_for(duration, grid.dt, record_every)
     xs, (psi1, psi2) = run_steps(initial, lambda s: step(s, grid.dt, params, order=order),
                                  n, record_every, ("psi1", "psi2"))
-    return SpinorTrajectory(xs, psi1, psi2, grid, params)
+    return SpinorTrajectory(xs, psi1, psi2, grid, params, order)

@@ -21,7 +21,8 @@ from that level alone, from one polar decomposition (`polar`: amplitudes, angle
 and phase gradients, d psi included) and one v_C.v_C.  The FluidState keeps
 what its readers read: the fluid columns, v_C.v_C and speed, the polar form
 and the alpha root's two flags; d beta and the quadratic's dot products die
-inside `fluid_state`, and the identity rows of that level read the rest.
+inside `fluid_state`, and the identity rows of that level read the rest, with
+the psi1, params, order and branch that the map was made from.
 
 Points where the map degenerates are masked rather than patched:
 LOW_DENSITY (either spin's |psi_s|^2 under eps_density_rel max |psi1|^2,
@@ -62,6 +63,7 @@ class Polar:
     Gradients are lower-index (4, *grid.shape) arrays in velocity units.
     """
 
+    psi1: np.ndarray       # the level decomposed, held by reference
     R_up: np.ndarray
     R_down: np.ndarray
     R: np.ndarray          # sqrt(R_up^2 + R_down^2)
@@ -95,7 +97,7 @@ def polar(psi1, d0psi1, grid: Grid, params: PhysParams, order: int = 2) -> Polar
         d[mu] = scale * np.imag(conj * dpsi[mu]) / divisor
     d[:, low] = 0.0
     r_up, r_down = np.sqrt(mag2[0]), np.sqrt(mag2[1])
-    return Polar(R_up=r_up, R_down=r_down, R=np.sqrt(r2), rho_bar=params.m * r2,
+    return Polar(psi1=psi1, R_up=r_up, R_down=r_down, R=np.sqrt(r2), rho_bar=params.m * r2,
                  theta=np.arctan2(r_down, r_up), d_nu_up=d[:, 0], d_nu_down=d[:, 1],
                  low_density=low[0] | low[1], dpsi=dpsi)
 
@@ -200,6 +202,9 @@ class FluidState:
     polar: Polar
     degenerate: np.ndarray     # bool: the alpha quadratic's |d| under its floor
     complex_disc: np.ndarray   # bool: its literal discriminant negative
+    params: PhysParams
+    order: int                 # stencil order of the map's d_mu
+    branch: str                # alpha branch of the quadratic's root
 
     def mask_fraction(self, flag: PointMask) -> float:
         return float(np.mean(self.mask == int(flag)))
@@ -228,4 +233,5 @@ def fluid_state(psi1, psi2, x0: float, grid: Grid, params: PhysParams,
     return FluidState(grid=grid, x0=x0, rho_bar=p.rho_bar, theta=p.theta,
                       alpha=alpha, v_c=v_c, rho_0=rho_0, a_0=a_0, mask=mask, vv=vv,
                       speed=speed, polar=p, degenerate=roots.degenerate,
-                      complex_disc=roots.complex_disc)
+                      complex_disc=roots.complex_disc, params=params, order=order,
+                      branch=branch)

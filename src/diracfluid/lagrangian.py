@@ -120,14 +120,14 @@ class ConservationReport:
         return float(np.max(self.charge_drift))
 
 
-def conservation_report(traj, order: int = 2) -> ConservationReport:
+def conservation_report(traj) -> ConservationReport:
     """d_mu J^mu residual and total-charge drift, computed at each recorded level in turn.
 
     d0 J^0 = 2 Re sum psi* d0 psi takes d0 psi from `dirac_rhs` at the level and
-    the spatial divergence is the stencil's, so the residual is the lattice's
-    product-rule error and does not depend on the recording cadence.
+    the spatial divergence is the stencil's, at traj's order, so the residual is
+    the lattice's product-rule error and does not depend on the recording cadence.
     """
-    grid, n = traj.grid, traj.x0.shape[0]
+    grid, order, n = traj.grid, traj.order, traj.x0.shape[0]
     charge, div_l2 = np.empty(n), np.empty(n)
     for i, (psi1, psi2) in enumerate(zip(traj.psi1, traj.psi2)):
         j = probability_current(psi1, psi2)
@@ -167,16 +167,11 @@ class IdentityResidual:
     residual_sup: float
     masked_fraction: float
 
-    def row(self) -> str:
-        return (f"{self.name},{self.grid_tag},{self.branch},"
-                f"{self.residual_l2:.17g},{self.residual_sup:.17g},"
-                f"{self.masked_fraction:.17g}")
-
 
 def identity_residual(name: str, grid_tag: str, branch: str, a: np.ndarray,
-                      b: np.ndarray, valid: np.ndarray | None = None,
+                      b: np.ndarray, valid: np.ndarray,
                       scale: np.ndarray | None = None) -> IdentityResidual:
-    """Residual statistics for a pointwise identity a = b.
+    """Residual statistics for a pointwise identity a = b over the valid points.
 
     By default the residual is relative to max(|a|, |b|); pass an explicit
     scale when the identity value itself can vanish (free on-shell fields have
@@ -186,8 +181,6 @@ def identity_residual(name: str, grid_tag: str, branch: str, a: np.ndarray,
         rel = relative_residual(a, b)
     else:
         rel = np.abs(a - b) / np.maximum(scale, _SCALE_FLOOR)
-    if valid is None:
-        valid = np.ones(rel.shape, dtype=bool)
     n_valid = int(np.sum(valid))
     if n_valid == 0:
         return IdentityResidual(name, grid_tag, branch, float("nan"), float("nan"), 1.0)

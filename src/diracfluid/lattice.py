@@ -250,6 +250,11 @@ def four_gradient(f: np.ndarray, d0f: np.ndarray, grid: Grid, order: int = 2) ->
     return out
 
 
+def kappa_dx(theta, order: int):
+    """kappa dx of the first difference on the mode k dx = theta, on which it acts as i kappa."""
+    return np.sin(theta) if order == 2 else (8.0 * np.sin(theta) - np.sin(2.0 * theta)) / 6.0
+
+
 def laplacian(f: np.ndarray, grid: Grid, order: int = 2) -> np.ndarray:
     """sum_i D_i D_i f with the first differences D_i of spatial_derivative."""
     return Stencil(f.shape, grid, order, f.dtype).laplacian(f, np.empty(f.shape, f.dtype))

@@ -31,12 +31,13 @@ in the new level, the one fresh array besides the new integral, and h^2*lap in
 is computed once per step, into `lap`, and reused by the next step's growth
 check and by the cumulative runaway check.  The arithmetic repeats the plain
 numpy expressions of the scheme ufunc for ufunc, so levels are bit-identical
-to them.  `evolve_reduced` lets the start slope go after the first step, and
-the last state before the un-hat.
+to them.  Only the x0 = 0 state holds the start slope, so it goes with that
+state after the first step, and the last state goes before the un-hat.
 
 Both routes return one trajectory type: `evolve_reduced` records psi1hat and
 its integral, and `unhat_trajectory` then overwrites them in place with the
-un-hatted psi1 and the rebuilt psi2 of a `dynamics.SpinorTrajectory`.
+un-hatted psi1 and the rebuilt psi2 of a `dynamics.SpinorTrajectory`.  The
+residual and the route comparison read grid, params and order from it.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import numpy as np
 from .dynamics import (DiracState, SpinorTrajectory, check_growth, dirac_rhs, evolve,
                        n_steps_for, run_steps)
 from .errors import GridError
-from .lattice import Grid, Stencil, integrate_volume, laplacian
+from .lattice import Grid, Stencil, integrate_volume, kappa_dx, laplacian
 from .params import PhysParams
 
 
@@ -67,8 +68,7 @@ def max_stable_step(grid: Grid, params: PhysParams, order: int = 2) -> float:
     for n, dx in zip(grid.points, grid.dx):
         near = np.rint(np.array([[peak], [2.0 * np.pi - peak]]) * n / (2.0 * np.pi))
         theta = 2.0 * np.pi * np.clip(near + np.arange(-2, 3), 0, n - 1) / n
-        kdx = np.sin(theta) if order == 2 else (8.0 * np.sin(theta) - np.sin(2.0 * theta)) / 6.0
-        peaks.append((float(np.max(kdx ** 2)), dx))
+        peaks.append((float(np.max(kappa_dx(theta, order) ** 2)), dx))
     mu = params.mass_wavenumber
     K = 0.0
     try:
@@ -91,7 +91,7 @@ class ReducedState:
     psi1hat_prev is the level one step behind psi1hat (None only before the
     bootstrap step); int_psi1hat is the trapezoidal accumulation of psi1hat
     from 0 to x0; max_abs is max|psi1hat| and stencil holds the stepper's
-    buffers.
+    buffers.  slope, d0 psi1hat, is held by the x0 = 0 state only.
     """
 
     psi1hat: np.ndarray
@@ -101,27 +101,22 @@ class ReducedState:
     grid: Grid
     max_abs: float
     stencil: Stencil | None = field(default=None, repr=False)
+    slope: np.ndarray | None = field(default=None, repr=False)
 
 
-def initial_time_derivative(initial: DiracState, params: PhysParams,
-                            order: int = 2) -> np.ndarray:
-    """Initial d0 slope of psi1hat: d0 psi1(0) - i*mu*psi1(0), as hatted = plain at x0 = 0."""
-    d0, _ = dirac_rhs(initial.psi1, initial.psi2, initial.grid, params, order)
-    return d0 - 1j * params.mass_wavenumber * initial.psi1
+def initialize_reduced(initial: DiracState, params: PhysParams, order: int) -> ReducedState:
+    """ReducedState at x0 = 0 from Dirac initial data (x0 must be 0), with its start slope.
 
-
-def initialize_reduced(initial: DiracState) -> ReducedState:
-    """ReducedState at x0 = 0 from Dirac initial data (x0 must be 0)."""
+    The slope is d0 psi1(0) - i*mu*psi1(0), as hatted = plain at x0 = 0, with
+    d0 psi1 from `dirac_rhs` at the stencil order the steps take.
+    """
     if initial.x0 != 0.0:
         raise GridError("reduction expects initial data at x0 = 0")
-    return ReducedState(
-        psi1hat=initial.psi1.copy(),
-        psi1hat_prev=None,
-        int_psi1hat=np.zeros_like(initial.psi1),
-        x0=0.0,
-        grid=initial.grid,
-        max_abs=float(np.max(np.abs(initial.psi1))),
-    )
+    psi1 = initial.psi1
+    slope = dirac_rhs(psi1, initial.psi2, initial.grid, params, order)[0]
+    slope -= 1j * params.mass_wavenumber * psi1
+    return ReducedState(psi1.copy(), None, np.zeros_like(psi1), 0.0, initial.grid,
+                        float(np.max(np.abs(psi1))), slope=slope)
 
 
 def _reduced_constants(st: Stencil, h: float, mu: float):
@@ -130,10 +125,10 @@ def _reduced_constants(st: Stencil, h: float, mu: float):
 
 
 def reduced_step(state: ReducedState, dt: float, params: PhysParams,
-                 order: int = 2, initial_slope: np.ndarray | None = None) -> ReducedState:
+                 order: int = 2) -> ReducedState:
     """Advance one step of size dt.
 
-    The first step (psi1hat_prev is None) needs the initial slope field; later
+    The first step (psi1hat_prev is None) starts from the state's slope; later
     steps solve the three-level scheme
 
         (1 + i*mu*h) psi^{n+1} = 2 psi^n - (1 - i*mu*h) psi^{n-1} + h^2 lap psi^n.
@@ -146,12 +141,10 @@ def reduced_step(state: ReducedState, dt: float, params: PhysParams,
     two, behind, h2, ahead, half_h = st.constants(_reduced_constants, h, mu)
     st.laplacian(psi, lap, a)
     if state.psi1hat_prev is None:
-        if initial_slope is None:
-            raise GridError("first reduced step needs the initial d0 slope")
         # second-order Taylor start: psi + h*D + h^2/2 * (lap psi - 2i*mu*D)
-        new = np.multiply(h, initial_slope)
+        new = np.multiply(h, state.slope)
         np.add(psi, new, out=new)
-        np.subtract(lap, np.multiply(2j * mu, initial_slope, out=a), out=a)
+        np.subtract(lap, np.multiply(2j * mu, state.slope, out=a), out=a)
         np.add(new, np.multiply(0.5 * h * h, a, out=a), out=new)
     else:
         new = np.multiply(behind, state.psi1hat_prev)
@@ -168,13 +161,11 @@ def evolve_reduced(initial: DiracState, duration: float, params: PhysParams,
     """Integrate the reduced system; record psi1 and psi2 every record_every steps."""
     grid = initial.grid
     n = n_steps_for(duration, grid.dt, record_every)
-    slope = [initial_time_derivative(initial, params, order)]  # popped by the first step
-    xs, (psi1, psi2) = run_steps(
-        initialize_reduced(initial),
-        lambda s: reduced_step(s, grid.dt, params, order, slope.pop() if slope else None),
-        n, record_every, ("psi1hat", "int_psi1hat"))
+    xs, (psi1, psi2) = run_steps(initialize_reduced(initial, params, order),
+                                 lambda s: reduced_step(s, grid.dt, params, order),
+                                 n, record_every, ("psi1hat", "int_psi1hat"))
     unhat_trajectory(xs, psi1, psi2, initial, params, order)
-    return SpinorTrajectory(xs, psi1, psi2, grid, params)
+    return SpinorTrajectory(xs, psi1, psi2, grid, params, order)
 
 
 def unhat_trajectory(x0: np.ndarray, psi1hat: np.ndarray, int_psi1hat: np.ndarray,
@@ -216,17 +207,16 @@ def kg_residual_norm(prev, curr, nxt, h: float, grid: Grid, params: PhysParams,
     return _l2(d0d0 - lap + mass, grid) / scale
 
 
-def residual_series(psi1_levels: np.ndarray, x0: np.ndarray, grid: Grid,
-                    params: PhysParams, order: int = 2) -> np.ndarray:
-    """Relative residual norms at interior recorded levels; NaN at the ends."""
-    nt = len(x0)
+def residual_series(traj: SpinorTrajectory) -> np.ndarray:
+    """Relative residual norms of traj's psi1 at interior recorded levels; NaN at the ends."""
+    nt, psi1 = len(traj.x0), traj.psi1
     out = np.full(nt, np.nan)
     if nt < 3:
         return out
-    h = float(x0[1] - x0[0])
+    h = float(traj.x0[1] - traj.x0[0])
     for n in range(1, nt - 1):
-        out[n] = kg_residual_norm(psi1_levels[n - 1], psi1_levels[n], psi1_levels[n + 1],
-                                  h, grid, params, order)
+        out[n] = kg_residual_norm(psi1[n - 1], psi1[n], psi1[n + 1],
+                                  h, traj.grid, traj.params, traj.order)
     return out
 
 
@@ -256,6 +246,8 @@ def compare_trajectories(a: SpinorTrajectory, b: SpinorTrajectory) -> tuple[np.n
     """(sup, L2) discrepancy per recorded level between two spinor trajectories."""
     if a.grid != b.grid or len(a.x0) != len(b.x0) or not np.allclose(a.x0, b.x0):
         raise GridError("trajectories are not sampled on the same grid and times")
+    if a.order != b.order:
+        raise GridError(f"trajectories differ in stencil order: {a.order} and {b.order}")
     nt = len(a.x0)
     sup = np.empty(nt)
     l2 = np.empty(nt)
@@ -268,12 +260,10 @@ def compare_trajectories(a: SpinorTrajectory, b: SpinorTrajectory) -> tuple[np.n
     return sup, l2
 
 
-def route_equivalence(direct: SpinorTrajectory, recon: SpinorTrajectory,
-                      order: int = 2) -> EquivalenceReport:
+def route_equivalence(direct: SpinorTrajectory, recon: SpinorTrajectory) -> EquivalenceReport:
     """Compare the first-order route with the un-hatted reduced route, level by level."""
     sup, l2 = compare_trajectories(direct, recon)
-    res = residual_series(recon.psi1, recon.x0, recon.grid, recon.params, order)
-    return EquivalenceReport(direct.x0.copy(), sup, l2, res)
+    return EquivalenceReport(direct.x0.copy(), sup, l2, residual_series(recon))
 
 
 def equivalence_report(initial: DiracState, duration: float, params: PhysParams,
@@ -281,4 +271,4 @@ def equivalence_report(initial: DiracState, duration: float, params: PhysParams,
     """Run both evolution routes from the same initial data and compare them."""
     direct = evolve(initial, duration, params, record_every=record_every, order=order)
     recon = evolve_reduced(initial, duration, params, record_every=record_every, order=order)
-    return route_equivalence(direct, recon, order)
+    return route_equivalence(direct, recon)

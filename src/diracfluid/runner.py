@@ -24,10 +24,11 @@ included, so `<outdir>/<name>` always holds exactly one whole run.
 
 `run` builds one `FluidState` per interior level (only the middle one when
 neither the fluid map nor the approximation chain is asked for), and the
-identity chain of the middle level, `identity_rows_at`, reads its polar form,
-alpha flags, v_C.v_C and speed from that state instead of rebuilding them.  Each
-level's d0 is `dynamics.dirac_rhs` of its (psi1, psi2), the rebuilt pair on the
-reduced route, so no output of a level depends on `record_every`.
+identity chain of the middle level, `identity_rows_at`, reads everything,
+psi1, params, order and branch included, from that state.  Each level's d0 is
+`dynamics.dirac_rhs` of its (psi1, psi2), the rebuilt pair on the reduced
+route, so no output of a level depends on `record_every`, except
+`equivalence.csv`'s `kg_residual`: its d0^2 spans `record_every` steps.
 Nothing outlives its last reader: the routes are compared first, so a `both`
 run drops the reduced trajectory before its snapshots, fluid map, identity and
 chain rows and conservation; each level's `FluidState` dies in `_write_level`,
@@ -40,7 +41,7 @@ from __future__ import annotations
 import json
 import shutil
 import tempfile
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,7 @@ class RunResult:
 _FLUID_HEADER = "axis0,axis1,axis2,rho_bar,theta,alpha,vC0,vC1,vC2,vC3,rho_0,a_0,mask"
 _FLUID_ROW = "%s" + "%.17g," * 9 + "%s\n"
 _MASK_LABELS = np.array([MASK_NAMES[m] for m in PointMask], dtype="S")  # a quarter of "<U"
+_IDENT_ROW = "%s,%s,%s,%.17g,%.17g,%.17g\n"
 
 
 def _write_rows(path: Path, header: str, rows: np.ndarray) -> None:
@@ -81,11 +83,11 @@ def _fluid_csv(path: Path, fs: FluidState) -> None:
     write_csv(path, _FLUID_HEADER, [(_FLUID_ROW, columns)])
 
 
-def identity_rows_at(psi1, fs: FluidState, params, order: int, branch: str):
-    """Evaluate the Lagrangian identity chain on one recorded level.
+def identity_rows_at(fs: FluidState):
+    """Evaluate the Lagrangian identity chain on the level fs maps.
 
-    fs is that level's fluid map of psi1 (same order and branch), whose
-    polar form, alpha flags, v_C.v_C and speed are reused.  The two amplitude
+    fs's polar form (with its psi1), alpha flags, v_C.v_C and speed are reused,
+    and its params, order and branch are those of the rows.  The two amplitude
     fields take d0 by the chain rule from the map's d0 psi1 and their spatial
     parts from the stencil, so the time parts of every row hold to rounding
     and the split row keeps the stencil's spatial error.  The polar and Fisher
@@ -93,19 +95,19 @@ def identity_rows_at(psi1, fs: FluidState, params, order: int, branch: str):
     (`lagrangian.quantum_polar_forms`), so their rows hold to rounding too.
     """
     tag = "x".join(str(p) for p in fs.grid.points)
-    p, grid = fs.polar, fs.grid
+    p, grid, params, branch = fs.polar, fs.grid, fs.params, fs.branch
     ok = fs.mask != int(PointMask.LOW_DENSITY)
 
     # d0|psi_s| = Re(psi_s* d0 psi_s)/|psi_s|, zero where the divisor is
-    dR_up, dR_down = (four_gradient(r, np.real(np.conj(psi1[s]) * p.dpsi[0, s])
-                                    / np.where(r > 0, r, 1.0), grid, order)
+    dR_up, dR_down = (four_gradient(r, np.real(np.conj(p.psi1[s]) * p.dpsi[0, s])
+                                    / np.where(r > 0, r, 1.0), grid, fs.order)
                       for s, r in ((0, p.R_up), (1, p.R_down)))
     l_q, l_c = lagrangian_split(p.R_up, p.R_down, dR_up, dR_down,
                                 p.d_nu_up, p.d_nu_down, params)
     l_polar, fisher = quantum_polar_forms(p.R, p.theta, dR_up, dR_down, params)
     del dR_up, dR_down  # overwritten by the former, read by nothing else
     rows = [identity_residual("split_identity", tag, "-",
-                              lagrangian_spinor_from_gradients(psi1, p.dpsi, params),
+                              lagrangian_spinor_from_gradients(p.psi1, p.dpsi, params),
                               l_q + l_c, ok, scale=np.maximum(np.abs(l_q), np.abs(l_c))),
             identity_residual("polar_quantum", tag, "-", l_q, l_polar, ok),
             identity_residual("fisher_substitution", tag, "-", l_polar, fisher, ok)]
@@ -122,9 +124,9 @@ def identity_rows_at(psi1, fs: FluidState, params, order: int, branch: str):
     return rows
 
 
-def chain_row(fs: FluidState, params) -> np.ndarray:
+def chain_row(fs: FluidState) -> np.ndarray:
     """Near-classical limit metrics over the usable (OK or fallback) points."""
-    usable = fs.usable
+    usable, params = fs.usable, fs.params
     speed_dev = np.abs(fs.speed / params.c - 1.0)
     dens_dev = np.abs(fs.rho_0 / np.where(usable, 2.0 * fs.rho_bar, 1.0) - 1.0)
     space_speed = np.sqrt(sum(fs.v_c[i] ** 2 for i in (1, 2, 3)))
@@ -178,11 +180,9 @@ def _write_level(scenario: Scenario, run_dir: Path, traj, n: int, identities: bo
     if scenario.fluid_map:
         _fluid_csv(run_dir / f"snapshots/fluid_{n * scenario.record_every:06d}.csv", fs)
     if identities:
-        rows = identity_rows_at(traj.psi1[n], fs, scenario.params, scenario.derivative_order,
-                                scenario.alpha_branch)
-        write_csv(run_dir / "diagnostics/identities.csv", _IDENT_HEADER,
-                  [("%s\n", ([r.row() for r in rows],))])
-    return chain_row(fs, scenario.params) if "approximation_chain" in scenario.diagnostics else None
+        columns = list(zip(*(astuple(r) for r in identity_rows_at(fs))))
+        write_csv(run_dir / "diagnostics/identities.csv", _IDENT_HEADER, [(_IDENT_ROW, columns)])
+    return chain_row(fs) if "approximation_chain" in scenario.diagnostics else None
 
 
 def _write_tree(scenario: Scenario, run_dir: Path):
@@ -203,7 +203,7 @@ def _write_tree(scenario: Scenario, run_dir: Path):
     del initial  # read by the two routes only
     equivalence = None
     if "equivalence" in scenario.diagnostics and direct is not None and recon is not None:
-        equivalence = route_equivalence(direct, recon, order)
+        equivalence = route_equivalence(direct, recon)
         _write_rows(run_dir / "diagnostics/equivalence.csv", _EQUIV_HEADER, equivalence.rows())
     primary = direct if direct is not None else recon
     del direct, recon  # compared: a both run keeps only the direct route from here on
@@ -225,7 +225,7 @@ def _write_tree(scenario: Scenario, run_dir: Path):
                   for n in levels]
 
     if "conservation" in scenario.diagnostics:
-        report = conservation_report(primary, order=order)
+        report = conservation_report(primary)
         _write_rows(run_dir / "diagnostics/conservation.csv", _CONSV_HEADER, report.rows())
 
     if want_chain:

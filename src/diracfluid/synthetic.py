@@ -67,17 +67,16 @@ class ClebschInputs:
     d_beta: np.ndarray
 
 
-def synthetic_clebsch_inputs(grid: Grid, rng: np.random.Generator,
-                             c: float = 1.0) -> ClebschInputs:
-    """Well-conditioned inputs for the alpha quadratic and velocity identities.
+def synthetic_clebsch_inputs(grid: Grid, rng: np.random.Generator) -> ClebschInputs:
+    """Well-conditioned inputs for the alpha quadratic and velocity identities, at c = 1.
 
     d_nu is strongly timelike (fluid-like phase flow), d_beta milder, theta
     away from the axes, so the discriminant and v_C.v_C stay positive with a
     wide margin.
     """
     theta = banded_scalar(grid, rng, 0.775, 0.575)  # [0.2, 1.35]
-    d_nu = timelike_four_vector(grid, rng, 1.2, 0.1, 0.4, c)
-    d_beta = timelike_four_vector(grid, rng, 0.65, 0.15, 0.2, c)
+    d_nu = timelike_four_vector(grid, rng, 1.2, 0.1, 0.4, 1.0)
+    d_beta = timelike_four_vector(grid, rng, 0.65, 0.15, 0.2, 1.0)
     return ClebschInputs(theta=theta, d_nu=d_nu, d_beta=d_beta)
 
 

@@ -1,16 +1,14 @@
-"""The Fourier symbol of the lattice's first difference, written once for the tests.
+"""The Fourier symbol of the lattice's first difference on a grid's modes, for the tests.
 
 On a mode e^{ik.x} the periodic central difference D_a acts as i kappa_a, with
 kappa_a dx_a = sin(k_a dx_a) at order 2 and (8 sin(k_a dx_a) - sin(2 k_a dx_a))/6
-at order 4, so sum_a D_a D_a acts as -|kappa|^2 and sigma^a D_a as i sigma.kappa.
+at order 4 (`lattice.kappa_dx`), so sum_a D_a D_a acts as -|kappa|^2 and
+sigma^a D_a as i sigma.kappa.
 """
 
 import numpy as np
 
-
-def kappa_dx(theta, order):
-    """kappa * dx of the order-2 or order-4 first difference at k * dx = theta."""
-    return np.sin(theta) if order == 2 else (8.0 * np.sin(theta) - np.sin(2.0 * theta)) / 6.0
+from diracfluid.lattice import kappa_dx
 
 
 def grid_kappas(grid, order):

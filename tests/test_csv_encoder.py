@@ -178,7 +178,7 @@ def test_fluid_csv_blocks_match_per_row(monkeypatch, tmp_path, rows):
     fs = FluidState(grid=grid, x0=0.5, rho_bar=scalars[0], theta=scalars[1],
                     alpha=scalars[2], v_c=_values(rng, (4, rows)), rho_0=scalars[3],
                     a_0=scalars[4], mask=mask, vv=None, speed=None, polar=None,
-                    degenerate=None, complex_disc=None)
+                    degenerate=None, complex_disc=None, params=None, order=2, branch="auto")
     vector, per_row, calls = _both_paths(monkeypatch, tmp_path / "f.csv",
                                          lambda p: _fluid_csv(p, fs))
     assert vector == per_row
@@ -197,8 +197,8 @@ def test_diagnostic_rows_blocks_match_per_row(monkeypatch, tmp_path, rows):
 @pytest.mark.parametrize("rows", ROWS)
 @pytest.mark.parametrize("as_array", [False, True])
 def test_text_rows_match_per_row(monkeypatch, tmp_path, rows, as_array):
-    # the identity rows are a list of str, which always goes per row; the same
-    # text as an array goes through the block path
+    # text as a list of str always goes per row; the same text as an array
+    # goes through the block path
     texts = [f"name{i},tag,{'plus' if i % 3 else 'minus'},{i * 0.25!r}" for i in range(rows)]
     column = np.array(texts) if as_array else texts
     vector, per_row, _ = _both_paths(
@@ -274,7 +274,7 @@ def test_fluid_csv_with_mask_column_matches_per_row(monkeypatch, tmp_path):
                     alpha=scalars[2], v_c=rng.normal(size=(4,) + grid.shape),
                     rho_0=scalars[3], a_0=scalars[4], mask=mask,
                     vv=None, speed=None, polar=None,
-                    degenerate=None, complex_disc=None)
+                    degenerate=None, complex_disc=None, params=None, order=2, branch="auto")
     vector, per_row, calls = _both_paths(monkeypatch, tmp_path / "f.csv",
                                          lambda p: _fluid_csv(p, fs))
     assert vector == per_row

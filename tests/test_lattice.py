@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from diracfluid.errors import GridError, SnapshotIOError
-from diracfluid.lattice import (file_sha256, four_gradient, integrate_volume, laplacian,
-                                make_grid, minkowski_dot_components,
+from diracfluid.lattice import (file_sha256, four_gradient, integrate_volume, kappa_dx,
+                                laplacian, make_grid, minkowski_dot_components,
                                 minkowski_square, read_snapshot,
                                 spatial_derivative, write_snapshot)
 
@@ -82,6 +82,9 @@ def test_first_derivative_discrete_symbol():
         sym4 = 1j * (8.0 * np.sin(m * dx) - np.sin(2.0 * m * dx)) / (6.0 * dx)
         np.testing.assert_allclose(spatial_derivative(f, grid, 0, order=4),
                                    sym4 * f, rtol=1e-13, atol=1e-13)
+        # the library's one symbol, which max_stable_step reads
+        for order, sym in ((2, sym2), (4, sym4)):
+            assert 1j * kappa_dx(m * dx, order) / dx == pytest.approx(sym, rel=1e-15)
 
 
 @pytest.mark.parametrize("order", [2, 4])

@@ -47,7 +47,11 @@ def _masked_state(points):
 
 def _stacked_identity_rows(psi1, fs, params, order, branch):
     """`identity_rows_at` with both amplitude fields stacked into one four_gradient,
-    and the chain rule of (R_up, R_down) = R (cos theta, sin theta) written out."""
+    and the chain rule of (R_up, R_down) = R (cos theta, sin theta) written out.
+
+    It takes psi1, params, order and branch as arguments, not from fs, so a
+    lean form that read other ones from fs would not match it.
+    """
     tag = "x".join(str(p) for p in fs.grid.points)
     p = fs.polar
     ok = fs.mask != int(PointMask.LOW_DENSITY)
@@ -123,7 +127,7 @@ def test_lean_forms_match_the_stacked_ones_bit_for_bit(points, order):
 
         before = {name: a.tobytes() for name, a in _arrays(fs).items()}
         psi1_bytes = psi1.tobytes()
-        lean = identity_rows_at(psi1, fs, PARAMS, order, branch)
+        lean = identity_rows_at(fs)
         assert {name: a.tobytes() for name, a in _arrays(fs).items()} == before
         assert psi1.tobytes() == psi1_bytes
         assert all(np.isfinite([r.residual_l2, r.residual_sup]).all() for r in lean)
@@ -141,8 +145,8 @@ def _spinor_state():
 def test_identity_rows_peak_at_most_four_and_a_half_spinors(traced):
     psi1, psi2, grid, spinor = _spinor_state()
     fs = fluid_state(psi1, psi2, 0.0, grid, PARAMS)
-    identity_rows_at(psi1, fs, PARAMS, 2, "auto")  # warm-up
-    _, peak, _ = traced(identity_rows_at, psi1, fs, PARAMS, 2, "auto")
+    identity_rows_at(fs)  # warm-up
+    _, peak, _ = traced(identity_rows_at, fs)
     assert peak <= 4.5 * spinor, peak / spinor
 
 

@@ -10,11 +10,9 @@ from diracfluid.dynamics import DiracState, evolve, n_steps_for, run_steps
 from diracfluid.errors import GridError, NumericalInstabilityError
 from diracfluid.lattice import Stencil, laplacian, make_grid, spatial_derivative
 from diracfluid.params import PhysParams
-from diracfluid.reduction import (compare_trajectories,
-                                  equivalence_report, evolve_reduced,
-                                  initial_time_derivative, initialize_reduced,
-                                  kg_residual_norm, reduced_step,
-                                  residual_series)
+from diracfluid.reduction import (compare_trajectories, equivalence_report, evolve_reduced,
+                                  initialize_reduced, kg_residual_norm, reduced_step,
+                                  residual_series, route_equivalence)
 from diracfluid.scenarios import build_initial, scenario_from_dict
 from lattice_modes import kappa_dx
 
@@ -41,14 +39,7 @@ def test_initialize_requires_time_zero():
     state = _uniform_state(grid)
     state.x0 = 0.1
     with pytest.raises(GridError):
-        initialize_reduced(state)
-
-
-def test_first_step_needs_slope():
-    grid = make_grid([2.0 * np.pi], [8])
-    reduced = initialize_reduced(_uniform_state(grid))
-    with pytest.raises(GridError):
-        reduced_step(reduced, grid.dt, PhysParams())
+        initialize_reduced(state, PhysParams(), 2)
 
 
 def test_initial_slope_is_hatted_form():
@@ -58,7 +49,7 @@ def test_initial_slope_is_hatted_form():
     rng = np.random.default_rng(9)
     psi10 = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
     psi20 = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
-    slope = initial_time_derivative(DiracState(psi10, psi20, 0.0, grid), params)
+    slope = initialize_reduced(DiracState(psi10, psi20, 0.0, grid), params, 2).slope
     sigma_grad = pauli(1) @ spatial_derivative(psi20, grid, 0)
     np.testing.assert_allclose(slope, -2j * params.mass_wavenumber * psi10 - sigma_grad,
                                rtol=0, atol=1e-13)
@@ -72,7 +63,7 @@ def test_uniform_mode_exact_discrete_root():
     h = params.c * grid.dt
     mu = params.mass_wavenumber
     g = (1.0 - 1j * mu * h) / (1.0 + 1j * mu * h)
-    state = initialize_reduced(_uniform_state(grid))
+    state = initialize_reduced(_uniform_state(grid), params, 2)
     state.psi1hat_prev = state.psi1hat / g
     stepped = reduced_step(state, grid.dt, params)
     np.testing.assert_allclose(stepped.psi1hat, g * state.psi1hat,
@@ -99,7 +90,7 @@ def test_plane_wave_discrete_root_matches_quadratic():
     wave = np.exp(1j * k * x)
     psi1 = np.stack([wave, np.zeros_like(wave)])
     state = initialize_reduced(
-        DiracState(psi1=psi1, psi2=np.zeros_like(psi1), x0=0.0, grid=grid))
+        DiracState(psi1=psi1, psi2=np.zeros_like(psi1), x0=0.0, grid=grid), params, 2)
     state.psi1hat_prev = psi1 / g
     stepped = reduced_step(state, grid.dt, params)
     np.testing.assert_allclose(stepped.psi1hat, g * psi1, rtol=1e-13, atol=1e-13)
@@ -178,10 +169,8 @@ def test_bootstrap_is_third_order_accurate():
     # Taylor start against the exact rest rotation exp(-2i mu h)
     grid = make_grid([2.0 * np.pi], [8], dt=0.01)
     params = PhysParams()
-    initial = _uniform_state(grid)
-    state = initialize_reduced(initial)
-    slope = initial_time_derivative(initial, params)
-    stepped = reduced_step(state, grid.dt, params, initial_slope=slope)
+    state = initialize_reduced(_uniform_state(grid), params, 2)
+    stepped = reduced_step(state, grid.dt, params)
     exact = state.psi1hat * np.exp(-2j * params.mass_wavenumber * 0.01)
     err = float(np.max(np.abs(stepped.psi1hat - exact)))
     assert err < 3e-6  # (4/3) mu^3 h^3 ~ 1.3e-6 at h = 0.01
@@ -232,10 +221,9 @@ def test_integral_accumulates_psi1hat():
     params = scenario.params
     grid = scenario.grid
     initial = build_initial(scenario)
-    slope = initial_time_derivative(initial, params)
     xs, (psi1hat, int_psi1hat) = run_steps(
-        initialize_reduced(initial),
-        lambda s: reduced_step(s, grid.dt, params, initial_slope=slope),
+        initialize_reduced(initial, params, 2),
+        lambda s: reduced_step(s, grid.dt, params),
         n_steps_for(scenario.duration, grid.dt, 1), 1, ("psi1hat", "int_psi1hat"))
     h = float(xs[1] - xs[0])
     mid = len(xs) // 2
@@ -258,20 +246,25 @@ def test_residual_series_layout():
     scenario = _gaussian_scenario(duration=0.5)
     recon = evolve_reduced(build_initial(scenario), scenario.duration, scenario.params,
                            record_every=5)
-    series = residual_series(recon.psi1, recon.x0, scenario.grid, scenario.params)
+    series = residual_series(recon)
     assert np.isnan(series[0]) and np.isnan(series[-1])
     assert np.all(np.isfinite(series[1:-1]))
 
 
 def test_residual_series_takes_one_laplacian_per_level(monkeypatch):
+    # at the trajectory's own stencil order: the reduced route solves that
+    # order's semi-discrete system, and another order's Laplacian would
+    # report the stencils' gap as a residual
     scenario = _gaussian_scenario(duration=0.5)
-    recon = evolve_reduced(build_initial(scenario), scenario.duration, scenario.params,
-                           record_every=5)
-    calls = []
+    orders = []
     monkeypatch.setattr(reduction, "laplacian",
-                        lambda *a, **k: calls.append(1) or laplacian(*a, **k))
-    residual_series(recon.psi1, recon.x0, scenario.grid, scenario.params)
-    assert len(calls) == len(recon.x0) - 2
+                        lambda f, grid, o=2: orders.append(o) or laplacian(f, grid, o))
+    for order in (2, 4):
+        recon = evolve_reduced(build_initial(scenario), scenario.duration, scenario.params,
+                               record_every=5, order=order)
+        orders.clear()
+        residual_series(recon)
+        assert orders == [order] * (len(recon.x0) - 2)
 
 
 def test_unhat_first_level_is_initial_data():
@@ -306,6 +299,14 @@ def test_compare_trajectories_rejects_mismatch():
     tb = evolve(_uniform_state(grid_b), 0.2, params)
     with pytest.raises(GridError):
         compare_trajectories(ta, tb)
+    # two stencil orders: the routes would differ by the stencils' gap, not by time error
+    recon4 = evolve_reduced(_uniform_state(grid_a), 0.2, params, order=4)
+    for direct, recon in ((ta, recon4), (evolve(_uniform_state(grid_a), 0.2, params, order=4),
+                                         evolve_reduced(_uniform_state(grid_a), 0.2, params))):
+        with pytest.raises(GridError, match="stencil order"):
+            compare_trajectories(direct, recon)
+        with pytest.raises(GridError, match="stencil order"):
+            route_equivalence(direct, recon)
 
 
 def test_reduced_one_step_detector():
@@ -313,7 +314,7 @@ def test_reduced_one_step_detector():
     spike = np.zeros((2, 64), dtype=complex)
     spike[0, 32] = 1.0
     state = initialize_reduced(
-        DiracState(psi1=spike, psi2=np.zeros_like(spike), x0=0.0, grid=grid))
+        DiracState(psi1=spike, psi2=np.zeros_like(spike), x0=0.0, grid=grid), PhysParams(), 2)
     state.psi1hat_prev = spike.copy()
     # h = 6 dx is far past the three-level limit h = 2 dx: the spike grows ~15x in one step
     with pytest.raises(NumericalInstabilityError):

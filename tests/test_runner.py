@@ -93,6 +93,13 @@ def test_run_diagnostic_csv_contents(tmp_path):
     # remains; the split and Clebsch rows carry stencil error or masking
     assert float(by_name["polar_quantum"][3]) < 1e-12
     assert float(by_name["fisher_substitution"][3]) < 1e-12
+    # the rows of the middle level's map, each float as Python's '.17g' writes it
+    traj = evolve(build_initial(scenario), scenario.duration, scenario.params)
+    fs = fluid_state(traj.psi1[6], traj.psi2[6], float(traj.x0[6]), scenario.grid,
+                     scenario.params)
+    assert ident_lines[1:] == [f"{r.name},{r.grid_tag},{r.branch},{r.residual_l2:.17g},"
+                               f"{r.residual_sup:.17g},{r.masked_fraction:.17g}"
+                               for r in identity_rows_at(fs)]
 
     chain_lines = (diag / "approximation_chain.csv").read_text().splitlines()
     assert chain_lines[0].startswith("x0,median_speed_dev,max_speed_dev")
@@ -146,7 +153,7 @@ def test_fluid_csv_bytes_match_row_loop(tmp_path, points):
     fs = FluidState(grid=grid, x0=0.5, rho_bar=scalars[0], theta=scalars[1], alpha=alpha,
                     v_c=v_c, rho_0=scalars[3], a_0=scalars[4], mask=mask,
                     vv=None, speed=None, polar=None,
-                    degenerate=None, complex_disc=None)
+                    degenerate=None, complex_disc=None, params=None, order=2, branch="auto")
     _fluid_csv(tmp_path / "fluid.csv", fs)
     written = (tmp_path / "fluid.csv").read_bytes()
     assert written == _row_loop_fluid_csv(fs)
@@ -188,13 +195,14 @@ def test_identity_rows_and_chain_shape():
     scenario = scenario_from_dict(_packet_config())
     traj = evolve(build_initial(scenario), scenario.duration, scenario.params)
     mid = len(traj.x0) // 2
-    fs = fluid_state(traj.psi1[mid], traj.psi2[mid], float(traj.x0[mid]), scenario.grid,
-                     scenario.params)
-    rows = identity_rows_at(traj.psi1[mid], fs, scenario.params, 2, "auto")
-    assert [r.name for r in rows] == IDENTITY_ORDER
-    assert all(r.grid_tag == "64" for r in rows)
-    assert rows[3].branch == "auto" and rows[1].branch == "-"
-    assert chain_row(fs, scenario.params).shape == (9,)
+    for branch in ("auto", "plus", "minus"):  # the alpha rows carry the map's branch
+        fs = fluid_state(traj.psi1[mid], traj.psi2[mid], float(traj.x0[mid]), scenario.grid,
+                         scenario.params, branch=branch)
+        rows = identity_rows_at(fs)
+        assert [r.name for r in rows] == IDENTITY_ORDER
+        assert all(r.grid_tag == "64" for r in rows)
+        assert [r.branch for r in rows] == ["-", "-", "-", branch, branch]
+        assert chain_row(fs).shape == (9,)
 
 
 @pytest.mark.parametrize("overrides", [{}, {"fluid_map": False, "diagnostics": ["identities"]}],

@@ -25,8 +25,7 @@ from diracfluid.errors import NumericalInstabilityError
 from diracfluid.lattice import (Grid, Stencil, four_gradient, laplacian, make_grid,
                                 spatial_derivative)
 from diracfluid.params import PhysParams
-from diracfluid.reduction import (evolve_reduced, initial_time_derivative,
-                                  initialize_reduced, reduced_step)
+from diracfluid.reduction import evolve_reduced, initialize_reduced, reduced_step
 from property_counts import examples
 
 # ---------------------------------------------------------------------------
@@ -92,6 +91,12 @@ def ref_stage_step(p1, p2, grid, dt, params, order=2):
     new1 = p1 + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
     new2 = p2 + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
     return new1, new2
+
+
+def ref_start_slope(initial, params, order=2):
+    """d0 psi1hat at x0 = 0, where hatted = plain: d0 psi1 - i mu psi1."""
+    d1, _ = ref_dirac_rhs(initial.psi1, initial.psi2, initial.grid, params, order)
+    return d1 - 1j * params.mass_wavenumber * initial.psi1
 
 
 def ref_reduced_step(psi, prev, integral, grid, dt, params, order=2, slope=None):
@@ -271,9 +276,8 @@ def test_reduced_step_working_set(traced):
     # it formed five whole temporaries and held a third scratch field before (8.04)
     initial = _working_set_state()
     spinor = initial.psi1.nbytes
-    slope = initial_time_derivative(initial, PhysParams())
-    state = initialize_reduced(initial)
-    _, cold, _ = traced(reduced_step, state, initial.grid.dt, PhysParams(), 2, slope)
+    state = initialize_reduced(initial, PhysParams(), 2)
+    _, cold, _ = traced(reduced_step, state, initial.grid.dt, PhysParams(), 2)
     assert cold <= 5.5 * spinor, cold / spinor
 
 
@@ -289,18 +293,17 @@ def test_a_state_a_step_returned_is_never_written_again(case):
     params, other = PhysParams(), PhysParams(m=float(rng.uniform(0.5, 2.0)))
     initial = DiracState(_field(rng, (2,) + grid.shape), _field(rng, (2,) + grid.shape),
                          0.0, grid)
-    slope = initial_time_derivative(initial, params, order)
-    dirac, reduced = [initial], [initialize_reduced(initial)]
+    dirac, reduced = [initial], [initialize_reduced(initial, params, order)]
     for _ in range(2):
         dirac.append(step(dirac[-1], grid.dt, params, order=order))
-        reduced.append(reduced_step(reduced[-1], grid.dt, params, order, slope))
+        reduced.append(reduced_step(reduced[-1], grid.dt, params, order))
     held = [s.psi for s in dirac[1:]] + [a for r in reduced[1:] for a in
                                           (r.psi1hat, r.psi1hat_prev, r.int_psi1hat)]
     kept = [a.copy() for a in held]
     for dt, again in ((grid.dt / 2, params), (grid.dt, other)):
         for older in (1, 0):
             step(dirac[older], dt, again, order=order)
-            reduced_step(reduced[older], dt, again, order, slope)
+            reduced_step(reduced[older], dt, again, order)
     for a, want in zip(held, kept):
         assert_bit_equal(a, want)
 
@@ -314,11 +317,12 @@ def test_reduced_steps_match_reference(case, n_steps):
     params = PhysParams(m=float(rng.uniform(0.5, 2.0)))
     initial = DiracState(_field(rng, (2,) + grid.shape), _field(rng, (2,) + grid.shape),
                          0.0, grid)
-    state = initialize_reduced(initial)
-    slope = initial_time_derivative(initial, params, order)
+    state = initialize_reduced(initial, params, order)
+    slope = ref_start_slope(initial, params, order)
+    assert_bit_equal(state.slope, slope)
     psi, prev, integral = initial.psi1.copy(), None, np.zeros_like(initial.psi1)
     for _ in range(n_steps):
-        state = reduced_step(state, grid.dt, params, order=order, initial_slope=slope)
+        state = reduced_step(state, grid.dt, params, order=order)
         new, integral = ref_reduced_step(psi, prev, integral, grid, grid.dt, params,
                                          order, slope)
         psi, prev = new, psi
@@ -339,14 +343,14 @@ def test_step_constants_follow_dt_and_params(dims, order):
     rng = np.random.default_rng(dims)
     initial = DiracState(_field(rng, (2,) + grid.shape), _field(rng, (2,) + grid.shape),
                          0.0, grid)
-    slope = initial_time_derivative(initial, PhysParams(), order)
-    state, red = initial, initialize_reduced(initial)
+    slope = ref_start_slope(initial, PhysParams(), order)
+    state, red = initial, initialize_reduced(initial, PhysParams(), order)
     p1, p2 = initial.psi1, initial.psi2
     psi, prev, integral = initial.psi1.copy(), None, np.zeros_like(initial.psi1)
     for frac, params in _STEP_SIZES:
         dt = frac * grid.dt
         state = step(state, dt, params, order=order)
-        red = reduced_step(red, dt, params, order=order, initial_slope=slope)
+        red = reduced_step(red, dt, params, order=order)
         p1, p2 = ref_step(p1, p2, grid, dt, params, order)
         new, integral = ref_reduced_step(psi, prev, integral, grid, dt, params, order, slope)
         psi, prev = new, psi
@@ -384,10 +388,9 @@ def test_in_place_unhat_matches_reference(case, record_every, n_records):
     initial = DiracState(_field(rng, (2,) + grid.shape), _field(rng, (2,) + grid.shape),
                          0.0, grid)
     duration = n_records * record_every * grid.dt
-    slope = initial_time_derivative(initial, params, order)
     xs, (psi1hat, int_psi1hat) = run_steps(
-        initialize_reduced(initial),
-        lambda s: reduced_step(s, grid.dt, params, order=order, initial_slope=slope),
+        initialize_reduced(initial, params, order),
+        lambda s: reduced_step(s, grid.dt, params, order=order),
         n_steps_for(duration, grid.dt, record_every), record_every,
         ("psi1hat", "int_psi1hat"))
     psi1, psi2 = ref_unhat(xs, psi1hat, int_psi1hat, initial.psi2, grid, params, order)
