@@ -10,12 +10,15 @@ then drops the NULs with one `bytes.translate` (CSV text holds none).
 `format17` fills the slots with the bytes of '%.17g' % v.  It estimates the
 decimal exponent X = floor(log10 |v|), takes p = |v| 10^(16-X) in long double
 with a 64-bit power of ten (exact up to 10^27), and keeps n = rint(p) only
-where |p - n| < 1/2 - p eps (roundings + 1) proves that n is the rounding of
-the exact product.  The rest go through `%` one at a time: near-halfway
-values, 10 <= |v| < 1e17 (no layout here), values next to a power of ten
-whose exponent estimate missed, and non-finite values (2.2 % of the values
-in the fluid-io-3d benchmark's blocks, 1.7 % in packet-2d's); and every value
-when long double is plain double (nmant < 63), which certifies nothing.
+where p lies more than n 2^-64 r (1 + 2^-20) from the half-integer between
+n and its neighbour, r being the roundings made (1 with an exact power, else
+2); see `format17` for why that proves n is the rounding of the exact
+product.  The rest go through `%` one at a time: those near-halfway values,
+10 <= |v| < 1e17 (no layout here), values next to a power of ten whose
+exponent estimate missed, and non-finite values (0.76 % of the values in the
+fluid-io-3d benchmark's blocks, half of them the fluid map's NaN alphas); and
+every value when long double is plain double (nmant < 63), which certifies
+nothing.
 
 `parse_fields` inverts it for `lattice.read_snapshot`.  `parse_lanes` decodes
 each field of the strict grammar [-]digits[.digits][e(+|-)dd[d]] to a uint64
@@ -71,11 +74,11 @@ def _format_tables():
     """Lookup tables of `format17`, indexed by decimal exponent or digit group."""
     xs = range(-_X_OFF, _X_END)
     pow10 = _powers_of_ten()
-    # roundings + 1 (the power is exact up to 10^27 < 2^64, so one rounding
-    # there), or inf where the layout has no place for X: 10 <= |x| < 1e17
-    # and the zero/non-finite entry
+    # the roundings in p: one where the power is exact (up to 10^27 < 2^64),
+    # else two; inf where the layout has no place for X: 10 <= |x| < 1e17 and
+    # the zero/non-finite entry
     roundings = np.array([np.inf if not (-_X_OFF < x <= 0 or 16 < x <= 308)
-                          else 2.0 if 0 <= 16 - x <= 27 else 3.0 for x in xs])
+                          else 1.0 if 0 <= 16 - x <= 27 else 2.0 for x in xs])
     # head word: sign, then "0." and the zeros of -4 <= X < 0, d0, the point
     heads = [(b"-" if sign else b"\0")
              + (b"0." + b"0" * (-1 - x) if x < 0 else b"").ljust(5, b"\0")
@@ -99,6 +102,17 @@ def format17(x: np.ndarray, out: np.ndarray, tail: np.ndarray) -> None:
     "0.000" lead, d0 and the point, words 1-2 the other 16 digits without
     trailing zeros, word 3 the exponent in its first 5 bytes, ORed with tail
     (x's last axis), whose own bytes lie in the last 3.
+
+    Why a certified n is the rounding of the exact P = |v| 10^(16-X): each of
+    the r roundings to a 64-bit significand errs by at most u = 2^-64 of its
+    result, so |p - P| <= P ((1 + u)^r - 1) <= P r u (1 + u), and P <= (n + 1/2)
+    (1 + 3u) with n >= 1e16 > 2^53, so |p - P| < n r u (1 + 2^-52).  p - trunc(p)
+    is exact, and fits a double exactly, as p's last place is at least 2^-10
+    (with a wider long double its rounding, under 2^-54, and the product's
+    smaller error fit in the slack below).  The bound n r u (1 + 2^-20),
+    evaluated in doubles, loses at most two roundings of 2^-53, so it still
+    exceeds |p - P|: where p is farther than that from the half-integer, P is
+    on the same side of it, and rint(P) = n.
     """
     pow10, roundings, heads, head_base, exponents, digits = _format_tables()
     finfo = np.finfo(np.longdouble)
@@ -121,9 +135,9 @@ def format17(x: np.ndarray, out: np.ndarray, tail: np.ndarray) -> None:
         f -= 0.5
         n += f > 0                      # n = rint(p), ties certify nowhere
         np.abs(f, out=f)
-        # |p - n| < 1/2 - p eps (roundings + 1) proves n is the exact value's rounding
-        eps = max(float(finfo.eps), 2.0 ** -63)  # the power table's own rounding
-        slow |= f <= n * (eps * roundings.take(xi, mode="clip"))
+        # f > n r u (1 + 2^-20) proves n is the exact value's rounding (see above)
+        u = max(float(finfo.eps) / 2, 2.0 ** -64)  # the power table's own rounding
+        slow |= f <= n * (u * (1 + 2.0 ** -20) * roundings.take(xi, mode="clip"))
         slow &= a != 0
         if finfo.nmant < 63:
             slow[...] = True

@@ -12,7 +12,9 @@ Horner's rule: y <- p + (h/j) L y for j = 4, 3, 2, and p + h L y is the new leve
 
 The stepper keeps (psi1, psi2) stacked as one (2, 2, *grid.shape) array, so
 each L takes one stencil pass for both spinors.  One `lattice.Stencil` holds
-the padded buffer, into which each iterate y is written, and sigma.D's field.
+the padded buffer, into which each iterate y is written, and sigma.D's field;
+the buffer has ghost rows on the first spatial axis only, so y and every
+shifted operand are unit-stride blocks per spinor component.
 The slope k is the step's one fresh array: sigma.D sums its later axes in k
 while k is free, and the last stage writes the new level into k.  The stencil
 rides along on the states a step returns, so a trajectory reuses one set of

@@ -11,7 +11,9 @@ Conventions used throughout the package:
   takes d0 as given (from the equation of motion, `dynamics.dirac_rhs`) and
   adds the spatial differences; the fluid map and the identity rows share it;
 * the central first difference D_i is the one spatial operator: the
-  Laplacian is sum_i D_i D_i = (sigma^i D_i)^2;
+  Laplacian is sum_i D_i D_i = (sigma^i D_i)^2; `Stencil` evaluates it on a
+  copy padded along the first spatial axis only, so each numpy call runs on
+  unit-stride blocks, and mends the wrap columns of the later axes;
 * four-vectors are plain (4, *grid.shape) arrays: gradients hold lower-index
   components, velocities and currents upper-index ones; the metric
   signature is (+, -, -, -);
@@ -103,18 +105,29 @@ def make_grid(extents, points, dt=None, cfl_factor: float = 0.25, c: float = 1.0
     return Grid(extents=extents, points=points, dt=dt, cfl_factor=cfl_factor)
 
 
+def _cut(dims: int, axis: int, lo: int, hi: int) -> tuple:
+    """The index of [lo, hi) along spatial axis `axis` of a field with dims trailing spatial axes."""
+    return (Ellipsis, slice(lo, hi)) + (slice(None),) * (dims - 1 - axis)
+
+
 class Stencil:
     """Periodic central differences, order 2 or 4, on fields of one shape.
 
-    `load` copies a field into a buffer with order/2 periodic ghost layers per
-    spatial axis, so every shifted operand is a slice built once per instance
-    (no np.roll copies) and results go into caller-owned buffers; a stepper
-    keeps one instance, with its scratch buffers, across its steps.  The
-    derivatives repeat the np.roll expressions they replace ufunc for ufunc,
-    and sigma_dot_grad matches the einsum contraction it replaces, so results
-    are bit-identical to both.  A small-grid step pays per numpy call, so an
-    instance builds its slices once, and its Pauli factors, scratch fields and
-    a stepper's `constants` (0-d arrays: cheap ufunc operands) on first use.
+    `load` copies a field into a buffer with g = order/2 periodic ghost rows on
+    the first spatial axis only, so `inner`, its shifts along that axis and the
+    two ghost copies are contiguous per leading (component) index, and numpy
+    runs each ufunc on unit-stride blocks.  A shift s along a later axis a is
+    the same block read at flat offset s * stride_a, which is wrong only on
+    a's 2g wrap columns (its first and last g); `first_numerator` overwrites
+    those with the same ufuncs on views of their neighbours in `inner` (a 1-D
+    grid has no later axis).  Views are built once per instance (no np.roll
+    copies) and results go into caller-owned buffers; a stepper keeps one
+    instance, with its scratch buffers, across its steps.  Each output element
+    keeps the operands and ufunc order of the np.roll expressions, and
+    sigma_dot_grad those of the einsum contraction, so results are
+    bit-identical to both.  A small-grid step pays per numpy call, so an
+    instance makes its Pauli factors, scratch fields and a stepper's
+    `constants` (0-d arrays: cheap ufunc operands) on first use.
     """
 
     def __init__(self, shape, grid: Grid, order: int = 2, dtype=complex, scratch: int = 0):
@@ -125,22 +138,30 @@ class Stencil:
             raise GridError(f"field shape {shape} does not end with grid shape {grid.shape}")
         self.key, self._made = (shape, grid, order), (None, None)
         self.grid, self.order, self.dims = grid, order, grid.dims
-        g, lead = order // 2, (slice(None),) * (len(shape) - grid.dims)
-        self.pad = np.empty(shape[:len(lead)] + tuple(n + 2 * g for n in grid.shape), dtype)
-        inner = [slice(g, g + n) for n in grid.shape]
+        g, d, n0, lead = order // 2, grid.dims, grid.shape[0], shape[:len(shape) - grid.dims]
+        self.pad = np.empty(lead + (n0 + 2 * g,) + grid.shape[1:], dtype)
 
-        def along(axis, lo, n):
-            idx = list(inner)
-            idx[axis] = slice(lo, lo + n)
-            return self.pad[lead + tuple(idx)]
+        def rows(lo, n):
+            return self.pad[_cut(d, 0, lo, lo + n)]
 
-        self.inner = self.pad[lead + tuple(inner)]
-        self.ghosts = [pair for a, n in enumerate(grid.shape)
-                       for pair in ((along(a, 0, g), along(a, n, g)),
-                                    (along(a, n + g, g), along(a, g, g)))]
-        # shifted[axis][g + s][i] is f[i + s] along axis
-        self.shifted = [[along(a, g + s, n) for s in range(-g, g + 1)]
-                        for a, n in enumerate(grid.shape)]
+        self.inner = rows(g, n0)
+        self.ghosts = ((rows(0, g), rows(n0, g)), (rows(n0 + g, g), rows(g, g)))
+        # shifted[axis][g + s][i] is f[i + s] along axis, off a later axis's wrap columns
+        self.shifted = [[rows(g + s, n0) for s in range(-g, g + 1)]]
+        self.t = np.empty(shape, dtype) if order == 4 else None  # an order-4 difference's product
+        # per axis, (index into out, operands, t) of the whole block, then of each wrap column
+        self.blocks = [[((), self.shifted[0], self.t)]]
+        if d > 1:  # the pad is C-contiguous: a shift along a later axis is a flat offset
+            flat, size = self.pad.reshape(lead + (-1,)), math.prod(grid.shape)
+            for a, n in enumerate(grid.shape[1:], 1):
+                at = [g * size // n0 + s * math.prod(grid.shape[a + 1:]) for s in range(-g, g + 1)]
+                self.shifted.append([flat[..., i:i + size].reshape(shape) for i in at])
+                cut = functools.partial(_cut, d, a)
+                self.blocks.append([((), self.shifted[a], self.t)] + [
+                    (cut(j, j + 1), [self.inner[cut((j + s) % n, (j + s) % n + 1)]
+                                     for s in range(-g, g + 1)],
+                     None if self.t is None else self.t[cut(j, j + 1)])
+                    for j in (*range(g), *range(n - g, n))])
         self.div1 = [(2.0 if order == 2 else 12.0) * dx for dx in grid.dx]
         self.flip = (Ellipsis, slice(None, None, -1)) + (slice(None),) * grid.dims
         self.scratch = [np.empty(shape, dtype) for _ in range(scratch)]  # for callers
@@ -159,11 +180,9 @@ class Stencil:
         for ghost, source in self.ghosts:
             ghost[...] = source  # pad to pad, one dtype: no need for copyto's dispatch
 
-    # scratch fields made on first use: e holds the axes past the first of a
-    # multi-axis sum unless the caller lends a free field as `work` (the
-    # steppers do), t the second product of an order-4 difference
+    # made on first use: e holds the axes past the first of a multi-axis sum
+    # unless the caller lends a free field as `work` (the steppers do)
     e = functools.cached_property(lambda self: np.empty_like(self.inner))
-    t = functools.cached_property(lambda self: np.empty_like(self.inner))
     sigma = None  # sigma_dot_grad's factors, made on its first call
 
     def constants(self, make, h: float, mu: float):
@@ -175,12 +194,15 @@ class Stencil:
 
     def first_numerator(self, axis: int, out: np.ndarray) -> np.ndarray:
         """The loaded field's first difference along axis, before its division."""
-        v = self.shifted[axis]
-        if self.order == 2:
-            return np.subtract(v[2], v[0], out=out)
-        np.subtract(np.multiply(8.0, v[3], out=out), v[4], out=out)   # -f[i+2] + 8 f[i+1]
-        np.subtract(out, np.multiply(8.0, v[1], out=self.t), out=out)  # - 8 f[i-1]
-        return np.add(out, v[0], out=out)                               # + f[i-2]
+        for index, v, t in self.blocks[axis]:  # a later axis's wrap columns after the block
+            o = out[index] if index else out
+            if self.order == 2:
+                np.subtract(v[2], v[0], out=o)
+                continue
+            np.subtract(np.multiply(8.0, v[3], out=o), v[4], out=o)  # -f[i+2] + 8 f[i+1]
+            np.subtract(o, np.multiply(8.0, v[1], out=t), out=o)     # - 8 f[i-1]
+            np.add(o, v[0], out=o)                                     # + f[i-2]
+        return out
 
     def first(self, axis: int, out: np.ndarray) -> np.ndarray:
         """D_axis of the loaded field into out."""

@@ -23,16 +23,19 @@ at order 4.  The running integral is accumulated with the trapezoidal rule and
 the first level is bootstrapped by a Taylor step that uses the equation itself
 for d0^2.
 
-Each step evaluates the Laplacian through a `lattice.Stencil` that holds two
-scratch fields, `lap` and a work field, which also takes the Laplacian's later
-axes.  The update (the Taylor start included) is formed in the work field and
-in the new level, the one fresh array besides the new integral, and h^2*lap in
-`lap`.  The stencil rides along on the states a step returns, and max|psi1hat|
-is computed once per step, into `lap`, and reused by the next step's growth
-check and by the cumulative runaway check.  The arithmetic repeats the plain
-numpy expressions of the scheme ufunc for ufunc, so levels are bit-identical
-to them.  Only the x0 = 0 state holds the start slope, so it goes with that
-state after the first step, and the last state goes before the un-hat.
+Each step evaluates the Laplacian through a `lattice.Stencil`, whose padded
+buffer has ghost rows on the first spatial axis only, so its loads and
+differences run on unit-stride blocks; it holds two scratch fields, `lap` and
+a work field, which also takes the Laplacian's later axes.  The update (the
+Taylor start included) is formed in the work field and in the new level, the
+one fresh array besides the new integral, and h^2*lap in `lap`.  The stencil
+rides along on the states a step returns, and max|psi1hat| is computed once
+per step, into `lap`, and reused by the next step's growth check and by the
+cumulative runaway check.  The arithmetic repeats the plain numpy expressions
+of the scheme ufunc for ufunc, so levels are bit-identical to them.  Only the
+x0 = 0 state holds the start slope, so it goes with that state after the first
+step, and the last state goes before the un-hat.  Every state keeps the
+stencil order of the slope, and a step at another order is a GridError.
 
 Both routes return one trajectory type: `evolve_reduced` records psi1hat and
 its integral, and `unhat_trajectory` then overwrites them in place with the
@@ -90,7 +93,8 @@ class ReducedState:
 
     psi1hat_prev is the level one step behind psi1hat (None only before the
     bootstrap step); int_psi1hat is the trapezoidal accumulation of psi1hat
-    from 0 to x0; max_abs is max|psi1hat| and stencil holds the stepper's
+    from 0 to x0; order is the stencil order of the start slope, which every
+    step keeps; max_abs is max|psi1hat| and stencil holds the stepper's
     buffers.  slope, d0 psi1hat, is held by the x0 = 0 state only.
     """
 
@@ -99,6 +103,7 @@ class ReducedState:
     int_psi1hat: np.ndarray
     x0: float
     grid: Grid
+    order: int
     max_abs: float
     stencil: Stencil | None = field(default=None, repr=False)
     slope: np.ndarray | None = field(default=None, repr=False)
@@ -115,7 +120,7 @@ def initialize_reduced(initial: DiracState, params: PhysParams, order: int) -> R
     psi1 = initial.psi1
     slope = dirac_rhs(psi1, initial.psi2, initial.grid, params, order)[0]
     slope -= 1j * params.mass_wavenumber * psi1
-    return ReducedState(psi1.copy(), None, np.zeros_like(psi1), 0.0, initial.grid,
+    return ReducedState(psi1.copy(), None, np.zeros_like(psi1), 0.0, initial.grid, order,
                         float(np.max(np.abs(psi1))), slope=slope)
 
 
@@ -126,13 +131,15 @@ def _reduced_constants(st: Stencil, h: float, mu: float):
 
 def reduced_step(state: ReducedState, dt: float, params: PhysParams,
                  order: int = 2) -> ReducedState:
-    """Advance one step of size dt.
+    """Advance one step of size dt, at the stencil order the state was started with.
 
     The first step (psi1hat_prev is None) starts from the state's slope; later
     steps solve the three-level scheme
 
         (1 + i*mu*h) psi^{n+1} = 2 psi^n - (1 - i*mu*h) psi^{n-1} + h^2 lap psi^n.
     """
+    if order != state.order:
+        raise GridError(f"reduced state was started at stencil order {state.order}, not {order}")
     h = params.c * dt
     mu = params.mass_wavenumber
     psi = state.psi1hat
@@ -153,7 +160,7 @@ def reduced_step(state: ReducedState, dt: float, params: PhysParams,
     new_max = float(np.maximum.reduce(np.abs(new, out=lap.real), axis=None))
     check_growth(state.max_abs, new_max, state.x0 + h, params, "psi1hat")
     integral = np.add(state.int_psi1hat, np.multiply(half_h, np.add(psi, new, out=a), out=a))
-    return ReducedState(new, psi, integral, state.x0 + h, state.grid, new_max, st)
+    return ReducedState(new, psi, integral, state.x0 + h, state.grid, order, new_max, st)
 
 
 def evolve_reduced(initial: DiracState, duration: float, params: PhysParams,
@@ -248,6 +255,8 @@ def compare_trajectories(a: SpinorTrajectory, b: SpinorTrajectory) -> tuple[np.n
         raise GridError("trajectories are not sampled on the same grid and times")
     if a.order != b.order:
         raise GridError(f"trajectories differ in stencil order: {a.order} and {b.order}")
+    if a.params != b.params:
+        raise GridError(f"trajectories differ in params: {a.params} and {b.params}")
     nt = len(a.x0)
     sup = np.empty(nt)
     l2 = np.empty(nt)

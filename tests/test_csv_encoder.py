@@ -2,11 +2,12 @@
 
 `csvblock.format17` lays out '%.17g' % v for a whole float64 array in numpy;
 `csvblock.vector_section` builds whole blocks of rows from it.  Both are checked
-against Python's own formatting: the formatter on arbitrary bit patterns and a
-fixed list of edge values, the sections at every call site's row format, on
-both sides of `_VECTOR_ROWS` and of a block edge, and whole files of several
-sections.  A write that fails partway through is a `SnapshotIOError` and
-leaves no tree behind.
+against Python's own formatting: the formatter on arbitrary bit patterns, on
+values whose 17-digit rounding is nearly a tie (where its certification bound
+decides) and on a fixed list of edge values, the sections at every call site's
+row format, on both sides of `_VECTOR_ROWS` and of a block edge, and whole
+files of several sections.  A write that fails partway through is a
+`SnapshotIOError` and leaves no tree behind.
 """
 
 import errno
@@ -56,6 +57,27 @@ def _near_power_of_ten(k: int, steps: int) -> float:
                 | st.builds(_near_power_of_ten, st.integers(-323, 308), st.integers(-4, 4)),
                 min_size=1, max_size=64))
 def test_format17_matches_percent_on_any_float64(values):
+    assert _formatted(values) == _expected(values)
+
+
+def _nearest_to_halfway(bits: int) -> float:
+    """Of the 64 doubles from bits up, the one whose 17-digit rounding is closest to a tie.
+
+    Its remainder past the 17th significant digit lies within about 1/128 of
+    one half, where format17's bound decides between numpy and `%`.
+    """
+    values = (np.uint64(bits) + np.arange(64, dtype=np.uint64)).view(np.float64).tolist()
+    # "d.dddd...e+XX" with 41 significant digits: the 24 past the 17th are text[18:42]
+    tails = [abs(int(text[18:42]) - 5 * 10 ** 23)
+             for text in (("%.40e," * 64) % tuple(values)).split(",")[:64]]
+    return values[tails.index(min(tails))]
+
+
+@settings(deadline=None)
+@given(st.lists(st.builds(lambda bits, sign: sign * _nearest_to_halfway(bits),
+                          st.integers(1, 0x7FEF_FFFF_FFFF_FF00), st.sampled_from([1.0, -1.0])),
+                min_size=1, max_size=8))
+def test_format17_matches_percent_near_halfway(values):
     assert _formatted(values) == _expected(values)
 
 

@@ -309,6 +309,29 @@ def test_compare_trajectories_rejects_mismatch():
             route_equivalence(direct, recon)
 
 
+def test_compare_trajectories_rejects_two_params():
+    # a mass mismatch would read as a route discrepancy (max_sup 0.45 here when it ran)
+    ini = build_initial(_gaussian_scenario())
+    with pytest.raises(GridError, match="params"):
+        route_equivalence(evolve(ini, 0.5, PhysParams()),
+                          evolve_reduced(ini, 0.5, PhysParams(m=2.0)))
+
+
+def test_reduced_step_refuses_another_stencil_order():
+    # the start slope was taken at order 2; an order-4 step would mix the two
+    # stencils (4.4e-6 sup off the all-order-4 level here when it ran)
+    ini = build_initial(_gaussian_scenario())
+    p = PhysParams()
+    state = initialize_reduced(ini, p, 2)
+    assert state.order == 2
+    with pytest.raises(GridError, match="stencil order 2, not 4"):
+        reduced_step(state, ini.grid.dt, p, 4)
+    later = reduced_step(state, ini.grid.dt, p, 2)
+    assert later.order == 2
+    with pytest.raises(GridError, match="stencil order"):
+        reduced_step(later, ini.grid.dt, p, 4)
+
+
 def test_reduced_one_step_detector():
     grid = make_grid([2.0 * np.pi], [64])
     spike = np.zeros((2, 64), dtype=complex)

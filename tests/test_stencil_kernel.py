@@ -8,8 +8,9 @@ Fields carry signed zeros, both at random points and as whole components that
 stay exactly zero, because those are where reordered arithmetic would show.
 The RK4 reference is the Horner loop the stepper runs; the stage form of
 classical RK4 is kept beside it as a second reference, matched to rounding.
-The steppers' working sets are bounded with tracemalloc, and a property
-asserts that no state a step returned is written by a later step.
+The stencil's operands are checked to be unit-stride blocks, the steppers'
+working sets are bounded with tracemalloc, and a property asserts that no
+state a step returned is written by a later step.
 The ci hypothesis profile (conftest.py) runs each property on 2 000
 derandomized examples; other profiles keep the counts given below.
 """
@@ -247,38 +248,68 @@ def test_rk4_step_is_the_stage_form_to_rounding(case):
     assert np.max(np.abs(state.psi - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-def _working_set_state():
-    # 128^2, where one of numpy's fixed iterator buffers is 1/8 of a stacked field
-    grid = _grid(2, [128, 128], 2)
+@examples(40)
+@given(cases)
+def test_stencil_operands_are_unit_stride_blocks(case):
+    # ghost rows on the first spatial axis only: inner and every shifted operand
+    # are C-contiguous per leading index, and a shift along a later axis, read
+    # at a flat offset, is the np.roll shift off that axis's 2g wrap columns
+    dims, points, order, seed = case
+    grid = _grid(dims, points, order)
+    f = _field(np.random.default_rng(seed), (2, 2) + grid.shape)
+    st = Stencil(f.shape, grid, order)
+    st.load(f)
+    g = order // 2
+    assert all(st.inner[i].flags.c_contiguous for i in np.ndindex(2, 2))
+    for axis, shifts in enumerate(st.shifted):
+        cols = slice(g, grid.shape[axis] - g) if axis else slice(None)
+        keep = (Ellipsis, cols) + (slice(None),) * (dims - 1 - axis)
+        for s, operand in zip(range(-g, g + 1), shifts):
+            assert all(operand[i].flags.c_contiguous for i in np.ndindex(2, 2))
+            assert_bit_equal(operand[keep], np.roll(f, -s, 2 + axis)[keep])
+
+
+def _working_set_state(points):
+    grid = _grid(len(points), points, 2)
     rng = np.random.default_rng(4)
     return DiracState(_field(rng, (2,) + grid.shape), _field(rng, (2,) + grid.shape),
                       0.0, grid)
 
 
+# With ghost rows on the first axis only, no stencil operand needs numpy's
+# iterator buffers.  What buffers are left come from the operands that are
+# contiguous per leading index only (the padded iterate, and the mass and
+# Pauli factors broadcast over the components): below np.getbufsize() items
+# per block, numpy buffers one of them to run longer inner loops, which is the
+# half field over 1.0 at 64^2 (2.51 there with the all-axes padding).
 def test_rk4_step_working_set(traced):
     # a cold step makes its stencil: the padded buffer and sigma.D's field; the
     # slope field k is fresh each step and becomes the new level, and |psi| goes
-    # into sigma.D's field, so no e and no |psi| temporary (5.54 fields before);
-    # the ufunc iterator adds np.getbufsize() items per strided operand, two here.
-    # A warm step makes only k, 1.25 fields with those buffers (1.50 before)
-    state = _working_set_state()
-    field = state.psi.nbytes
-    warm, cold, _ = traced(step, state, state.grid.dt, PhysParams())
-    _, warm_peak, _ = traced(step, warm, state.grid.dt, PhysParams())
-    buffers = 2 * np.getbufsize() * state.psi.itemsize
-    assert cold <= 3.5 * field + buffers, cold / field
-    assert warm_peak <= 1.3 * field, warm_peak / field
+    # into sigma.D's field, so no e and no |psi| temporary (5.54 fields before).
+    # A warm step makes only k (1.25 fields at 128^2 and 3.33 cold at 32^3 before)
+    for points, cold_max, warm_max in (([128, 128], 3.5, 1.3), ([64, 64], 3.8, 1.6),
+                                       ([32, 32, 32], 3.33, 1.3)):
+        state = _working_set_state(points)
+        field = state.psi.nbytes
+        warm, cold, _ = traced(step, state, state.grid.dt, PhysParams())
+        _, warm_peak, _ = traced(step, warm, state.grid.dt, PhysParams())
+        assert cold <= cold_max * field, (points, cold / field)
+        assert warm_peak <= warm_max * field, (points, warm_peak / field)
 
 
 def test_reduced_step_working_set(traced):
     # the cold Taylor start makes the stencil (the padded buffer, the Laplacian
-    # and one work field) and the new level and integral, 5.04 spinor fields;
-    # it formed five whole temporaries and held a third scratch field before (8.04)
-    initial = _working_set_state()
-    spinor = initial.psi1.nbytes
-    state = initialize_reduced(initial, PhysParams(), 2)
-    _, cold, _ = traced(reduced_step, state, initial.grid.dt, PhysParams(), 2)
-    assert cold <= 5.5 * spinor, cold / spinor
+    # and one work field) and the new level and integral, 5.04 spinor fields at
+    # 128^2; it formed five whole temporaries and held a third scratch field
+    # before (8.04).  A warm step makes only the new level and integral
+    for points in ([128, 128], [64, 64], [32, 32, 32]):
+        initial = _working_set_state(points)
+        spinor = initial.psi1.nbytes
+        state = initialize_reduced(initial, PhysParams(), 2)
+        warm, cold, _ = traced(reduced_step, state, initial.grid.dt, PhysParams(), 2)
+        _, warm_peak, _ = traced(reduced_step, warm, initial.grid.dt, PhysParams(), 2)
+        assert cold <= 5.5 * spinor, (points, cold / spinor)
+        assert warm_peak <= 2.1 * spinor, (points, warm_peak / spinor)
 
 
 @examples(30)
