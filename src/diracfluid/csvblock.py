@@ -13,12 +13,12 @@ with a 64-bit power of ten (exact up to 10^27), and keeps n = rint(p) only
 where p lies more than n 2^-64 r (1 + 2^-20) from the half-integer between
 n and its neighbour, r being the roundings made (1 with an exact power, else
 2); see `format17` for why that proves n is the rounding of the exact
-product.  The rest go through `%` one at a time: those near-halfway values,
-10 <= |v| < 1e17 (no layout here), values next to a power of ten whose
-exponent estimate missed, and non-finite values (0.76 % of the values in the
-fluid-io-3d benchmark's blocks, half of them the fluid map's NaN alphas); and
-every value when long double is plain double (nmant < 63), which certifies
-nothing.
+product.  NaN, inf and -inf slots are constants, written from a table.  The
+rest go through `%` one at a time: those near-halfway values, 10 <= |v| <
+1e17 (no layout here) and values next to a power of ten whose exponent
+estimate missed (0.45 % of the values in the fluid-io-3d benchmark's blocks);
+and every value when long double is plain double (nmant < 63), which
+certifies nothing.
 
 `parse_fields` inverts it for `lattice.read_snapshot`.  `parse_lanes` decodes
 each field of the strict grammar [-]digits[.digits][e(+|-)dd[d]] to a uint64
@@ -91,8 +91,11 @@ def _format_tables():
                           for x in xs], "S8").view(np.uint64)
     groups = [b"%04d" % g for g in range(10 ** 4)]
     digits = np.array(groups + [g.rstrip(b"0") for g in groups], "S4").view(np.uint32)
+    # the slots of inf, -inf and NaN
+    nonfinite = np.zeros((3, 4), np.uint64)
+    nonfinite[:, 0] = np.array([b"inf", b"-inf", b"nan"], "S8").view(np.uint64)
     return (pow10, roundings, np.array(heads, "S8").view(np.uint64), head_base,
-            exponents, digits)
+            exponents, digits, nonfinite)
 
 
 def format17(x: np.ndarray, out: np.ndarray, tail: np.ndarray) -> None:
@@ -101,7 +104,9 @@ def format17(x: np.ndarray, out: np.ndarray, tail: np.ndarray) -> None:
     Each value gets a 32-byte slot, NUL-padded: word 0 holds the sign, a
     "0.000" lead, d0 and the point, words 1-2 the other 16 digits without
     trailing zeros, word 3 the exponent in its first 5 bytes, ORed with tail
-    (x's last axis), whose own bytes lie in the last 3.
+    (x's last axis), whose own bytes lie in the last 3.  inf, -inf and NaN,
+    whatever its sign and payload ('%.17g' writes "nan"), take their slots
+    from a table.
 
     Why a certified n is the rounding of the exact P = |v| 10^(16-X): each of
     the r roundings to a 64-bit significand errs by at most u = 2^-64 of its
@@ -114,7 +119,7 @@ def format17(x: np.ndarray, out: np.ndarray, tail: np.ndarray) -> None:
     exceeds |p - P|: where p is farther than that from the half-integer, P is
     on the same side of it, and rint(P) = n.
     """
-    pow10, roundings, heads, head_base, exponents, digits = _format_tables()
+    pow10, roundings, heads, head_base, exponents, digits, nonfinite = _format_tables()
     finfo = np.finfo(np.longdouble)
     with np.errstate(all="ignore"):
         a = np.abs(x)
@@ -138,6 +143,8 @@ def format17(x: np.ndarray, out: np.ndarray, tail: np.ndarray) -> None:
         # f > n r u (1 + 2^-20) proves n is the exact value's rounding (see above)
         u = max(float(finfo.eps) / 2, 2.0 ** -64)  # the power table's own rounding
         slow |= f <= n * (u * (1 + 2.0 ** -20) * roundings.take(xi, mode="clip"))
+        finite = a < np.inf  # False for NaN too
+        slow &= finite
         slow &= a != 0
         if finfo.nmant < 63:
             slow[...] = True
@@ -159,6 +166,12 @@ def format17(x: np.ndarray, out: np.ndarray, tail: np.ndarray) -> None:
     h += (strip == 0) * 10
     out[..., 0] = heads.take(h, mode="clip")
     np.bitwise_or(exponents.take(xi, mode="clip"), tail, out=out[..., 3])
+    special = np.nonzero(~finite)
+    if special[0].size:
+        v = x[special]
+        words = nonfinite.take(np.where(np.isnan(v), 2, v < 0), axis=0)
+        words[:, 3] = tail[special[-1]]
+        out[special] = words
     slow = np.nonzero(slow)
     if slow[0].size:
         values = x[slow].tolist()

@@ -25,6 +25,12 @@ Levels are bit-identical to the einsum and np.roll form of the Horner loop,
 which the tests keep as the reference.  Small-grid steps pay per numpy call,
 so `Stencil.constants` keeps, per (h, mu), the fractions h/4, h/3, h/2, h and
 one (2, 1, ...) factor [-i*mu, +i*mu] for both mass terms.
+
+`run_steps` is the one stepping loop of both routes, a generator of the
+recorded states with the one cumulative runaway check.  `evolve` collects it
+(`record`) into a `SpinorTrajectory`; `direct_stream` hands each level on
+as the steps make it, without the state's stencil, which the next step
+makes anew, so that a level's consumers run without the step's buffers.
 """
 
 from __future__ import annotations
@@ -147,39 +153,80 @@ def n_steps_for(duration: float, dt: float, record_every: int) -> int:
     return ((n + record_every - 1) // record_every) * record_every
 
 
-def run_steps(state, advance, n: int, record_every: int, fields: tuple[str, ...]):
-    """Advance n times, recording x0 and copies of the named fields every record_every steps.
+def run_steps(state, advance, n: int, record_every: int):
+    """The one stepping loop: yield state, then every record_every-th of n advances.
 
     The one cumulative runaway detector: it raises if max_abs grows past
-    _RUNAWAY_FACTOR times its start value.  Returns x0s and one level array
-    per field; the last state, with its stencil, goes when the loop ends.
+    _RUNAWAY_FACTOR times its start value.  A yielded state is the loop's
+    current one, so its consumer reads it before the next advance; the loop
+    holds nothing else, and the last state goes when the loop ends.
     """
-    xs = np.empty(n // record_every + 1)
-    levels = [np.empty(xs.shape + getattr(state, f).shape, complex) for f in fields]
     start_max = state.max_abs
-    for i in range(n + 1):
-        if i > 0:
-            state = advance(state)
-            if start_max > 0 and state.max_abs > _RUNAWAY_FACTOR * start_max:
-                raise NumericalInstabilityError(
-                    f"cumulative growth {state.max_abs / start_max:.3g}x at x0={state.x0:g}")
+    yield state
+    for i in range(1, n + 1):
+        state = advance(state)
+        if start_max > 0 and state.max_abs > _RUNAWAY_FACTOR * start_max:
+            raise NumericalInstabilityError(
+                f"cumulative growth {state.max_abs / start_max:.3g}x at x0={state.x0:g}")
         if i % record_every == 0:
-            xs[i // record_every] = state.x0
-            for out, f in zip(levels, fields):
-                out[i // record_every] = getattr(state, f)
-    return xs, levels
+            yield state
+
+
+def record(states, levels: int, fields: tuple[str, ...]):
+    """x0 and a copy of each named field of the `levels` states: a trajectory's arrays.
+
+    No reference to a copied state outlives its copy, so the steps between
+    records hold only the stepping loop's state (enumerate's reused result
+    tuple would hold the last one).
+    """
+    xs, out, n = np.empty(levels), [], 0
+    for state in states:
+        if not out:
+            out = [np.empty((levels,) + getattr(state, f).shape, complex) for f in fields]
+        xs[n] = state.x0
+        for level, f in zip(out, fields):
+            level[n] = getattr(state, f)
+        n += 1
+        del state
+    return xs, out
+
+
+def direct_states(initial: DiracState, duration: float, params: PhysParams,
+                  record_every: int = 1, order: int = 2):
+    """The recorded states of RK4 steps over `duration`, as the steps make them.
+
+    The step count is rounded up to a whole number of records, so the final
+    recorded x0 may slightly exceed c*duration; recorded levels are always
+    uniformly spaced and include the initial and final states.
+    """
+    dt = initial.grid.dt
+    n = n_steps_for(duration, dt, record_every)
+    return run_steps(initial, lambda s: step(s, dt, params, order=order), n, record_every)
+
+
+def direct_stream(initial: DiracState, duration: float, params: PhysParams,
+                  record_every: int = 1, order: int = 2):
+    """(x0, psi1, psi2) of each of `direct_states`, as the steps make it.
+
+    A state's stencil goes before its level is handed out (the next step
+    makes another), so the level's consumers run without the step's buffers,
+    and a consumer that drops each level before the next holds one at a time.
+    """
+    states = direct_states(initial, duration, params, record_every, order)
+    del initial  # the stepping loop holds it until the first step
+    for state in states:
+        state.stencil = None
+        yield state.x0, state.psi1, state.psi2
+        del state  # the steps up to the next record hold only the loop's state
 
 
 def evolve(initial: DiracState, duration: float, params: PhysParams,
            record_every: int = 1, order: int = 2) -> SpinorTrajectory:
     """Integrate for `duration` (time units), recording every record_every steps.
 
-    The step count is rounded up to a whole number of records, so the final
-    recorded x0 may slightly exceed c*duration; recorded levels are always
-    uniformly spaced and include the initial and final states.
+    The levels are those of `direct_states`.
     """
-    grid = initial.grid
-    n = n_steps_for(duration, grid.dt, record_every)
-    xs, (psi1, psi2) = run_steps(initial, lambda s: step(s, grid.dt, params, order=order),
-                                 n, record_every, ("psi1", "psi2"))
-    return SpinorTrajectory(xs, psi1, psi2, grid, params, order)
+    levels = n_steps_for(duration, initial.grid.dt, record_every) // record_every + 1
+    xs, (psi1, psi2) = record(direct_states(initial, duration, params, record_every, order),
+                              levels, ("psi1", "psi2"))
+    return SpinorTrajectory(xs, psi1, psi2, initial.grid, params, order)

@@ -125,7 +125,9 @@ class Stencil:
     instance, with its scratch buffers, across its steps.  Each output element
     keeps the operands and ufunc order of the np.roll expressions, and
     sigma_dot_grad those of the einsum contraction, so results are
-    bit-identical to both.  A small-grid step pays per numpy call, so an
+    bit-identical to both (`first` multiplies a complex numerator by
+    fl(1/div1) where that is at least 1, as numpy's complex quotient does
+    inside its division).  A small-grid step pays per numpy call, so an
     instance makes its Pauli factors, scratch fields and a stepper's
     `constants` (0-d arrays: cheap ufunc operands) on first use.
     """
@@ -163,6 +165,11 @@ class Stencil:
                      None if self.t is None else self.t[cut(j, j + 1)])
                     for j in (*range(g), *range(n - g, n))])
         self.div1 = [(2.0 if order == 2 else 12.0) * dx for dx in grid.dx]
+        # numpy divides complex z by d as (z.real + z.imag*0, z.imag - z.real*0) * fl(1/d);
+        # where fl(1/d) >= 1 no product underflows, and z * (fl(1/d) - 0j) has those bits
+        # without the complex division loop.  Real quotients stay correctly rounded
+        self.inv1 = [np.array(complex(1.0 / d, -0.0)) if dtype == complex and 1.0 / d >= 1.0
+                     else None for d in self.div1]
         self.flip = (Ellipsis, slice(None, None, -1)) + (slice(None),) * grid.dims
         self.scratch = [np.empty(shape, dtype) for _ in range(scratch)]  # for callers
 
@@ -205,8 +212,11 @@ class Stencil:
         return out
 
     def first(self, axis: int, out: np.ndarray) -> np.ndarray:
-        """D_axis of the loaded field into out."""
-        return np.divide(self.first_numerator(axis, out), self.div1[axis], out=out)
+        """D_axis of the loaded field into out: the numerator over div1, or times inv1."""
+        self.first_numerator(axis, out)
+        if self.inv1[axis] is None:
+            return np.divide(out, self.div1[axis], out=out)
+        return np.multiply(out, self.inv1[axis], out=out)
 
     def gradient(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
         """d_i f for every spatial axis i into out[i], out of shape (dims, *f.shape)."""
@@ -335,19 +345,21 @@ def minkowski_square(a: np.ndarray) -> np.ndarray:
 # read_snapshot reads the file's bytes once.  A file in exactly the layout
 # above (`_read_layout`: the header, then per row the point's index_prefixes
 # bytes, the component digit and the float fields, in write order) has its
-# separators located on the uint8 view and its index columns compared as
-# bytes, not parsed; `csvblock.parse_fields` decodes the floats bit-exactly,
-# and returns None for a field outside [-]digits[.digits][e(+|-)dd[d]] (so
-# also for inf and nan).  Every other file goes through np.loadtxt
-# (`_read_text`), so what is accepted and every error stay those of
-# np.loadtxt.  A complex two-component 32^3 snapshot reads in 41-44 ms this
-# way against 79-118 ms through np.loadtxt, and a 64^3 one in 356-373 ms
-# against 675-863 ms (best of 3-7 reads, the same 2-core Xeon VM).
+# separators located on the uint8 view, slice by slice, as int32 positions
+# (`_separators`), and its index columns compared as bytes, not parsed;
+# `csvblock.parse_fields` decodes the floats bit-exactly, and returns None for
+# a field outside [-]digits[.digits][e(+|-)dd[d]] (so also for inf and nan).
+# Every other file goes through np.loadtxt (`_read_text`), so what is
+# accepted and every error stay those of np.loadtxt.  A complex two-component
+# 32^3 snapshot reads in 41-44 ms this way against 79-118 ms through
+# np.loadtxt, and a 64^3 one in 356-373 ms against 675-863 ms (best of 3-7
+# reads, the same 2-core Xeon VM).
 
 _COMPLEX_HEADER = "axis0,axis1,axis2,component,re,im"
 _REAL_HEADER = "axis0,axis1,axis2,component,value"
 _CSV_BLOCK_ROWS = 2048
 _VECTOR_ROWS = 128
+_SCAN_BYTES = 1 << 18  # bytes per slice of `_separators`
 
 
 @functools.lru_cache(maxsize=4)
@@ -431,13 +443,30 @@ def read_snapshot(path, grid: Grid) -> np.ndarray:
     return _read_text(path, data, grid) if field is None else field
 
 
+def _separators(u: np.ndarray) -> np.ndarray:
+    """Positions of the bytes <= ',' in u, scanned in slices into int32 (int64 from 2^31 bytes).
+
+    A snapshot row holds a separator per 9 or so bytes, so np.flatnonzero's
+    int64 positions of a whole file were the reader's largest temporary; per
+    slice, its mask and int64 positions stay small.
+    """
+    dtype = np.int32 if len(u) < 2 ** 31 else np.int64  # so position + 1 fits
+    parts = []
+    for a in range(0, len(u), _SCAN_BYTES):
+        part = np.flatnonzero(u[a:a + _SCAN_BYTES] <= ord(",")).astype(dtype)
+        part += a
+        parts.append(part)
+    return np.concatenate(parts) if parts else np.empty(0, dtype)
+
+
 def _read_layout(data: bytes, grid: Grid) -> np.ndarray | None:
     """The field of a snapshot in exactly write_snapshot's layout, else None.
 
-    Separators are found on the file's uint8 view.  Every row must start with
-    its point's `index_prefixes` bytes and component digit, in write order, so
-    the index columns are compared, never parsed; `csvblock.parse_fields`
-    decodes the float fields, or returns None for one outside its grammar.
+    Separators are found on the file's uint8 view (`_separators`).  Every row
+    must start with its point's `index_prefixes` bytes and component digit, in
+    write order, so the index columns are compared, never parsed;
+    `csvblock.parse_fields` decodes the float fields, or returns None for one
+    outside its grammar.
     """
     for header, width in ((_COMPLEX_HEADER, 6), (_REAL_HEADER, 5)):
         if data.startswith(header.encode("ascii") + b"\n"):
@@ -445,7 +474,7 @@ def _read_layout(data: bytes, grid: Grid) -> np.ndarray | None:
     else:
         return None
     u = np.frombuffer(data, np.uint8)
-    sep = np.flatnonzero(u <= ord(","))     # ',' and newline, or '+' in an exponent
+    sep = _separators(u)                    # ',' and newline, or '+' in an exponent
     kinds = u[sep]
     plus = kinds == ord("+")
     if plus.any():
@@ -457,10 +486,11 @@ def _read_layout(data: bytes, grid: Grid) -> np.ndarray | None:
     if (len(sep) != rows * width or sep[-1] != len(u) - 1 or ncomp not in (1, 2, 4)
             or rows - 1 != ncomp * npts or not (kinds.reshape(rows, width) == pattern).all()):
         return None
+    del kinds, plus
     sep = sep.reshape(rows, width)
     prefix = index_prefixes(grid.shape).view(np.uint8).reshape(npts, -1)
     starts = sep[:-1, -1] + 1
-    if starts[-1] + prefix.shape[1] > len(u):
+    if int(starts[-1]) + prefix.shape[1] > len(u):
         return None
     got = sliding_window_view(u, prefix.shape[1])[starts].reshape(ncomp, npts, -1)
     if not ((got == prefix) | (prefix == 0)).all():
@@ -469,8 +499,11 @@ def _read_layout(data: bytes, grid: Grid) -> np.ndarray | None:
     if not ((sep[1:, 3].reshape(ncomp, npts) == digit + 1).all()
             and (u[digit] == np.arange(ord("0"), ord("0") + ncomp, dtype=np.uint8)[:, None]).all()):
         return None
+    del got, starts, digit
+    starts, ends = (sep[1:, 3:-1] + 1).reshape(-1), sep[1:, 4:].reshape(-1)
+    del sep
     from . import csvblock
-    values = csvblock.parse_fields(data, (sep[1:, 3:-1] + 1).reshape(-1), sep[1:, 4:].reshape(-1))
+    values = csvblock.parse_fields(data, starts, ends)
     if values is None:
         return None
     return values.view(complex if width == 6 else float).reshape((ncomp,) + grid.shape)

@@ -22,18 +22,28 @@ at `<outdir>/<name>` raises `FileExistsError` before a step is taken.  The
 staging directory is removed on success and on any error, an interrupt
 included, so `<outdir>/<name>` always holds exactly one whole run.
 
-`run` builds one `FluidState` per interior level (only the middle one when
-neither the fluid map nor the approximation chain is asked for), and the
-identity chain of the middle level, `identity_rows_at`, reads everything,
-psi1, params, order and branch included, from that state.  Each level's d0 is
-`dynamics.dirac_rhs` of its (psi1, psi2), the rebuilt pair on the reduced
-route, so no output of a level depends on `record_every`, except
-`equivalence.csv`'s `kg_residual`: its d0^2 spans `record_every` steps.
-Nothing outlives its last reader: the routes are compared first, so a `both`
-run drops the reduced trajectory before its snapshots, fluid map, identity and
-chain rows and conservation; each level's `FluidState` dies in `_write_level`,
-and the identity rows take the stencil d_mu of the two amplitude fields only, one
-at a time, and rotate those into the polar and Fisher forms by the chain rule.
+`run` consumes the recorded levels in one loop, one level at a time: its
+psi1 and psi2 snapshots, its `lagrangian.conservation_row` (folded into
+conservation.csv at the end, as `conservation_report` folds a trajectory's),
+and on interior levels (only the middle one when neither the fluid map nor
+the approximation chain is asked for) one `FluidState`, with its fluid CSV,
+its chain row and, on the middle level, the identity chain
+(`identity_rows_at`), which reads everything, psi1, params, order and branch
+included, from that state.  Each level's d0 is `dynamics.dirac_rhs` of its
+(psi1, psi2), the rebuilt pair on the reduced route, so no output of a level
+depends on `record_every`, except `equivalence.csv`'s `kg_residual`: its
+d0^2 spans `record_every` steps.
+
+The loop has two sources.  A single-route run streams its levels from the
+route's stepping loop as the steps make them (`dynamics.direct_stream`,
+`reduction.reduced_stream`): the runner holds neither the initial state nor
+a consumed level, and a level's stencil goes before its consumers run, so a
+run's peak memory does not grow with its level count.  A `both` run records
+both routes, writes `equivalence.csv`, drops the reduced trajectory and feeds
+the loop from the direct one.  Each level's `FluidState` dies in
+`_write_level`, and the identity rows take the stencil d_mu of the two
+amplitude fields only, one at a time, and rotate those into the polar and
+Fisher forms by the chain rule.
 """
 
 from __future__ import annotations
@@ -46,14 +56,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import evolve, n_steps_for
+from .dynamics import direct_stream, evolve, n_steps_for
 from .fluid import MASK_NAMES, FluidState, PointMask, fluid_state
-from .lagrangian import (conservation_report, identity_residual,
+from .lagrangian import (ConservationReport, conservation_row, identity_residual,
                          lagrangian_classical_clebsch, lagrangian_classical_fluid,
                          lagrangian_spinor_from_gradients, lagrangian_split, median,
                          quantum_polar_forms)
 from .lattice import file_sha256, four_gradient, index_prefixes, write_csv, write_snapshot
-from .reduction import EquivalenceReport, evolve_reduced, route_equivalence
+from .reduction import EquivalenceReport, evolve_reduced, reduced_stream, route_equivalence
 from .scenarios import Scenario, build_initial
 from .version import __version__
 
@@ -172,11 +182,34 @@ def run(scenario: Scenario, outdir) -> RunResult:
     return RunResult(run_dir=run_dir, manifest=manifest, equivalence=equivalence)
 
 
-def _write_level(scenario: Scenario, run_dir: Path, traj, n: int, identities: bool):
+def _levels(scenario: Scenario, run_dir: Path):
+    """(x0, psi1, psi2) of every recorded level, and the route equivalence of a both run.
+
+    One route streams its levels as its steps make them.  A both run records
+    both routes, writes equivalence.csv from them, and keeps the direct one.
+    """
+    initial = build_initial(scenario)
+    args = (scenario.duration, scenario.params, scenario.record_every,
+            scenario.derivative_order)
+    if scenario.pipeline == "dirac":
+        return direct_stream(initial, *args), None
+    if scenario.pipeline == "reduced":
+        return reduced_stream(initial, *args), None
+    direct = evolve(initial, *args)
+    recon = evolve_reduced(initial, *args)
+    del initial  # read by the two routes only
+    equivalence = None
+    if "equivalence" in scenario.diagnostics:
+        equivalence = route_equivalence(direct, recon)
+        _write_rows(run_dir / "diagnostics/equivalence.csv", _EQUIV_HEADER, equivalence.rows())
+    return zip(direct.x0.tolist(), direct.psi1, direct.psi2), equivalence
+
+
+def _write_level(scenario: Scenario, run_dir: Path, n: int, x0: float, psi1, psi2,
+                 identities: bool):
     """Write level n's fluid snapshot and identity rows; return its chain row if asked for."""
-    fs = fluid_state(traj.psi1[n], traj.psi2[n], float(traj.x0[n]), scenario.grid,
-                     scenario.params, order=scenario.derivative_order,
-                     branch=scenario.alpha_branch)
+    fs = fluid_state(psi1, psi2, x0, scenario.grid, scenario.params,
+                     order=scenario.derivative_order, branch=scenario.alpha_branch)
     if scenario.fluid_map:
         _fluid_csv(run_dir / f"snapshots/fluid_{n * scenario.record_every:06d}.csv", fs)
     if identities:
@@ -190,49 +223,36 @@ def _write_tree(scenario: Scenario, run_dir: Path):
     for sub in ("snapshots", "diagnostics"):
         (run_dir / sub).mkdir(parents=True)
 
-    grid = scenario.grid
-    order = scenario.derivative_order
-    initial = build_initial(scenario)
-    direct = recon = None
-    if scenario.pipeline in ("dirac", "both"):
-        direct = evolve(initial, scenario.duration, scenario.params,
-                        record_every=scenario.record_every, order=order)
-    if scenario.pipeline in ("reduced", "both"):
-        recon = evolve_reduced(initial, scenario.duration, scenario.params,
-                               record_every=scenario.record_every, order=order)
-    del initial  # read by the two routes only
-    equivalence = None
-    if "equivalence" in scenario.diagnostics and direct is not None and recon is not None:
-        equivalence = route_equivalence(direct, recon)
-        _write_rows(run_dir / "diagnostics/equivalence.csv", _EQUIV_HEADER, equivalence.rows())
-    primary = direct if direct is not None else recon
-    del direct, recon  # compared: a both run keeps only the direct route from here on
-
-    nt = len(primary.x0)
-    for n in range(nt):
-        step = n * scenario.record_every
-        for name, field in (("psi1", primary.psi1[n]), ("psi2", primary.psi2[n])):
-            write_snapshot(run_dir / f"snapshots/{name}_{step:06d}.csv", field, grid)
-
+    grid, order, params = scenario.grid, scenario.derivative_order, scenario.params
+    n_steps = n_steps_for(scenario.duration, grid.dt, scenario.record_every)
+    nt = n_steps // scenario.record_every + 1
     want_chain = "approximation_chain" in scenario.diagnostics
     want_ids = "identities" in scenario.diagnostics
+    want_consv = "conservation" in scenario.diagnostics
+    interior = scenario.fluid_map or want_chain  # else only the middle level, for identities
     mid = nt // 2  # interior: validation asks for 3 levels when identities are wanted
-    if scenario.fluid_map or want_chain:
-        levels = range(1, nt - 1)
-    else:
-        levels = [mid] if want_ids else []
-    chain_rows = [_write_level(scenario, run_dir, primary, n, want_ids and n == mid)
-                  for n in levels]
+    x0s, consv_rows, chain_rows, n = [], [], [], 0
+    levels, equivalence = _levels(scenario, run_dir)
+    for x0, psi1, psi2 in levels:  # not enumerate: its reused tuple would hold the level
+        step = n * scenario.record_every
+        for name, field in (("psi1", psi1), ("psi2", psi2)):
+            write_snapshot(run_dir / f"snapshots/{name}_{step:06d}.csv", field, grid)
+        if want_consv:
+            x0s.append(x0)
+            consv_rows.append(conservation_row(psi1, psi2, grid, params, order))
+        if (interior and 0 < n < nt - 1) or (want_ids and n == mid):
+            chain_rows.append(_write_level(scenario, run_dir, n, x0, psi1, psi2,
+                                           want_ids and n == mid))
+        n += 1
+        del psi1, psi2  # before the next step
 
-    if "conservation" in scenario.diagnostics:
-        report = conservation_report(primary)
+    if want_consv:
+        report = ConservationReport.fold(x0s, consv_rows)
         _write_rows(run_dir / "diagnostics/conservation.csv", _CONSV_HEADER, report.rows())
-
     if want_chain:
         _write_rows(run_dir / "diagnostics/approximation_chain.csv", _CHAIN_HEADER,
                     np.vstack(chain_rows))
 
-    n_steps = n_steps_for(scenario.duration, grid.dt, scenario.record_every)
     manifest = {
         "name": scenario.name,
         "package_version": __version__,

@@ -3,7 +3,8 @@
 `csvblock.format17` lays out '%.17g' % v for a whole float64 array in numpy;
 `csvblock.vector_section` builds whole blocks of rows from it.  Both are checked
 against Python's own formatting: the formatter on arbitrary bit patterns, on
-values whose 17-digit rounding is nearly a tie (where its certification bound
+NaN of every sign and payload and +-inf (written from a table), on values
+whose 17-digit rounding is nearly a tie (where its certification bound
 decides) and on a fixed list of edge values, the sections at every call site's
 row format, on both sides of `_VECTOR_ROWS` and of a block edge, and whole
 files of several sections.  A write that fails partway through is a
@@ -57,6 +58,18 @@ def _near_power_of_ten(k: int, steps: int) -> float:
                 | st.builds(_near_power_of_ten, st.integers(-323, 308), st.integers(-4, 4)),
                 min_size=1, max_size=64))
 def test_format17_matches_percent_on_any_float64(values):
+    assert _formatted(values) == _expected(values)
+
+
+# +-inf (payload 0) and NaN of either sign and any payload: '%.17g' writes every NaN as "nan"
+_NONFINITE = st.builds(lambda sign, payload: _from_bits(sign << 63 | 0x7FF << 52 | payload),
+                       st.integers(0, 1), st.integers(0, 2 ** 52 - 1) | st.just(0))
+
+
+@settings(deadline=None)
+@given(st.lists(_NONFINITE | st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=64))
+def test_format17_writes_every_nan_and_inf_as_percent_does(values):
     assert _formatted(values) == _expected(values)
 
 

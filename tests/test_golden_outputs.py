@@ -1,10 +1,10 @@
 """Shipped configs keep producing byte-identical output trees.
 
 golden_outputs.json holds the sha256 of every output file of the four shipped
-configs and of the two small multi-axis configs below, which pin the 2-D and
+configs and of the three small multi-axis configs below, which pin the 2-D and
 3-D gradient, fluid-map and identity paths the shipped 1-D configs never
-reach. A change that deliberately alters the numbers or the file format
-regenerates it and says why:
+reach, and the reduced route run on its own. A change that deliberately
+alters the numbers or the file format regenerates it and says why:
 
     python tests/test_golden_outputs.py            # list the entries the code changes
     python tests/test_golden_outputs.py --write    # and rewrite golden_outputs.json
@@ -54,6 +54,17 @@ MULTI_AXIS_CONFIGS = {
         "diagnostics": ["conservation", "identities", "approximation_chain"],
         "alpha_branch": "plus",
         "derivative_order": 4,
+    },
+    "golden_2d_reduced": {
+        "name": "golden_2d_reduced",
+        "grid": {"extents": [8.0, 8.0], "points": [16, 16]},
+        "initial_data": {"recipe": "gaussian_packet", "k": [-0.25, 0.5],
+                         "width": 1.75, "spin_angle": 0.9, "relative_phase": 0.7},
+        "duration": 0.75,
+        "record_every": 2,
+        "pipeline": "reduced",
+        "fluid_map": True,
+        "diagnostics": ["conservation", "identities", "approximation_chain"],
     },
 }
 

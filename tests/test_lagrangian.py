@@ -5,7 +5,8 @@ import numpy as np
 from diracfluid.clifford import gamma
 from diracfluid.dynamics import dirac_rhs, evolve
 from diracfluid.fluid import rest_density
-from diracfluid.lagrangian import (ConservationReport, conservation_report, median,
+from diracfluid.lagrangian import (ConservationReport, conservation_report, conservation_row,
+                                   median,
                                    identity_residual,
                                    lagrangian_classical_clebsch,
                                    lagrangian_classical_fluid, lagrangian_split,
@@ -172,6 +173,26 @@ def test_conservation_report_on_short_packet_run():
                                    rtol=1e-9)
         assert float(np.max(report.divergence_l2)) < bound
         assert report.rows().shape == (len(report.x0), 4)
+
+
+def test_conservation_report_is_the_fold_of_its_level_rows():
+    # a streamed run folds one conservation_row per level as its steps make
+    # them; the report of the recorded trajectory must have the same bits
+    scenario = scenario_from_dict({
+        "name": "t",
+        "grid": {"extents": [8.0, 6.0], "points": [16, 12]},
+        "initial_data": {"recipe": "gaussian_packet", "k": [0.5, -0.25], "width": 1.5},
+        "duration": 0.5,
+        "pipeline": "dirac",
+    })
+    for order in (2, 4):
+        traj = evolve(build_initial(scenario), scenario.duration, scenario.params,
+                      record_every=2, order=order)
+        rows = [conservation_row(psi1, psi2, traj.grid, traj.params, order)
+                for psi1, psi2 in zip(traj.psi1, traj.psi2)]
+        folded = ConservationReport.fold(list(traj.x0), rows)
+        np.testing.assert_array_equal(conservation_report(traj).rows().view(np.uint64),
+                                      folded.rows().view(np.uint64))
 
 
 def test_identity_residual_masking_and_scale():

@@ -6,7 +6,7 @@ import pytest
 
 from diracfluid import reduction
 from diracfluid.clifford import pauli
-from diracfluid.dynamics import DiracState, evolve, n_steps_for, run_steps
+from diracfluid.dynamics import DiracState, evolve, n_steps_for, record, run_steps
 from diracfluid.errors import GridError, NumericalInstabilityError
 from diracfluid.lattice import Stencil, laplacian, make_grid, spatial_derivative
 from diracfluid.params import PhysParams
@@ -221,10 +221,11 @@ def test_integral_accumulates_psi1hat():
     params = scenario.params
     grid = scenario.grid
     initial = build_initial(scenario)
-    xs, (psi1hat, int_psi1hat) = run_steps(
-        initialize_reduced(initial, params, 2),
-        lambda s: reduced_step(s, grid.dt, params),
-        n_steps_for(scenario.duration, grid.dt, 1), 1, ("psi1hat", "int_psi1hat"))
+    n = n_steps_for(scenario.duration, grid.dt, 1)
+    xs, (psi1hat, int_psi1hat) = record(
+        run_steps(initialize_reduced(initial, params, 2),
+                  lambda s: reduced_step(s, grid.dt, params), n, 1),
+        n + 1, ("psi1hat", "int_psi1hat"))
     h = float(xs[1] - xs[0])
     mid = len(xs) // 2
     # central difference of the trapezoid accumulation returns the midpoint

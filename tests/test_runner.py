@@ -9,9 +9,13 @@ import pytest
 
 from diracfluid import fluid, runner
 from diracfluid.dynamics import evolve
+from diracfluid.errors import NumericalInstabilityError
 from diracfluid.fluid import MASK_NAMES, FluidState, PointMask, fluid_state
 from diracfluid.lattice import file_sha256, make_grid, read_snapshot
-from diracfluid.runner import _fluid_csv, chain_row, identity_rows_at, run
+from diracfluid.lagrangian import conservation_report
+from diracfluid.reduction import evolve_reduced
+from diracfluid.runner import (_CONSV_HEADER, _fluid_csv, _write_rows, chain_row,
+                               identity_rows_at, run)
 from diracfluid.scenarios import build_initial, load_scenario, scenario_from_dict
 
 REPO = Path(__file__).resolve().parent.parent
@@ -279,3 +283,70 @@ def test_scheme_tags_follow_the_pipeline(tmp_path, pipeline, reduced):
     scheme = run(scenario, tmp_path).manifest["scheme"]
     assert scheme == {"dirac": None if pipeline == "reduced" else "rk4/central-4",
                       "reduced": reduced}
+
+
+def _streamed_config(pipeline, steps):
+    # 64^2, dt = 1/16: one recorded level (psi1 and psi2) is 256 KiB
+    return _packet_config(grid={"extents": [16.0, 16.0], "points": [64, 64]},
+                          initial_data={"recipe": "gaussian_packet", "k": [0.5, 0.25],
+                                        "width": 2.0, "spin_angle": 0.35},
+                          duration=steps / 16, record_every=1, pipeline=pipeline,
+                          diagnostics=["conservation", "identities", "approximation_chain"])
+
+
+@pytest.mark.parametrize("pipeline", ["dirac", "reduced"])
+def test_single_route_run_holds_one_level_at_a_time(tmp_path, traced, pipeline):
+    # one route streams its levels: each is written, folded into the diagnostics
+    # and dropped before the next step, so 16 recorded levels peak where 4 do
+    # (a recorded trajectory held 12 levels more)
+    scenario = {steps: scenario_from_dict(_streamed_config(pipeline, steps)) for steps in (4, 16)}
+    level = 2 * build_initial(scenario[4]).psi1.nbytes
+    run(scenario[4], tmp_path / "warm")  # the CSV tables and index prefixes are made once
+    peaks = {steps: traced(run, scenario[steps], tmp_path / str(steps))[1] for steps in (4, 16)}
+    assert abs(peaks[16] - peaks[4]) < level, (peaks, level)
+
+
+@pytest.mark.parametrize("pipeline, route", [("dirac", evolve), ("reduced", evolve_reduced)])
+def test_streamed_levels_are_the_recorded_trajectory(tmp_path, pipeline, route):
+    # the stream and the recorded trajectory are one stepping loop: the same
+    # levels, bit for bit, and the same conservation rows
+    scenario = scenario_from_dict(_streamed_config(pipeline, 4) | {"record_every": 2})
+    run_dir = run(scenario, tmp_path / "run").run_dir
+    traj = route(build_initial(scenario), scenario.duration, scenario.params,
+                 record_every=2, order=scenario.derivative_order)
+    for n in range(len(traj.x0)):
+        for name in ("psi1", "psi2"):
+            got = read_snapshot(run_dir / f"snapshots/{name}_{2 * n:06d}.csv", scenario.grid)
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          getattr(traj, name)[n].view(np.uint64))
+    _write_rows(tmp_path / "conservation.csv", _CONSV_HEADER, conservation_report(traj).rows())
+    assert ((run_dir / "diagnostics/conservation.csv").read_bytes()
+            == (tmp_path / "conservation.csv").read_bytes())
+
+
+def test_instability_mid_stream_leaves_no_tree(tmp_path, monkeypatch):
+    # at m = 20 and cfl = 1 the RK4 steps grow until the cumulative guard trips,
+    # after the stream has written levels into the staging directory
+    written = []
+    write_snapshot = runner.write_snapshot
+
+    def counted(path, *args):
+        written.append(path)
+        write_snapshot(path, *args)
+
+    monkeypatch.setattr(runner, "write_snapshot", counted)
+    scenario = scenario_from_dict({
+        "name": "blowup",
+        "grid": {"extents": [2.0 * np.pi], "points": [32], "cfl_factor": 1.0},
+        "physics": {"m": 20},
+        "initial_data": {"recipe": "gaussian_packet", "width": 0.5},
+        "duration": 12.0,
+        "pipeline": "dirac",
+        "diagnostics": ["conservation"],
+    })
+    out = tmp_path / "out"
+    with pytest.raises(NumericalInstabilityError, match="cumulative growth"):
+        run(scenario, out)
+    assert len(written) > 2 and all(path.parent.parent.parent.name.startswith(".blowup.")
+                                    for path in written)
+    assert list(out.iterdir()) == []  # no run tree and no staging directory

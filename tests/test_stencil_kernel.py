@@ -15,18 +15,22 @@ The ci hypothesis profile (conftest.py) runs each property on 2 000
 derandomized examples; other profiles keep the counts given below.
 """
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from diracfluid.clifford import pauli
-from diracfluid.dynamics import DiracState, dirac_rhs, evolve, n_steps_for, run_steps, step
+from diracfluid.dynamics import (DiracState, dirac_rhs, direct_stream, evolve, n_steps_for,
+                                 record, run_steps, step)
 from diracfluid.errors import NumericalInstabilityError
 from diracfluid.lattice import (Grid, Stencil, four_gradient, laplacian, make_grid,
                                 spatial_derivative)
 from diracfluid.params import PhysParams
-from diracfluid.reduction import evolve_reduced, initialize_reduced, reduced_step
+from diracfluid.reduction import (evolve_reduced, initialize_reduced, reduced_step,
+                                  reduced_stream)
 from property_counts import examples
 
 # ---------------------------------------------------------------------------
@@ -149,12 +153,30 @@ def _signed_zeros(rng, shape):
     return np.where(rng.random(shape) < 0.5, 0.0, -0.0)
 
 
-def _field(rng, shape, zero_component=True):
-    """Complex field with signed zeros sprinkled in and one exactly-zero component."""
+def _signed_subnormals(rng, n):
+    """Subnormals, half of them 1 to 3 units of the smallest, so differences of them are too."""
+    tiny = rng.integers(1, 4, n) * 5e-324
+    wide = rng.uniform(0.0, np.finfo(float).smallest_normal, n)
+    return rng.choice([-1.0, 1.0], n) * np.where(rng.random(n) < 0.5, tiny, wide)
+
+
+def _field(rng, shape, zero_component=True, nonfinite=False):
+    """Complex field with signed zeros and subnormals sprinkled in and one exactly-zero component.
+
+    A difference of a few smallest subnormals times a factor of 1/2 or less
+    underflows to a zero whose sign tells a complex quotient from a
+    reciprocal product.  With nonfinite,
+    +-inf and NaN are sprinkled in too, for the stencils that take them.
+    """
     re, im = rng.normal(size=shape), rng.normal(size=shape)
     for part in (re, im):
         mask = rng.random(shape) < 0.15
         part[mask] = _signed_zeros(rng, int(mask.sum()))
+        mask = rng.random(shape) < 0.15
+        part[mask] = _signed_subnormals(rng, int(mask.sum()))
+        if nonfinite:
+            mask = rng.random(shape) < 0.01
+            part[mask] = rng.choice([np.inf, -np.inf], int(mask.sum()))
         if zero_component:
             part[int(rng.integers(shape[0]))] = _signed_zeros(rng, shape[1:])
     out = np.empty(shape, complex)
@@ -174,12 +196,20 @@ def test_stencils_match_roll_reference(case):
     dims, points, order, seed = case
     grid = _grid(dims, points, order)
     rng = np.random.default_rng(seed)
-    for f in (_field(rng, (1,) + grid.shape, zero_component=False)[0],
-              _field(rng, (2,) + grid.shape), _field(rng, (4,) + grid.shape)):
-        for g in (f, np.ascontiguousarray(f.real)):
+    # the order-4 reference negates f[i+2] first, which flips a NaN's sign bit,
+    # so on fields with NaN (as a Laplacian's second pass has, from inf - inf)
+    # the two differ in NaN signs alone: +-inf goes to the first differences only
+    for lead in (1, 2, 4):
+        f, with_inf = (_field(rng, (lead,) + grid.shape, lead > 1, nonfinite)
+                       for nonfinite in (False, True))
+        if lead == 1:
+            f, with_inf = f[0], with_inf[0]
+        for g in (f, np.ascontiguousarray(f.real), with_inf, np.ascontiguousarray(with_inf.real)):
             for axis in range(dims):
-                assert_bit_equal(spatial_derivative(g, grid, axis, order),
-                                 ref_spatial_derivative(g, grid, axis, order))
+                with np.errstate(invalid="ignore"):  # inf - inf
+                    assert_bit_equal(spatial_derivative(g, grid, axis, order),
+                                     ref_spatial_derivative(g, grid, axis, order))
+        for g in (f, np.ascontiguousarray(f.real)):
             assert_bit_equal(laplacian(g, grid, order), ref_laplacian(g, grid, order))
 
 
@@ -192,14 +222,50 @@ def test_four_gradient_matches_per_axis_reference(case):
     grid = _grid(dims, points, order)
     rng = np.random.default_rng(seed)
     for lead in ((), (2,), (4,)):
-        stacked = _field(rng, (2,) + lead + grid.shape, zero_component=False)
+        stacked = _field(rng, (2,) + lead + grid.shape, zero_component=False, nonfinite=True)
         for f, d0f in (tuple(stacked), tuple(np.ascontiguousarray(stacked.real))):
-            got = four_gradient(f, d0f, grid, order)
+            with np.errstate(invalid="ignore"):  # inf - inf
+                got = four_gradient(f, d0f, grid, order)
+                want = [ref_spatial_derivative(f, grid, axis, order) for axis in range(dims)]
             assert got.shape == (4,) + f.shape
             assert_bit_equal(got[0], d0f)
             for axis in range(dims):
-                assert_bit_equal(got[1 + axis], ref_spatial_derivative(f, grid, axis, order))
+                assert_bit_equal(got[1 + axis], want[axis])
             assert_bit_equal(got[1 + dims:], np.zeros_like(got[1 + dims:]))
+
+
+@examples(40)
+@given(cases, st.sampled_from([0.05, 0.3, 1.0, 4.0]))
+def test_first_difference_has_the_bits_of_numpys_quotient(case, scale):
+    # numpy divides a complex z by d as (z.real + z.imag*0, z.imag - z.real*0) * fl(1/d);
+    # where fl(1/d) >= 1, first() multiplies by fl(1/d) - 0j instead, and every bit is
+    # np.divide's, signed zeros, subnormals and +-inf's NaNs included.  A NaN in the
+    # numerator stays NaN in the same place (with the product's NaN bits); real
+    # fields are divided.  The scales put 1/div1 on both sides of 1
+    dims, points, order, seed = case
+    grid = make_grid([scale * e for e in (2.0 * np.pi, 5.0, 3.3)][:dims], points[:dims])
+    rng = np.random.default_rng(seed)
+    with_inf = _field(rng, (2,) + grid.shape, nonfinite=True)
+    with_nan = with_inf.copy()
+    for part in (with_nan.real, with_nan.imag):
+        nan = rng.random(part.shape) < 0.02  # any sign and payload
+        quiet = np.array([0x7FF8 << 48, 0xFFF8 << 48], np.uint64)
+        part[nan] = (rng.integers(0, 2 ** 51, int(nan.sum()), np.uint64)
+                     | rng.choice(quiet, int(nan.sum()))).view(np.float64)
+    for g in (with_inf, with_nan, np.ascontiguousarray(with_nan.real)):
+        st = Stencil(g.shape, grid, order, g.dtype)
+        st.load(g)
+        for axis in range(dims):
+            assert (st.inv1[axis] is not None) == (g.dtype == complex
+                                                    and 1.0 / st.div1[axis] >= 1.0)
+            with np.errstate(invalid="ignore"):
+                numerator = st.first_numerator(axis, np.empty_like(g)).copy()
+                got = st.first(axis, np.empty_like(g)).view(np.float64)
+                want = np.divide(numerator, st.div1[axis]).view(np.float64)
+            if g is with_nan:
+                np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+                got, want = got[~np.isnan(want)], want[~np.isnan(want)]
+            assert_bit_equal(got, want)
 
 
 @examples(40)
@@ -312,6 +378,29 @@ def test_reduced_step_working_set(traced):
         assert warm_peak <= 2.1 * spinor, (points, warm_peak / spinor)
 
 
+def test_stepping_loop_working_set_does_not_depend_on_the_cadence(traced):
+    # between two records only the stepping loop holds a state: a consumer that
+    # kept the last recorded one (as enumerate's reused result tuple does) held
+    # one more field through the steps to the next record, at record_every 4
+    initial = _working_set_state([64, 64])
+    duration, params = 8 * initial.grid.dt, PhysParams()
+
+    def kept(traj):
+        return traj
+
+    def dropped(levels):  # a stream's consumer that drops each level at once
+        return deque(levels, maxlen=0)
+
+    routes = {evolve: kept, evolve_reduced: kept, direct_stream: dropped, reduced_stream: dropped}
+    for route, consume in routes.items():
+        working = {}
+        for every in (1, 4):
+            consume(route(initial, duration, params, every))  # warm
+            _, peak, held = traced(lambda: consume(route(initial, duration, params, every)))
+            working[every] = (peak - held) / initial.psi.nbytes
+        assert abs(working[4] - working[1]) < 0.25, (route.__name__, working)
+
+
 @examples(30)
 @given(cases)
 def test_a_state_a_step_returned_is_never_written_again(case):
@@ -419,11 +508,11 @@ def test_in_place_unhat_matches_reference(case, record_every, n_records):
     initial = DiracState(_field(rng, (2,) + grid.shape), _field(rng, (2,) + grid.shape),
                          0.0, grid)
     duration = n_records * record_every * grid.dt
-    xs, (psi1hat, int_psi1hat) = run_steps(
-        initialize_reduced(initial, params, order),
-        lambda s: reduced_step(s, grid.dt, params, order=order),
-        n_steps_for(duration, grid.dt, record_every), record_every,
-        ("psi1hat", "int_psi1hat"))
+    xs, (psi1hat, int_psi1hat) = record(
+        run_steps(initialize_reduced(initial, params, order),
+                  lambda s: reduced_step(s, grid.dt, params, order=order),
+                  n_steps_for(duration, grid.dt, record_every), record_every),
+        n_records + 1, ("psi1hat", "int_psi1hat"))
     psi1, psi2 = ref_unhat(xs, psi1hat, int_psi1hat, initial.psi2, grid, params, order)
     traj = evolve_reduced(initial, duration, params, record_every=record_every, order=order)
     assert_bit_equal(traj.x0, xs)
