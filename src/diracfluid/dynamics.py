@@ -153,6 +153,11 @@ def n_steps_for(duration: float, dt: float, record_every: int) -> int:
     return ((n + record_every - 1) // record_every) * record_every
 
 
+def n_levels_for(duration: float, dt: float, record_every: int) -> int:
+    """Recorded level count of `n_steps_for`'s steps: the initial level and one per record."""
+    return n_steps_for(duration, dt, record_every) // record_every + 1
+
+
 def run_steps(state, advance, n: int, record_every: int):
     """The one stepping loop: yield state, then every record_every-th of n advances.
 
@@ -226,7 +231,7 @@ def evolve(initial: DiracState, duration: float, params: PhysParams,
 
     The levels are those of `direct_states`.
     """
-    levels = n_steps_for(duration, initial.grid.dt, record_every) // record_every + 1
+    levels = n_levels_for(duration, initial.grid.dt, record_every)
     xs, (psi1, psi2) = record(direct_states(initial, duration, params, record_every, order),
                               levels, ("psi1", "psi2"))
     return SpinorTrajectory(xs, psi1, psi2, initial.grid, params, order)

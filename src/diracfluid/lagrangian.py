@@ -120,35 +120,41 @@ class ConservationReport:
         return float(np.max(self.charge_drift))
 
     @classmethod
-    def fold(cls, x0, rows) -> ConservationReport:
-        """The report of the levels at x0 from their `conservation_row`s, drift from the first."""
-        charge, div_l2 = (np.array(column) for column in zip(*rows))
-        drift = np.abs(charge - charge[0]) / max(abs(charge[0]), _SCALE_FLOOR)
-        return cls(x0=np.array(x0, float), divergence_l2=div_l2, total_charge=charge,
+    def from_levels(cls, x0, divergence_l2, total_charge) -> ConservationReport:
+        """The report of these levels, each level's charge drift taken from the first's."""
+        drift = np.abs(total_charge - total_charge[0]) / max(abs(total_charge[0]), _SCALE_FLOOR)
+        return cls(x0=x0, divergence_l2=divergence_l2, total_charge=total_charge,
                    charge_drift=drift)
 
+    @classmethod
+    def join(cls, reports) -> ConservationReport:
+        """One report of consecutive reports' levels, the drift taken from the first level's charge.
 
-def conservation_row(psi1, psi2, grid, params: PhysParams, order: int = 2):
-    """(total charge, L2 norm of the d_mu J^mu residual) of one recorded level.
-
-    d0 J^0 = 2 Re sum psi* d0 psi takes d0 psi from `dirac_rhs` at the level and
-    the spatial divergence is the stencil's, so the residual is the lattice's
-    product-rule error and does not depend on the recording cadence.
-    """
-    j = probability_current(psi1, psi2)
-    charge = integrate_volume(j[0], grid)
-    d1, d2 = dirac_rhs(psi1, psi2, grid, params, order)
-    div = 2.0 * np.real(np.conj(psi1) * d1 + np.conj(psi2) * d2).sum(axis=0)
-    for axis in range(grid.dims):
-        div += spatial_derivative(j[1 + axis], grid, axis, order)
-    return charge, np.sqrt(integrate_volume(div ** 2, grid))
+        A run that streams its levels joins one one-level report per level;
+        the result has the bits of the report of the recorded trajectory.
+        """
+        return cls.from_levels(*(np.concatenate([getattr(r, f) for r in reports])
+                                 for f in ("x0", "divergence_l2", "total_charge")))
 
 
 def conservation_report(traj) -> ConservationReport:
-    """Charge conservation along a trajectory: the fold of its levels' `conservation_row`s."""
-    return ConservationReport.fold(traj.x0, [
-        conservation_row(psi1, psi2, traj.grid, traj.params, traj.order)
-        for psi1, psi2 in zip(traj.psi1, traj.psi2)])
+    """d_mu J^mu residual and total-charge drift, computed at each recorded level in turn.
+
+    d0 J^0 = 2 Re sum psi* d0 psi takes d0 psi from `dirac_rhs` at the level and
+    the spatial divergence is the stencil's, at traj's order, so the residual is
+    the lattice's product-rule error and does not depend on the recording cadence.
+    """
+    grid, order, n = traj.grid, traj.order, traj.x0.shape[0]
+    charge, div_l2 = np.empty(n), np.empty(n)
+    for i, (psi1, psi2) in enumerate(zip(traj.psi1, traj.psi2)):
+        j = probability_current(psi1, psi2)
+        charge[i] = integrate_volume(j[0], grid)
+        d1, d2 = dirac_rhs(psi1, psi2, grid, traj.params, order)
+        div = 2.0 * np.real(np.conj(psi1) * d1 + np.conj(psi2) * d2).sum(axis=0)
+        for axis in range(grid.dims):
+            div += spatial_derivative(j[1 + axis], grid, axis, order)
+        div_l2[i] = np.sqrt(integrate_volume(div ** 2, grid))
+    return ConservationReport.from_levels(traj.x0.copy(), div_l2, charge)
 
 
 def median(values: np.ndarray) -> float:

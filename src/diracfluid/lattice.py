@@ -125,9 +125,7 @@ class Stencil:
     instance, with its scratch buffers, across its steps.  Each output element
     keeps the operands and ufunc order of the np.roll expressions, and
     sigma_dot_grad those of the einsum contraction, so results are
-    bit-identical to both (`first` multiplies a complex numerator by
-    fl(1/div1) where that is at least 1, as numpy's complex quotient does
-    inside its division).  A small-grid step pays per numpy call, so an
+    bit-identical to both.  A small-grid step pays per numpy call, so an
     instance makes its Pauli factors, scratch fields and a stepper's
     `constants` (0-d arrays: cheap ufunc operands) on first use.
     """
@@ -165,11 +163,6 @@ class Stencil:
                      None if self.t is None else self.t[cut(j, j + 1)])
                     for j in (*range(g), *range(n - g, n))])
         self.div1 = [(2.0 if order == 2 else 12.0) * dx for dx in grid.dx]
-        # numpy divides complex z by d as (z.real + z.imag*0, z.imag - z.real*0) * fl(1/d);
-        # where fl(1/d) >= 1 no product underflows, and z * (fl(1/d) - 0j) has those bits
-        # without the complex division loop.  Real quotients stay correctly rounded
-        self.inv1 = [np.array(complex(1.0 / d, -0.0)) if dtype == complex and 1.0 / d >= 1.0
-                     else None for d in self.div1]
         self.flip = (Ellipsis, slice(None, None, -1)) + (slice(None),) * grid.dims
         self.scratch = [np.empty(shape, dtype) for _ in range(scratch)]  # for callers
 
@@ -212,11 +205,8 @@ class Stencil:
         return out
 
     def first(self, axis: int, out: np.ndarray) -> np.ndarray:
-        """D_axis of the loaded field into out: the numerator over div1, or times inv1."""
-        self.first_numerator(axis, out)
-        if self.inv1[axis] is None:
-            return np.divide(out, self.div1[axis], out=out)
-        return np.multiply(out, self.inv1[axis], out=out)
+        """D_axis of the loaded field into out."""
+        return np.divide(self.first_numerator(axis, out), self.div1[axis], out=out)
 
     def gradient(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
         """d_i f for every spatial axis i into out[i], out of shape (dims, *f.shape)."""

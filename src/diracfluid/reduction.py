@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (DiracState, SpinorTrajectory, check_growth, dirac_rhs, evolve,
-                       n_steps_for, record, run_steps)
+                       n_levels_for, n_steps_for, record, run_steps)
 from .errors import GridError
 from .lattice import Grid, Stencil, integrate_volume, kappa_dx, laplacian
 from .params import PhysParams
@@ -178,7 +178,7 @@ def reduced_states(initial: DiracState, duration: float, params: PhysParams,
 def evolve_reduced(initial: DiracState, duration: float, params: PhysParams,
                    record_every: int = 1, order: int = 2) -> SpinorTrajectory:
     """Integrate the reduced system; record psi1 and psi2 every record_every steps."""
-    levels = n_steps_for(duration, initial.grid.dt, record_every) // record_every + 1
+    levels = n_levels_for(duration, initial.grid.dt, record_every)
     xs, (psi1, psi2) = record(reduced_states(initial, duration, params, record_every, order),
                               levels, ("psi1hat", "int_psi1hat"))
     unhat_trajectory(xs, psi1, psi2, initial, params, order)

@@ -23,13 +23,14 @@ staging directory is removed on success and on any error, an interrupt
 included, so `<outdir>/<name>` always holds exactly one whole run.
 
 `run` consumes the recorded levels in one loop, one level at a time: its
-psi1 and psi2 snapshots, its `lagrangian.conservation_row` (folded into
-conservation.csv at the end, as `conservation_report` folds a trajectory's),
-and on interior levels (only the middle one when neither the fluid map nor
-the approximation chain is asked for) one `FluidState`, with its fluid CSV,
-its chain row and, on the middle level, the identity chain
-(`identity_rows_at`), which reads everything, psi1, params, order and branch
-included, from that state.  Each level's d0 is `dynamics.dirac_rhs` of its
+psi1 and psi2 snapshots, its `conservation_report` as a one-level
+trajectory (the reports are joined into conservation.csv at the end, with
+the bits of the whole trajectory's report), and on interior levels (only
+the middle one when neither the fluid map nor the approximation chain is
+asked for) one `FluidState`, with its fluid CSV, its chain row and, on the
+middle level, the identity chain (`identity_rows_at`), which reads
+everything, psi1, params, order and branch included, from that state.  Each
+level's d0 is `dynamics.dirac_rhs` of its
 (psi1, psi2), the rebuilt pair on the reduced route, so no output of a level
 depends on `record_every`, except `equivalence.csv`'s `kg_residual`: its
 d0^2 spans `record_every` steps.
@@ -56,9 +57,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import direct_stream, evolve, n_steps_for
+from .dynamics import SpinorTrajectory, direct_stream, evolve, n_levels_for, n_steps_for
 from .fluid import MASK_NAMES, FluidState, PointMask, fluid_state
-from .lagrangian import (ConservationReport, conservation_row, identity_residual,
+from .lagrangian import (ConservationReport, conservation_report, identity_residual,
                          lagrangian_classical_clebsch, lagrangian_classical_fluid,
                          lagrangian_spinor_from_gradients, lagrangian_split, median,
                          quantum_polar_forms)
@@ -225,21 +226,21 @@ def _write_tree(scenario: Scenario, run_dir: Path):
 
     grid, order, params = scenario.grid, scenario.derivative_order, scenario.params
     n_steps = n_steps_for(scenario.duration, grid.dt, scenario.record_every)
-    nt = n_steps // scenario.record_every + 1
+    nt = n_levels_for(scenario.duration, grid.dt, scenario.record_every)
     want_chain = "approximation_chain" in scenario.diagnostics
     want_ids = "identities" in scenario.diagnostics
     want_consv = "conservation" in scenario.diagnostics
     interior = scenario.fluid_map or want_chain  # else only the middle level, for identities
     mid = nt // 2  # interior: validation asks for 3 levels when identities are wanted
-    x0s, consv_rows, chain_rows, n = [], [], [], 0
+    consv, chain_rows, n = [], [], 0
     levels, equivalence = _levels(scenario, run_dir)
     for x0, psi1, psi2 in levels:  # not enumerate: its reused tuple would hold the level
         step = n * scenario.record_every
         for name, field in (("psi1", psi1), ("psi2", psi2)):
             write_snapshot(run_dir / f"snapshots/{name}_{step:06d}.csv", field, grid)
         if want_consv:
-            x0s.append(x0)
-            consv_rows.append(conservation_row(psi1, psi2, grid, params, order))
+            consv.append(conservation_report(SpinorTrajectory(
+                np.array([x0]), psi1[None], psi2[None], grid, params, order)))
         if (interior and 0 < n < nt - 1) or (want_ids and n == mid):
             chain_rows.append(_write_level(scenario, run_dir, n, x0, psi1, psi2,
                                            want_ids and n == mid))
@@ -247,8 +248,8 @@ def _write_tree(scenario: Scenario, run_dir: Path):
         del psi1, psi2  # before the next step
 
     if want_consv:
-        report = ConservationReport.fold(x0s, consv_rows)
-        _write_rows(run_dir / "diagnostics/conservation.csv", _CONSV_HEADER, report.rows())
+        _write_rows(run_dir / "diagnostics/conservation.csv", _CONSV_HEADER,
+                    ConservationReport.join(consv).rows())
     if want_chain:
         _write_rows(run_dir / "diagnostics/approximation_chain.csv", _CHAIN_HEADER,
                     np.vstack(chain_rows))

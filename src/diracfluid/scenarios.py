@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .clifford import pauli
-from .dynamics import DiracState, n_steps_for
+from .dynamics import DiracState, n_levels_for, n_steps_for
 from .errors import ConfigError
 from .lattice import Grid, make_grid, read_snapshot
 from .params import PhysParams
@@ -291,7 +291,7 @@ def scenario_from_dict(config: dict, base: Path | None = None) -> Scenario:
 
     duration = _as_float(_require(config, "duration", ""), "duration")
     record_every = _as_int(config.get("record_every", 1), "record_every")
-    levels = n_steps_for(duration, grid.dt, record_every) // record_every + 1
+    levels = n_levels_for(duration, grid.dt, record_every)
     pipeline = config.get("pipeline", "both")
     if pipeline not in ("dirac", "reduced", "both"):
         raise ConfigError("pipeline: must be 'dirac', 'reduced', or 'both'")

@@ -3,10 +3,9 @@
 import numpy as np
 
 from diracfluid.clifford import gamma
-from diracfluid.dynamics import dirac_rhs, evolve
+from diracfluid.dynamics import SpinorTrajectory, dirac_rhs, evolve
 from diracfluid.fluid import rest_density
-from diracfluid.lagrangian import (ConservationReport, conservation_report, conservation_row,
-                                   median,
+from diracfluid.lagrangian import (ConservationReport, conservation_report, median,
                                    identity_residual,
                                    lagrangian_classical_clebsch,
                                    lagrangian_classical_fluid, lagrangian_split,
@@ -175,8 +174,8 @@ def test_conservation_report_on_short_packet_run():
         assert report.rows().shape == (len(report.x0), 4)
 
 
-def test_conservation_report_is_the_fold_of_its_level_rows():
-    # a streamed run folds one conservation_row per level as its steps make
+def test_conservation_report_is_the_join_of_its_level_reports():
+    # a streamed run joins one one-level report per level as its steps make
     # them; the report of the recorded trajectory must have the same bits
     scenario = scenario_from_dict({
         "name": "t",
@@ -188,11 +187,13 @@ def test_conservation_report_is_the_fold_of_its_level_rows():
     for order in (2, 4):
         traj = evolve(build_initial(scenario), scenario.duration, scenario.params,
                       record_every=2, order=order)
-        rows = [conservation_row(psi1, psi2, traj.grid, traj.params, order)
-                for psi1, psi2 in zip(traj.psi1, traj.psi2)]
-        folded = ConservationReport.fold(list(traj.x0), rows)
+        joined = ConservationReport.join([
+            conservation_report(SpinorTrajectory(traj.x0[n:n + 1], traj.psi1[n:n + 1],
+                                                 traj.psi2[n:n + 1], traj.grid, traj.params,
+                                                 order))
+            for n in range(len(traj.x0))])
         np.testing.assert_array_equal(conservation_report(traj).rows().view(np.uint64),
-                                      folded.rows().view(np.uint64))
+                                      joined.rows().view(np.uint64))
 
 
 def test_identity_residual_masking_and_scale():

@@ -153,30 +153,12 @@ def _signed_zeros(rng, shape):
     return np.where(rng.random(shape) < 0.5, 0.0, -0.0)
 
 
-def _signed_subnormals(rng, n):
-    """Subnormals, half of them 1 to 3 units of the smallest, so differences of them are too."""
-    tiny = rng.integers(1, 4, n) * 5e-324
-    wide = rng.uniform(0.0, np.finfo(float).smallest_normal, n)
-    return rng.choice([-1.0, 1.0], n) * np.where(rng.random(n) < 0.5, tiny, wide)
-
-
-def _field(rng, shape, zero_component=True, nonfinite=False):
-    """Complex field with signed zeros and subnormals sprinkled in and one exactly-zero component.
-
-    A difference of a few smallest subnormals times a factor of 1/2 or less
-    underflows to a zero whose sign tells a complex quotient from a
-    reciprocal product.  With nonfinite,
-    +-inf and NaN are sprinkled in too, for the stencils that take them.
-    """
+def _field(rng, shape, zero_component=True):
+    """Complex field with signed zeros sprinkled in and one exactly-zero component."""
     re, im = rng.normal(size=shape), rng.normal(size=shape)
     for part in (re, im):
         mask = rng.random(shape) < 0.15
         part[mask] = _signed_zeros(rng, int(mask.sum()))
-        mask = rng.random(shape) < 0.15
-        part[mask] = _signed_subnormals(rng, int(mask.sum()))
-        if nonfinite:
-            mask = rng.random(shape) < 0.01
-            part[mask] = rng.choice([np.inf, -np.inf], int(mask.sum()))
         if zero_component:
             part[int(rng.integers(shape[0]))] = _signed_zeros(rng, shape[1:])
     out = np.empty(shape, complex)
@@ -196,20 +178,12 @@ def test_stencils_match_roll_reference(case):
     dims, points, order, seed = case
     grid = _grid(dims, points, order)
     rng = np.random.default_rng(seed)
-    # the order-4 reference negates f[i+2] first, which flips a NaN's sign bit,
-    # so on fields with NaN (as a Laplacian's second pass has, from inf - inf)
-    # the two differ in NaN signs alone: +-inf goes to the first differences only
-    for lead in (1, 2, 4):
-        f, with_inf = (_field(rng, (lead,) + grid.shape, lead > 1, nonfinite)
-                       for nonfinite in (False, True))
-        if lead == 1:
-            f, with_inf = f[0], with_inf[0]
-        for g in (f, np.ascontiguousarray(f.real), with_inf, np.ascontiguousarray(with_inf.real)):
-            for axis in range(dims):
-                with np.errstate(invalid="ignore"):  # inf - inf
-                    assert_bit_equal(spatial_derivative(g, grid, axis, order),
-                                     ref_spatial_derivative(g, grid, axis, order))
+    for f in (_field(rng, (1,) + grid.shape, zero_component=False)[0],
+              _field(rng, (2,) + grid.shape), _field(rng, (4,) + grid.shape)):
         for g in (f, np.ascontiguousarray(f.real)):
+            for axis in range(dims):
+                assert_bit_equal(spatial_derivative(g, grid, axis, order),
+                                 ref_spatial_derivative(g, grid, axis, order))
             assert_bit_equal(laplacian(g, grid, order), ref_laplacian(g, grid, order))
 
 
@@ -222,50 +196,14 @@ def test_four_gradient_matches_per_axis_reference(case):
     grid = _grid(dims, points, order)
     rng = np.random.default_rng(seed)
     for lead in ((), (2,), (4,)):
-        stacked = _field(rng, (2,) + lead + grid.shape, zero_component=False, nonfinite=True)
+        stacked = _field(rng, (2,) + lead + grid.shape, zero_component=False)
         for f, d0f in (tuple(stacked), tuple(np.ascontiguousarray(stacked.real))):
-            with np.errstate(invalid="ignore"):  # inf - inf
-                got = four_gradient(f, d0f, grid, order)
-                want = [ref_spatial_derivative(f, grid, axis, order) for axis in range(dims)]
+            got = four_gradient(f, d0f, grid, order)
             assert got.shape == (4,) + f.shape
             assert_bit_equal(got[0], d0f)
             for axis in range(dims):
-                assert_bit_equal(got[1 + axis], want[axis])
+                assert_bit_equal(got[1 + axis], ref_spatial_derivative(f, grid, axis, order))
             assert_bit_equal(got[1 + dims:], np.zeros_like(got[1 + dims:]))
-
-
-@examples(40)
-@given(cases, st.sampled_from([0.05, 0.3, 1.0, 4.0]))
-def test_first_difference_has_the_bits_of_numpys_quotient(case, scale):
-    # numpy divides a complex z by d as (z.real + z.imag*0, z.imag - z.real*0) * fl(1/d);
-    # where fl(1/d) >= 1, first() multiplies by fl(1/d) - 0j instead, and every bit is
-    # np.divide's, signed zeros, subnormals and +-inf's NaNs included.  A NaN in the
-    # numerator stays NaN in the same place (with the product's NaN bits); real
-    # fields are divided.  The scales put 1/div1 on both sides of 1
-    dims, points, order, seed = case
-    grid = make_grid([scale * e for e in (2.0 * np.pi, 5.0, 3.3)][:dims], points[:dims])
-    rng = np.random.default_rng(seed)
-    with_inf = _field(rng, (2,) + grid.shape, nonfinite=True)
-    with_nan = with_inf.copy()
-    for part in (with_nan.real, with_nan.imag):
-        nan = rng.random(part.shape) < 0.02  # any sign and payload
-        quiet = np.array([0x7FF8 << 48, 0xFFF8 << 48], np.uint64)
-        part[nan] = (rng.integers(0, 2 ** 51, int(nan.sum()), np.uint64)
-                     | rng.choice(quiet, int(nan.sum()))).view(np.float64)
-    for g in (with_inf, with_nan, np.ascontiguousarray(with_nan.real)):
-        st = Stencil(g.shape, grid, order, g.dtype)
-        st.load(g)
-        for axis in range(dims):
-            assert (st.inv1[axis] is not None) == (g.dtype == complex
-                                                    and 1.0 / st.div1[axis] >= 1.0)
-            with np.errstate(invalid="ignore"):
-                numerator = st.first_numerator(axis, np.empty_like(g)).copy()
-                got = st.first(axis, np.empty_like(g)).view(np.float64)
-                want = np.divide(numerator, st.div1[axis]).view(np.float64)
-            if g is with_nan:
-                np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
-                got, want = got[~np.isnan(want)], want[~np.isnan(want)]
-            assert_bit_equal(got, want)
 
 
 @examples(40)
