@@ -27,10 +27,11 @@ so `Stencil.constants` keeps, per (h, mu), the fractions h/4, h/3, h/2, h and
 one (2, 1, ...) factor [-i*mu, +i*mu] for both mass terms.
 
 `run_steps` is the one stepping loop of both routes, a generator of the
-recorded states with the one cumulative runaway check.  `evolve` collects it
-(`record`) into a `SpinorTrajectory`; `direct_stream` hands each level on
-as the steps make it, without the state's stencil, which the next step
-makes anew, so that a level's consumers run without the step's buffers.
+recorded states with the one cumulative runaway check.  `direct_stream`
+hands each level on as the steps make it, without the state's stencil,
+which the next step makes anew, so that a level's consumers run without the
+step's buffers; `evolve` is that stream, copied level by level into a
+`SpinorTrajectory` by `collect`, which also collects the reduced route.
 """
 
 from __future__ import annotations
@@ -177,47 +178,34 @@ def run_steps(state, advance, n: int, record_every: int):
             yield state
 
 
-def record(states, levels: int, fields: tuple[str, ...]):
-    """x0 and a copy of each named field of the `levels` states: a trajectory's arrays.
+def collect(levels, n: int, grid: Grid, params: PhysParams, order: int) -> SpinorTrajectory:
+    """The trajectory of a route's stream: a copy of each of its n (x0, psi1, psi2) levels.
 
-    No reference to a copied state outlives its copy, so the steps between
-    records hold only the stepping loop's state (enumerate's reused result
-    tuple would hold the last one).
+    Each level is copied as it arrives and held no longer, so the steps
+    between records hold only the stepping loop's state (a `for` over
+    enumerate would hold the last level in its reused result tuple).
     """
-    xs, out, n = np.empty(levels), [], 0
-    for state in states:
-        if not out:
-            out = [np.empty((levels,) + getattr(state, f).shape, complex) for f in fields]
-        xs[n] = state.x0
-        for level, f in zip(out, fields):
-            level[n] = getattr(state, f)
-        n += 1
-        del state
-    return xs, out
-
-
-def direct_states(initial: DiracState, duration: float, params: PhysParams,
-                  record_every: int = 1, order: int = 2):
-    """The recorded states of RK4 steps over `duration`, as the steps make them.
-
-    The step count is rounded up to a whole number of records, so the final
-    recorded x0 may slightly exceed c*duration; recorded levels are always
-    uniformly spaced and include the initial and final states.
-    """
-    dt = initial.grid.dt
-    n = n_steps_for(duration, dt, record_every)
-    return run_steps(initial, lambda s: step(s, dt, params, order=order), n, record_every)
+    xs, i = np.empty(n), 0
+    psi1, psi2 = (np.empty((n, 2) + grid.shape, complex) for _ in range(2))
+    for xs[i], psi1[i], psi2[i] in levels:  # straight into the arrays: no name holds a level
+        i += 1
+    return SpinorTrajectory(xs, psi1, psi2, grid, params, order)
 
 
 def direct_stream(initial: DiracState, duration: float, params: PhysParams,
                   record_every: int = 1, order: int = 2):
-    """(x0, psi1, psi2) of each of `direct_states`, as the steps make it.
+    """(x0, psi1, psi2) of each recorded RK4 level over `duration`, as the steps make it.
 
-    A state's stencil goes before its level is handed out (the next step
-    makes another), so the level's consumers run without the step's buffers,
-    and a consumer that drops each level before the next holds one at a time.
+    The step count is rounded up to a whole number of records, so the final
+    recorded x0 may slightly exceed c*duration; recorded levels are always
+    uniformly spaced and include the initial and final states.  A state's
+    stencil goes before its level is handed out (the next step makes
+    another), so the level's consumers run without the step's buffers, and a
+    consumer that drops each level before the next holds one at a time.
     """
-    states = direct_states(initial, duration, params, record_every, order)
+    dt = initial.grid.dt
+    n = n_steps_for(duration, dt, record_every)
+    states = run_steps(initial, lambda s: step(s, dt, params, order=order), n, record_every)
     del initial  # the stepping loop holds it until the first step
     for state in states:
         state.stencil = None
@@ -229,9 +217,8 @@ def evolve(initial: DiracState, duration: float, params: PhysParams,
            record_every: int = 1, order: int = 2) -> SpinorTrajectory:
     """Integrate for `duration` (time units), recording every record_every steps.
 
-    The levels are those of `direct_states`.
+    The trajectory is `direct_stream`'s levels, collected.
     """
-    levels = n_levels_for(duration, initial.grid.dt, record_every)
-    xs, (psi1, psi2) = record(direct_states(initial, duration, params, record_every, order),
-                              levels, ("psi1", "psi2"))
-    return SpinorTrajectory(xs, psi1, psi2, initial.grid, params, order)
+    grid = initial.grid
+    return collect(direct_stream(initial, duration, params, record_every, order),
+                   n_levels_for(duration, grid.dt, record_every), grid, params, order)

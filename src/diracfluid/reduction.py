@@ -34,16 +34,15 @@ per step, into `lap`, and reused by the next step's growth check and by the
 cumulative runaway check.  The arithmetic repeats the plain numpy expressions
 of the scheme ufunc for ufunc, so levels are bit-identical to them.  Only the
 x0 = 0 state holds the start slope, so it goes with that state after the first
-step, and the last state goes before the un-hat.  Every state keeps the
-stencil order of the slope, and a step at another order is a GridError.
+step.  Every state keeps the stencil order of the slope, and a step at
+another order is a GridError.
 
-Both routes return one trajectory type: `evolve_reduced` records psi1hat and
-its integral, and `unhat_trajectory` then overwrites them in place with the
-un-hatted psi1 and the rebuilt psi2 of a `dynamics.SpinorTrajectory`.  The
-residual and the route comparison read grid, params and order from it.
-`reduced_stream` un-hats each recorded level into two fresh arrays as the
-steps make it, with the same ufuncs (`_unhat`), so its levels have the
-trajectory's bits.
+Both routes return one trajectory type.  `reduced_stream` hands on each
+recorded level as the steps make it, un-hatted into two fresh arrays by
+`unhat_trajectory` with the state's stencil, which then goes, and
+`evolve_reduced` collects that stream into a `dynamics.SpinorTrajectory`
+(`dynamics.collect`), as `evolve` collects the direct one.  The residual
+and the route comparison read grid, params and order from it.
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (DiracState, SpinorTrajectory, check_growth, dirac_rhs, evolve,
-                       n_levels_for, n_steps_for, record, run_steps)
+from .dynamics import (DiracState, SpinorTrajectory, check_growth, collect, dirac_rhs, evolve,
+                       n_levels_for, n_steps_for, run_steps)
 from .errors import GridError
 from .lattice import Grid, Stencil, integrate_volume, kappa_dx, laplacian
 from .params import PhysParams
@@ -166,68 +165,46 @@ def reduced_step(state: ReducedState, dt: float, params: PhysParams,
     return ReducedState(new, psi, integral, state.x0 + h, state.grid, order, new_max, st)
 
 
-def reduced_states(initial: DiracState, duration: float, params: PhysParams,
+def reduced_stream(initial: DiracState, duration: float, params: PhysParams,
                    record_every: int = 1, order: int = 2):
-    """The recorded ReducedStates of the reduced route over `duration`, as the steps make them."""
+    """(x0, psi1, psi2) of each recorded level of the reduced route, as the steps make it."""
     dt = initial.grid.dt
-    n = n_steps_for(duration, dt, record_every)
-    return run_steps(initialize_reduced(initial, params, order),
-                     lambda s: reduced_step(s, dt, params, order), n, record_every)
+    states = run_steps(initialize_reduced(initial, params, order),
+                       lambda s: reduced_step(s, dt, params, order),
+                       n_steps_for(duration, dt, record_every), record_every)
+    return unhat_trajectory(states, initial.psi2, params)
 
 
 def evolve_reduced(initial: DiracState, duration: float, params: PhysParams,
                    record_every: int = 1, order: int = 2) -> SpinorTrajectory:
-    """Integrate the reduced system; record psi1 and psi2 every record_every steps."""
-    levels = n_levels_for(duration, initial.grid.dt, record_every)
-    xs, (psi1, psi2) = record(reduced_states(initial, duration, params, record_every, order),
-                              levels, ("psi1hat", "int_psi1hat"))
-    unhat_trajectory(xs, psi1, psi2, initial, params, order)
-    return SpinorTrajectory(xs, psi1, psi2, initial.grid, params, order)
+    """Integrate the reduced system; record psi1 and psi2 every record_every steps.
 
-
-def reduced_stream(initial: DiracState, duration: float, params: PhysParams,
-                   record_every: int = 1, order: int = 2):
-    """(x0, psi1, psi2) of each of `reduced_states`, as the steps make it.
-
-    Each level is un-hatted into two fresh arrays with its state's stencil,
-    which then goes: the next step makes another, so the level's consumers
-    run without it.  Of the initial state only psi2(0) is kept.
+    The trajectory is `reduced_stream`'s levels, collected.
     """
-    psi2_0, mu = initial.psi2.copy(), params.mass_wavenumber
-    states = reduced_states(initial, duration, params, record_every, order)
-    del initial
+    grid = initial.grid
+    return collect(reduced_stream(initial, duration, params, record_every, order),
+                   n_levels_for(duration, grid.dt, record_every), grid, params, order)
+
+
+def unhat_trajectory(states, psi2_0: np.ndarray, params: PhysParams):
+    """(x0, psi1, psi2) of each ReducedState, un-hatted into two fresh arrays.
+
+    psi1 = exp(i*mu*x0) psi1hat and psi2 = exp(i*mu*x0) (psi2(0) - sigma^i d_i
+    int_psi1hat).  sigma.D runs on the state's stencil, which then goes (the
+    next step makes another), so the level's consumers run without it.
+    """
+    mu = params.mass_wavenumber
     for state in states:
         st = Stencil.reuse(state.stencil, psi2_0.shape, state.grid, state.order, 0)
         state.stencil = None
+        phase = np.exp(1j * mu * state.x0)
         psi1, psi2 = np.empty_like(psi2_0), np.empty_like(psi2_0)
-        _unhat(np.exp(1j * mu * state.x0), state.psi1hat, state.int_psi1hat, psi2_0, st,
-               psi1, psi2, work=psi1)
+        st.sigma_dot_grad(state.int_psi1hat, psi2, psi1)  # psi1 is sigma.D's work until then
+        np.multiply(phase, np.subtract(psi2_0, psi2, out=psi2), out=psi2)
+        np.multiply(state.psi1hat, phase, out=psi1)
         del st
         yield state.x0, psi1, psi2
         del state, psi1, psi2  # the consumer's level: gone before the next step
-
-
-def _unhat(phase, psi1hat, int_psi1hat, psi2_0, st: Stencil, psi1, psi2, work=None) -> None:
-    """psi1 = phase psi1hat and psi2 = phase (psi2(0) - sigma^i d_i int_psi1hat) of one level.
-
-    In place, psi1 is psi1hat and psi2 int_psi1hat; work, the field in which
-    `Stencil.sigma_dot_grad` sums the later axes, may be a fresh psi1.
-    """
-    st.sigma_dot_grad(int_psi1hat, psi2, work)
-    np.multiply(phase, np.subtract(psi2_0, psi2, out=psi2), out=psi2)
-    np.multiply(psi1hat, phase, out=psi1)
-
-
-def unhat_trajectory(x0: np.ndarray, psi1hat: np.ndarray, int_psi1hat: np.ndarray,
-                     initial: DiracState, params: PhysParams, order: int = 2) -> None:
-    """Undo the phase shift in place: psi1hat levels become psi1, integral levels psi2.
-
-    Level n of psi2 is exp(i*mu*x0) * (psi2(0) - sigma^i d_i int_psi1hat).
-    """
-    phases = np.exp(1j * params.mass_wavenumber * x0)
-    st = Stencil(initial.psi2.shape, initial.grid, order)
-    for n, phase in enumerate(phases):
-        _unhat(phase, psi1hat[n], int_psi1hat[n], initial.psi2, st, psi1hat[n], int_psi1hat[n])
 
 
 # ---------------------------------------------------------------------------

@@ -35,13 +35,14 @@ level's d0 is `dynamics.dirac_rhs` of its
 depends on `record_every`, except `equivalence.csv`'s `kg_residual`: its
 d0^2 spans `record_every` steps.
 
-The loop has two sources.  A single-route run streams its levels from the
-route's stepping loop as the steps make them (`dynamics.direct_stream`,
-`reduction.reduced_stream`): the runner holds neither the initial state nor
-a consumed level, and a level's stencil goes before its consumers run, so a
-run's peak memory does not grow with its level count.  A `both` run records
-both routes, writes `equivalence.csv`, drops the reduced trajectory and feeds
-the loop from the direct one.  Each level's `FluidState` dies in
+Every level comes from a route's stream (`dynamics.direct_stream`,
+`reduction.reduced_stream`), which hands it on as the steps make it, without
+the step's stencil.  A single-route run feeds the loop from its stream: the
+runner holds neither the initial state nor a consumed level, so a run's
+peak memory does not grow with its level count.  A `both` run collects both
+streams into trajectories (`evolve`, `evolve_reduced`), writes
+`equivalence.csv`, drops the reduced trajectory and feeds the loop from the
+direct one.  Each level's `FluidState` dies in
 `_write_level`, and the identity rows take the stencil d_mu of the two
 amplitude fields only, one at a time, and rotate those into the polar and
 Fisher forms by the chain rule.
@@ -186,8 +187,8 @@ def run(scenario: Scenario, outdir) -> RunResult:
 def _levels(scenario: Scenario, run_dir: Path):
     """(x0, psi1, psi2) of every recorded level, and the route equivalence of a both run.
 
-    One route streams its levels as its steps make them.  A both run records
-    both routes, writes equivalence.csv from them, and keeps the direct one.
+    One route streams its levels as its steps make them.  A both run collects
+    both streams, writes equivalence.csv from them, and keeps the direct one.
     """
     initial = build_initial(scenario)
     args = (scenario.duration, scenario.params, scenario.record_every,

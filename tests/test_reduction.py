@@ -6,7 +6,7 @@ import pytest
 
 from diracfluid import reduction
 from diracfluid.clifford import pauli
-from diracfluid.dynamics import DiracState, evolve, n_steps_for, record, run_steps
+from diracfluid.dynamics import DiracState, evolve, n_steps_for, run_steps
 from diracfluid.errors import GridError, NumericalInstabilityError
 from diracfluid.lattice import Stencil, laplacian, make_grid, spatial_derivative
 from diracfluid.params import PhysParams
@@ -190,8 +190,9 @@ def test_reconstruct_psi2_exact_at_start():
 
 
 def test_reduced_route_peak_is_two_recorded_arrays(traced):
-    # the un-hat overwrites the recorded psi1hat and integral levels in place,
-    # so beyond those two arrays the route holds only per-step buffers
+    # each level is un-hatted into two fresh arrays and copied into the
+    # trajectory before the next step, so beyond its two recorded arrays the
+    # route holds only per-step buffers
     scenario = _gaussian_scenario()
     initial = build_initial(scenario)
     n = 400
@@ -222,10 +223,10 @@ def test_integral_accumulates_psi1hat():
     grid = scenario.grid
     initial = build_initial(scenario)
     n = n_steps_for(scenario.duration, grid.dt, 1)
-    xs, (psi1hat, int_psi1hat) = record(
-        run_steps(initialize_reduced(initial, params, 2),
-                  lambda s: reduced_step(s, grid.dt, params), n, 1),
-        n + 1, ("psi1hat", "int_psi1hat"))
+    states = run_steps(initialize_reduced(initial, params, 2),
+                       lambda s: reduced_step(s, grid.dt, params), n, 1)
+    levels = [(s.x0, s.psi1hat.copy(), s.int_psi1hat.copy()) for s in states]
+    xs, psi1hat, int_psi1hat = (np.array(v) for v in zip(*levels))
     h = float(xs[1] - xs[0])
     mid = len(xs) // 2
     # central difference of the trapezoid accumulation returns the midpoint

@@ -308,8 +308,8 @@ def test_single_route_run_holds_one_level_at_a_time(tmp_path, traced, pipeline):
 
 @pytest.mark.parametrize("pipeline, route", [("dirac", evolve), ("reduced", evolve_reduced)])
 def test_streamed_levels_are_the_recorded_trajectory(tmp_path, pipeline, route):
-    # the stream and the recorded trajectory are one stepping loop: the same
-    # levels, bit for bit, and the same conservation rows
+    # the recorded trajectory is the run's stream, collected: the same levels,
+    # bit for bit, and the same conservation rows
     scenario = scenario_from_dict(_streamed_config(pipeline, 4) | {"record_every": 2})
     run_dir = run(scenario, tmp_path / "run").run_dir
     traj = route(build_initial(scenario), scenario.duration, scenario.params,
