@@ -24,7 +24,7 @@ from .lagrangian import (conservation_report, lagrangian_classical_clebsch,
                          relative_residual)
 from .lattice import make_grid, minkowski_square
 from .params import PhysParams
-from .reduction import equivalence_report, evolve_reduced
+from .reduction import equivalence_report, reduced_stream
 from .runner import chain_row, identity_rows_at
 from .scenarios import (build_initial, positive_energy_closure,
                         scenario_from_dict)
@@ -67,10 +67,10 @@ def check_dispersion() -> tuple[bool, str]:
     })
     params = scenario.params
     # the mean phase step telescopes, so every 5th of the 815 steps is enough
-    recon = evolve_reduced(build_initial(scenario), scenario.duration, params, record_every=5)
+    levels = reduced_stream(build_initial(scenario), scenario.duration, params, record_every=5)
     # mode 2 of the upper spin at each level; only its phase steps are read, so no 1/N
-    amps = np.fft.fft(recon.psi1[:, 0], axis=-1)[:, 2]
-    h = float(recon.x0[1] - recon.x0[0])
+    x0, amps = zip(*((x0, np.fft.fft(psi1[0])[2]) for x0, psi1, _ in levels))
+    h, amps = x0[1] - x0[0], np.array(amps)
     steps = np.angle(amps[1:] * np.conj(amps[:-1]))
     omega = -float(np.mean(steps)) / h
     target = np.sqrt(k * k + params.mass_wavenumber ** 2)

@@ -37,12 +37,12 @@ x0 = 0 state holds the start slope, so it goes with that state after the first
 step.  Every state keeps the stencil order of the slope, and a step at
 another order is a GridError.
 
-Both routes return one trajectory type.  `reduced_stream` hands on each
-recorded level as the steps make it, un-hatted into two fresh arrays by
-`unhat_trajectory` with the state's stencil, which then goes, and
-`evolve_reduced` collects that stream into a `dynamics.SpinorTrajectory`
-(`dynamics.collect`), as `evolve` collects the direct one.  The residual
-and the route comparison read grid, params and order from it.
+`reduced_stream` hands on each recorded level as the steps make it,
+un-hatted into two fresh arrays by `unhat_trajectory` with the state's
+stencil, which then goes.  `route_equivalence`, the one route comparison,
+folds that stream against the direct route's trajectory, reading grid,
+params and order from it, so no reduced trajectory is made.  `evolve_reduced`
+collects the stream (`dynamics.collect`), as `evolve` collects the direct one.
 """
 
 from __future__ import annotations
@@ -175,6 +175,7 @@ def reduced_stream(initial: DiracState, duration: float, params: PhysParams,
     return unhat_trajectory(states, initial.psi2, params)
 
 
+# no src/ caller is left: it stays callable for bench/tracing.py and the tests
 def evolve_reduced(initial: DiracState, duration: float, params: PhysParams,
                    record_every: int = 1, order: int = 2) -> SpinorTrajectory:
     """Integrate the reduced system; record psi1 and psi2 every record_every steps.
@@ -231,17 +232,10 @@ def kg_residual_norm(prev, curr, nxt, h: float, grid: Grid, params: PhysParams,
     return _l2(d0d0 - lap + mass, grid) / scale
 
 
+# no src/ caller is left: it stays callable for bench/tracing.py and the tests
 def residual_series(traj: SpinorTrajectory) -> np.ndarray:
     """Relative residual norms of traj's psi1 at interior recorded levels; NaN at the ends."""
-    nt, psi1 = len(traj.x0), traj.psi1
-    out = np.full(nt, np.nan)
-    if nt < 3:
-        return out
-    h = float(traj.x0[1] - traj.x0[0])
-    for n in range(1, nt - 1):
-        out[n] = kg_residual_norm(psi1[n - 1], psi1[n], psi1[n + 1],
-                                  h, traj.grid, traj.params, traj.order)
-    return out
+    return route_equivalence(traj, zip(traj.x0.tolist(), traj.psi1, traj.psi2)).kg_residual
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +260,7 @@ class EquivalenceReport:
                                 self.l2_discrepancy, self.kg_residual])
 
 
+# no src/ caller is left: it stays callable for bench/tracing.py and the tests
 def compare_trajectories(a: SpinorTrajectory, b: SpinorTrajectory) -> tuple[np.ndarray, np.ndarray]:
     """(sup, L2) discrepancy per recorded level between two spinor trajectories."""
     if a.grid != b.grid or len(a.x0) != len(b.x0) or not np.allclose(a.x0, b.x0):
@@ -274,27 +269,33 @@ def compare_trajectories(a: SpinorTrajectory, b: SpinorTrajectory) -> tuple[np.n
         raise GridError(f"trajectories differ in stencil order: {a.order} and {b.order}")
     if a.params != b.params:
         raise GridError(f"trajectories differ in params: {a.params} and {b.params}")
-    nt = len(a.x0)
-    sup = np.empty(nt)
-    l2 = np.empty(nt)
-    for n in range(nt):
-        d1 = a.psi1[n] - b.psi1[n]
-        d2 = a.psi2[n] - b.psi2[n]
+    report = route_equivalence(a, zip(b.x0.tolist(), b.psi1, b.psi2))
+    return report.sup_discrepancy, report.l2_discrepancy
+
+
+def route_equivalence(direct: SpinorTrajectory, reduced) -> EquivalenceReport:
+    """Fold the reduced route's (x0, psi1, psi2) stream, level by level, against direct."""
+    nt, grid = len(direct.x0), direct.grid
+    sup, l2, kg = np.empty(nt), np.empty(nt), np.full(nt, np.nan)
+    window, n = [], 0  # the last two reduced psi1 levels, all the residual holds
+    for _, psi1, psi2 in reduced:  # not enumerate: its reused tuple would hold the level
+        d1, d2 = direct.psi1[n] - psi1, direct.psi2[n] - psi2
         sup[n] = max(np.max(np.abs(d1)), np.max(np.abs(d2)))
         mag2 = np.abs(d1) ** 2 + np.abs(d2) ** 2
-        l2[n] = np.sqrt(integrate_volume(mag2.sum(axis=0), a.grid).real)
-    return sup, l2
-
-
-def route_equivalence(direct: SpinorTrajectory, recon: SpinorTrajectory) -> EquivalenceReport:
-    """Compare the first-order route with the un-hatted reduced route, level by level."""
-    sup, l2 = compare_trajectories(direct, recon)
-    return EquivalenceReport(direct.x0.copy(), sup, l2, residual_series(recon))
+        l2[n] = np.sqrt(integrate_volume(mag2.sum(axis=0), grid).real)
+        del d1, d2, mag2, psi2
+        if n >= 2:
+            kg[n - 1] = kg_residual_norm(*window, psi1, float(direct.x0[1] - direct.x0[0]),
+                                         grid, direct.params, direct.order)
+        window = [*window[-1:], psi1]
+        n += 1
+    if n != nt:
+        raise GridError(f"the reduced route gave {n} levels, the direct one {nt}")
+    return EquivalenceReport(direct.x0.copy(), sup, l2, kg)
 
 
 def equivalence_report(initial: DiracState, duration: float, params: PhysParams,
                        record_every: int = 1, order: int = 2) -> EquivalenceReport:
     """Run both evolution routes from the same initial data and compare them."""
-    direct = evolve(initial, duration, params, record_every=record_every, order=order)
-    recon = evolve_reduced(initial, duration, params, record_every=record_every, order=order)
-    return route_equivalence(direct, recon)
+    args = (duration, params, record_every, order)
+    return route_equivalence(evolve(initial, *args), reduced_stream(initial, *args))

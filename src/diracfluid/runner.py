@@ -39,10 +39,10 @@ Every level comes from a route's stream (`dynamics.direct_stream`,
 `reduction.reduced_stream`), which hands it on as the steps make it, without
 the step's stencil.  A single-route run feeds the loop from its stream: the
 runner holds neither the initial state nor a consumed level, so a run's
-peak memory does not grow with its level count.  A `both` run collects both
-streams into trajectories (`evolve`, `evolve_reduced`), writes
-`equivalence.csv`, drops the reduced trajectory and feeds the loop from the
-direct one.  Each level's `FluidState` dies in
+peak memory does not grow with its level count.  A `both` run collects the
+direct stream (`evolve`), folds the reduced one against it level by level
+(`reduction.route_equivalence`), so it holds no reduced trajectory, and
+feeds the loop from the direct one.  Each level's `FluidState` dies in
 `_write_level`, and the identity rows take the stencil d_mu of the two
 amplitude fields only, one at a time, and rotate those into the polar and
 Fisher forms by the chain rule.
@@ -53,6 +53,7 @@ from __future__ import annotations
 import json
 import shutil
 import tempfile
+from collections import deque
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
@@ -65,7 +66,7 @@ from .lagrangian import (ConservationReport, conservation_report, identity_resid
                          lagrangian_spinor_from_gradients, lagrangian_split, median,
                          quantum_polar_forms)
 from .lattice import file_sha256, four_gradient, index_prefixes, write_csv, write_snapshot
-from .reduction import EquivalenceReport, evolve_reduced, reduced_stream, route_equivalence
+from .reduction import EquivalenceReport, reduced_stream, route_equivalence
 from .scenarios import Scenario, build_initial
 from .version import __version__
 
@@ -187,8 +188,8 @@ def run(scenario: Scenario, outdir) -> RunResult:
 def _levels(scenario: Scenario, run_dir: Path):
     """(x0, psi1, psi2) of every recorded level, and the route equivalence of a both run.
 
-    One route streams its levels as its steps make them.  A both run collects
-    both streams, writes equivalence.csv from them, and keeps the direct one.
+    One route streams its levels as its steps make them.  A both run folds the
+    reduced stream against the collected direct one and keeps the direct one.
     """
     initial = build_initial(scenario)
     args = (scenario.duration, scenario.params, scenario.record_every,
@@ -197,13 +198,13 @@ def _levels(scenario: Scenario, run_dir: Path):
         return direct_stream(initial, *args), None
     if scenario.pipeline == "reduced":
         return reduced_stream(initial, *args), None
-    direct = evolve(initial, *args)
-    recon = evolve_reduced(initial, *args)
+    direct, reduced = evolve(initial, *args), reduced_stream(initial, *args)
     del initial  # read by the two routes only
     equivalence = None
     if "equivalence" in scenario.diagnostics:
-        equivalence = route_equivalence(direct, recon)
+        equivalence = route_equivalence(direct, reduced)
         _write_rows(run_dir / "diagnostics/equivalence.csv", _EQUIV_HEADER, equivalence.rows())
+    deque(reduced, maxlen=0)  # left unfolded (its (c*dt)^2 may underflow), it runs for its guards
     return zip(direct.x0.tolist(), direct.psi1, direct.psi2), equivalence
 
 

@@ -12,7 +12,7 @@ from diracfluid.lattice import Stencil, laplacian, make_grid, spatial_derivative
 from diracfluid.params import PhysParams
 from diracfluid.reduction import (compare_trajectories, equivalence_report, evolve_reduced,
                                   initialize_reduced, kg_residual_norm, reduced_step,
-                                  residual_series, route_equivalence)
+                                  reduced_stream, residual_series, route_equivalence)
 from diracfluid.scenarios import build_initial, scenario_from_dict
 from lattice_modes import kappa_dx
 
@@ -307,16 +307,47 @@ def test_compare_trajectories_rejects_mismatch():
                                          evolve_reduced(_uniform_state(grid_a), 0.2, params))):
         with pytest.raises(GridError, match="stencil order"):
             compare_trajectories(direct, recon)
-        with pytest.raises(GridError, match="stencil order"):
-            route_equivalence(direct, recon)
 
 
 def test_compare_trajectories_rejects_two_params():
     # a mass mismatch would read as a route discrepancy (max_sup 0.45 here when it ran)
     ini = build_initial(_gaussian_scenario())
     with pytest.raises(GridError, match="params"):
-        route_equivalence(evolve(ini, 0.5, PhysParams()),
-                          evolve_reduced(ini, 0.5, PhysParams(m=2.0)))
+        compare_trajectories(evolve(ini, 0.5, PhysParams()),
+                             evolve_reduced(ini, 0.5, PhysParams(m=2.0)))
+
+
+def _packet_2d_scenario():
+    return scenario_from_dict({
+        "name": "t2",
+        "grid": {"extents": [6.0, 6.0], "points": [16, 16]},
+        "initial_data": {"recipe": "gaussian_packet", "k": [0.5, 0.25], "width": 1.5},
+        "duration": 1.0,
+        "pipeline": "both",
+    })
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("make_scenario", [_gaussian_scenario, _packet_2d_scenario],
+                         ids=["1d", "2d"])
+def test_route_equivalence_folds_the_stream_as_the_recorded_levels(make_scenario,
+                                                                   record_every):
+    # the reduced stream, folded as it arrives, gives the report of the collected
+    # trajectory's levels bit for bit; compare_trajectories and residual_series
+    # are the same fold
+    scenario = make_scenario()
+    args = (build_initial(scenario), scenario.duration, scenario.params, record_every)
+    direct, recon = evolve(*args), evolve_reduced(*args)
+    streamed = route_equivalence(direct, reduced_stream(*args)).rows()
+    recorded = route_equivalence(direct, zip(recon.x0.tolist(), recon.psi1, recon.psi2)).rows()
+    assert len(recorded) == len(direct.x0) > 3
+    np.testing.assert_array_equal(streamed.view(np.uint64), recorded.view(np.uint64))
+    views = np.column_stack([direct.x0, *compare_trajectories(direct, recon),
+                             residual_series(recon)])
+    np.testing.assert_array_equal(views.view(np.uint64), recorded.view(np.uint64))
+    # a stream at another cadence is not the direct route's levels
+    with pytest.raises(GridError, match="levels"):
+        route_equivalence(direct, reduced_stream(*args[:3], record_every + 1))
 
 
 def test_reduced_step_refuses_another_stencil_order():

@@ -1,14 +1,13 @@
 """End-to-end runs: output tree, manifest hashing, and determinism."""
 
 import json
-import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diracfluid import fluid, runner
-from diracfluid.dynamics import evolve
+from diracfluid import fluid, reduction, runner
+from diracfluid.dynamics import evolve, n_steps_for
 from diracfluid.errors import NumericalInstabilityError
 from diracfluid.fluid import MASK_NAMES, FluidState, PointMask, fluid_state
 from diracfluid.lattice import file_sha256, make_grid, read_snapshot
@@ -249,31 +248,6 @@ def test_outputs_of_a_shared_step_do_not_depend_on_record_every(tmp_path):
     assert len(rows) == 1 and float(rows.pop().split(",")[0]) == 0.3125
 
 
-def test_both_run_drops_the_reduced_route_before_the_fluid_map(tmp_path, monkeypatch):
-    # the routes are compared right after they run, so from the snapshots on a
-    # both run holds only the direct trajectory
-    refs, seen = [], []
-    evolve_reduced, fluid_state_ = runner.evolve_reduced, runner.fluid_state
-
-    def kept(*args, **kwargs):
-        traj = evolve_reduced(*args, **kwargs)
-        refs.append(weakref.ref(traj.psi1))
-        return traj
-
-    def checked(*args, **kwargs):
-        seen.append(refs[0]())
-        return fluid_state_(*args, **kwargs)
-
-    monkeypatch.setattr(runner, "evolve_reduced", kept)
-    monkeypatch.setattr(runner, "fluid_state", checked)
-    config = _packet_config(grid={"extents": [6.0, 6.0], "points": [16, 16]}, duration=0.5,
-                            initial_data={"recipe": "gaussian_packet", "k": [0.5, 0.25],
-                                          "width": 1.5},
-                            fluid_map=False, diagnostics=["equivalence", "identities"])
-    run(scenario_from_dict(config), tmp_path)
-    assert len(refs) == 1 and seen == [None]
-
-
 @pytest.mark.parametrize("pipeline, reduced", [("both", "three-level/central-4"),
                                                 ("reduced", "three-level/central-4"),
                                                 ("dirac", None)])
@@ -304,6 +278,39 @@ def test_single_route_run_holds_one_level_at_a_time(tmp_path, traced, pipeline):
     run(scenario[4], tmp_path / "warm")  # the CSV tables and index prefixes are made once
     peaks = {steps: traced(run, scenario[steps], tmp_path / str(steps))[1] for steps in (4, 16)}
     assert abs(peaks[16] - peaks[4]) < level, (peaks, level)
+
+
+def test_both_run_records_only_its_direct_route(tmp_path, traced):
+    # the reduced route is folded into the equivalence report as its levels
+    # arrive, so no reduced level stays alive under the fluid map: 16 recorded
+    # levels peak above 4 by the direct trajectory's 12 extra levels, where a
+    # recorded reduced trajectory added 8 more
+    scenario = {steps: scenario_from_dict(_streamed_config("both", steps) | {
+        "diagnostics": ["conservation", "identities", "approximation_chain", "equivalence"]})
+        for steps in (4, 16)}
+    level = 2 * build_initial(scenario[4]).psi1.nbytes
+    run(scenario[4], tmp_path / "warm")  # the CSV tables and index prefixes are made once
+    peaks = {steps: traced(run, scenario[steps], tmp_path / str(steps))[1] for steps in (4, 16)}
+    assert peaks[16] - peaks[4] < 13 * level, (peaks, level)
+
+
+@pytest.mark.parametrize("diagnostics", [["equivalence"], []], ids=["equivalence", "none"])
+def test_both_run_takes_every_reduced_step(tmp_path, monkeypatch, diagnostics):
+    # without the equivalence report the reduced route still runs: its growth
+    # guards hold, and the manifest's reduced scheme tag stays true
+    stepped = []
+    reduced_step = reduction.reduced_step
+
+    def counted(*args, **kwargs):
+        stepped.append(args[0].x0)
+        return reduced_step(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "reduced_step", counted)
+    scenario = scenario_from_dict(_packet_config(fluid_map=False, diagnostics=diagnostics))
+    manifest = run(scenario, tmp_path).manifest
+    assert len(stepped) == n_steps_for(scenario.duration, scenario.grid.dt,
+                                       scenario.record_every) == manifest["n_steps"]
+    assert manifest["scheme"]["reduced"] == "three-level/central-2"
 
 
 @pytest.mark.parametrize("pipeline, route", [("dirac", evolve), ("reduced", evolve_reduced)])
