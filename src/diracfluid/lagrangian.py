@@ -18,7 +18,7 @@ J^i = 2 Re(psi1^dag sigma^i psi2).  Both rewritings of L_q are the chain rule of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -104,12 +104,17 @@ def probability_current(psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ConservationReport:
-    """Charge conservation along a trajectory, one value per recorded level in every column."""
+    """Charge conservation per recorded level: the measured columns, and the drift they give."""
 
     x0: np.ndarray
     divergence_l2: np.ndarray
     total_charge: np.ndarray
-    charge_drift: np.ndarray
+
+    @property
+    def charge_drift(self) -> np.ndarray:
+        """Each level's |charge change| from the first level, relative to the first charge."""
+        q = self.total_charge
+        return np.abs(q - q[0]) / max(abs(q[0]), _SCALE_FLOOR)
 
     def rows(self) -> np.ndarray:
         return np.column_stack([self.x0, self.divergence_l2,
@@ -120,25 +125,17 @@ class ConservationReport:
         return float(np.max(self.charge_drift))
 
     @classmethod
-    def from_levels(cls, x0, divergence_l2, total_charge) -> ConservationReport:
-        """The report of these levels, each level's charge drift taken from the first's."""
-        drift = np.abs(total_charge - total_charge[0]) / max(abs(total_charge[0]), _SCALE_FLOOR)
-        return cls(x0=x0, divergence_l2=divergence_l2, total_charge=total_charge,
-                   charge_drift=drift)
-
-    @classmethod
     def join(cls, reports) -> ConservationReport:
-        """One report of consecutive reports' levels, the drift taken from the first level's charge.
+        """One report of consecutive reports' levels: their measured columns, concatenated.
 
         A run that streams its levels joins one one-level report per level;
         the result has the bits of the report of the recorded trajectory.
         """
-        return cls.from_levels(*(np.concatenate([getattr(r, f) for r in reports])
-                                 for f in ("x0", "divergence_l2", "total_charge")))
+        return cls(*(np.concatenate([getattr(r, f.name) for r in reports]) for f in fields(cls)))
 
 
 def conservation_report(traj) -> ConservationReport:
-    """d_mu J^mu residual and total-charge drift, computed at each recorded level in turn.
+    """d_mu J^mu residual and total charge, computed at each recorded level in turn.
 
     d0 J^0 = 2 Re sum psi* d0 psi takes d0 psi from `dirac_rhs` at the level and
     the spatial divergence is the stencil's, at traj's order, so the residual is
@@ -154,7 +151,7 @@ def conservation_report(traj) -> ConservationReport:
         for axis in range(grid.dims):
             div += spatial_derivative(j[1 + axis], grid, axis, order)
         div_l2[i] = np.sqrt(integrate_volume(div ** 2, grid))
-    return ConservationReport.from_levels(traj.x0.copy(), div_l2, charge)
+    return ConservationReport(traj.x0.copy(), div_l2, charge)
 
 
 def median(values: np.ndarray) -> float:

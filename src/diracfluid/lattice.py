@@ -137,7 +137,7 @@ class Stencil:
         if shape[len(shape) - grid.dims:] != grid.shape:
             raise GridError(f"field shape {shape} does not end with grid shape {grid.shape}")
         self.key, self._made = (shape, grid, order), (None, None)
-        self.grid, self.order, self.dims = grid, order, grid.dims
+        self.order, self.dims = order, grid.dims
         g, d, n0, lead = order // 2, grid.dims, grid.shape[0], shape[:len(shape) - grid.dims]
         self.pad = np.empty(lead + (n0 + 2 * g,) + grid.shape[1:], dtype)
 

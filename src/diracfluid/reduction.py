@@ -279,6 +279,8 @@ def route_equivalence(direct: SpinorTrajectory, reduced) -> EquivalenceReport:
     sup, l2, kg = np.empty(nt), np.empty(nt), np.full(nt, np.nan)
     window, n = [], 0  # the last two reduced psi1 levels, all the residual holds
     for _, psi1, psi2 in reduced:  # not enumerate: its reused tuple would hold the level
+        if n == nt or not psi1.shape == psi2.shape == direct.psi1.shape[1:]:
+            raise GridError(f"reduced level {n} does not match the direct route's {nt} levels")
         d1, d2 = direct.psi1[n] - psi1, direct.psi2[n] - psi2
         sup[n] = max(np.max(np.abs(d1)), np.max(np.abs(d2)))
         mag2 = np.abs(d1) ** 2 + np.abs(d2) ** 2

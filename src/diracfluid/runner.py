@@ -66,7 +66,7 @@ from .lagrangian import (ConservationReport, conservation_report, identity_resid
                          lagrangian_spinor_from_gradients, lagrangian_split, median,
                          quantum_polar_forms)
 from .lattice import file_sha256, four_gradient, index_prefixes, write_csv, write_snapshot
-from .reduction import EquivalenceReport, reduced_stream, route_equivalence
+from .reduction import reduced_stream, route_equivalence
 from .scenarios import Scenario, build_initial
 from .version import __version__
 
@@ -75,7 +75,6 @@ from .version import __version__
 class RunResult:
     run_dir: Path
     manifest: dict
-    equivalence: EquivalenceReport | None = None
 
 
 _FLUID_HEADER = "axis0,axis1,axis2,rho_bar,theta,alpha,vC0,vC1,vC2,vC3,rho_0,a_0,mask"
@@ -176,36 +175,36 @@ def run(scenario: Scenario, outdir) -> RunResult:
     staging = Path(tempfile.mkdtemp(prefix=f".{scenario.name}.", dir=outdir))
     try:  # the tree is made inside the private staging directory, so it keeps the umask
         stage = staging / scenario.name
-        manifest, equivalence = _write_tree(scenario, stage)
+        manifest = _write_tree(scenario, stage)
         if run_dir.exists():
             run_dir.rename(staging / "previous")
         stage.rename(run_dir)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
-    return RunResult(run_dir=run_dir, manifest=manifest, equivalence=equivalence)
+    return RunResult(run_dir=run_dir, manifest=manifest)
 
 
 def _levels(scenario: Scenario, run_dir: Path):
-    """(x0, psi1, psi2) of every recorded level, and the route equivalence of a both run.
+    """(x0, psi1, psi2) of every recorded level.
 
     One route streams its levels as its steps make them.  A both run folds the
-    reduced stream against the collected direct one and keeps the direct one.
+    reduced stream against the collected direct one, writes that route
+    equivalence to equivalence.csv if it is asked for, and keeps the direct one.
     """
     initial = build_initial(scenario)
     args = (scenario.duration, scenario.params, scenario.record_every,
             scenario.derivative_order)
     if scenario.pipeline == "dirac":
-        return direct_stream(initial, *args), None
+        return direct_stream(initial, *args)
     if scenario.pipeline == "reduced":
-        return reduced_stream(initial, *args), None
+        return reduced_stream(initial, *args)
     direct, reduced = evolve(initial, *args), reduced_stream(initial, *args)
     del initial  # read by the two routes only
-    equivalence = None
     if "equivalence" in scenario.diagnostics:
-        equivalence = route_equivalence(direct, reduced)
-        _write_rows(run_dir / "diagnostics/equivalence.csv", _EQUIV_HEADER, equivalence.rows())
+        _write_rows(run_dir / "diagnostics/equivalence.csv", _EQUIV_HEADER,
+                    route_equivalence(direct, reduced).rows())
     deque(reduced, maxlen=0)  # left unfolded (its (c*dt)^2 may underflow), it runs for its guards
-    return zip(direct.x0.tolist(), direct.psi1, direct.psi2), equivalence
+    return zip(direct.x0.tolist(), direct.psi1, direct.psi2)
 
 
 def _write_level(scenario: Scenario, run_dir: Path, n: int, x0: float, psi1, psi2,
@@ -222,7 +221,7 @@ def _write_level(scenario: Scenario, run_dir: Path, n: int, x0: float, psi1, psi
 
 
 def _write_tree(scenario: Scenario, run_dir: Path):
-    """Evolve the scenario, write its tree into run_dir and return (manifest, equivalence)."""
+    """Evolve the scenario, write its tree into run_dir and return its manifest."""
     for sub in ("snapshots", "diagnostics"):
         (run_dir / sub).mkdir(parents=True)
 
@@ -235,8 +234,8 @@ def _write_tree(scenario: Scenario, run_dir: Path):
     interior = scenario.fluid_map or want_chain  # else only the middle level, for identities
     mid = nt // 2  # interior: validation asks for 3 levels when identities are wanted
     consv, chain_rows, n = [], [], 0
-    levels, equivalence = _levels(scenario, run_dir)
-    for x0, psi1, psi2 in levels:  # not enumerate: its reused tuple would hold the level
+    # not enumerate: its reused tuple would hold the level
+    for x0, psi1, psi2 in _levels(scenario, run_dir):
         step = n * scenario.record_every
         for name, field in (("psi1", psi1), ("psi2", psi2)):
             write_snapshot(run_dir / f"snapshots/{name}_{step:06d}.csv", field, grid)
@@ -273,4 +272,4 @@ def _write_tree(scenario: Scenario, run_dir: Path):
     with open(run_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return manifest, equivalence
+    return manifest

@@ -208,7 +208,7 @@ def _parse_recipe(section: dict, grid: Grid, base: Path):
     keys = {"recipe"} | {f.name for f in fields(RECIPES[recipe][0])} - {"base"}
     _reject_unknown(section, keys, "initial_data")
     amp = _as_float(section.get("amplitude", 1.0), "initial_data.amplitude")
-    if recipe != "custom" and amp <= 0:
+    if amp <= 0:
         raise ConfigError("initial_data.amplitude: must be positive")
     chi = _as_float(section.get("spin_angle", 0.0), "initial_data.spin_angle")
     phase = _as_float(section.get("relative_phase", 0.0), "initial_data.relative_phase")

@@ -1,6 +1,7 @@
 """Lagrangian forms, the probability current, and the residual reports."""
 
 import numpy as np
+import pytest
 
 from diracfluid.clifford import gamma
 from diracfluid.dynamics import SpinorTrajectory, dirac_rhs, evolve
@@ -174,19 +175,25 @@ def test_conservation_report_on_short_packet_run():
         assert report.rows().shape == (len(report.x0), 4)
 
 
-def test_conservation_report_is_the_join_of_its_level_reports():
+@pytest.mark.parametrize("extents, points, k", [
+    ([8.0], [32], [0.5]),
+    ([8.0, 6.0], [16, 12], [0.5, -0.25]),
+    ([6.0, 6.0, 6.0], [10, 8, 8], [0.5, -0.25, 0.125]),
+], ids=["1d", "2d", "3d"])
+def test_conservation_report_is_the_join_of_its_level_reports(extents, points, k):
     # a streamed run joins one one-level report per level as its steps make
     # them; the report of the recorded trajectory must have the same bits
     scenario = scenario_from_dict({
         "name": "t",
-        "grid": {"extents": [8.0, 6.0], "points": [16, 12]},
-        "initial_data": {"recipe": "gaussian_packet", "k": [0.5, -0.25], "width": 1.5},
+        "grid": {"extents": extents, "points": points},
+        "initial_data": {"recipe": "gaussian_packet", "k": k, "width": 1.5},
         "duration": 0.5,
         "pipeline": "dirac",
     })
     for order in (2, 4):
         traj = evolve(build_initial(scenario), scenario.duration, scenario.params,
                       record_every=2, order=order)
+        assert len(traj.x0) > 2
         joined = ConservationReport.join([
             conservation_report(SpinorTrajectory(traj.x0[n:n + 1], traj.psi1[n:n + 1],
                                                  traj.psi2[n:n + 1], traj.grid, traj.params,
@@ -194,6 +201,21 @@ def test_conservation_report_is_the_join_of_its_level_reports():
             for n in range(len(traj.x0))])
         np.testing.assert_array_equal(conservation_report(traj).rows().view(np.uint64),
                                       joined.rows().view(np.uint64))
+
+
+@pytest.mark.parametrize("first_charge", [3.795237483069367, -2.5, 0.0, 1e-310])
+def test_conservation_report_derives_its_drift_from_the_charges(first_charge):
+    # the report stores the three measured columns; the drift column is the
+    # charge's change from the first level over the first charge, floored
+    rng = np.random.default_rng(5)
+    x0, div = np.linspace(0.0, 1.0, 6), rng.random(6)
+    q = np.concatenate([[first_charge], first_charge + 1e-9 * rng.normal(size=5)])
+    report = ConservationReport(x0, div, q)
+    expected = np.abs(q - q[0]) / max(abs(q[0]), 1e-300)
+    np.testing.assert_array_equal(report.charge_drift.view(np.uint64), expected.view(np.uint64))
+    np.testing.assert_array_equal(report.rows().view(np.uint64),
+                                  np.column_stack([x0, div, q, expected]).view(np.uint64))
+    assert report.max_drift == float(np.max(expected))
 
 
 def test_identity_residual_masking_and_scale():

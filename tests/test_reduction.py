@@ -345,9 +345,16 @@ def test_route_equivalence_folds_the_stream_as_the_recorded_levels(make_scenario
     views = np.column_stack([direct.x0, *compare_trajectories(direct, recon),
                              residual_series(recon)])
     np.testing.assert_array_equal(views.view(np.uint64), recorded.view(np.uint64))
-    # a stream at another cadence is not the direct route's levels
+    # a stream that is not the direct route's levels is a GridError before a level
+    # is indexed: fewer levels or more (another cadence), or a level of another shape
     with pytest.raises(GridError, match="levels"):
         route_equivalence(direct, reduced_stream(*args[:3], record_every + 1))
+    coarse = evolve(*args[:3], record_every + 1)
+    with pytest.raises(GridError, match=f"level {len(coarse.x0)} .* {len(coarse.x0)} levels"):
+        route_equivalence(coarse, reduced_stream(*args))
+    with pytest.raises(GridError, match=f"level 0 .* {len(direct.x0)} levels"):
+        route_equivalence(direct, ((x0, p1[..., 1:], p2[..., 1:])
+                                   for x0, p1, p2 in reduced_stream(*args)))
 
 
 def test_reduced_step_refuses_another_stencil_order():
